@@ -1,12 +1,18 @@
-"""Ideal MHD in Elsasser form on the periodic grid: shared-pressure
+"""Ideal MHD in Elsasser form on the periodic grid: divergence-form
 tendency, RK4 stepping, the linearized Picard approximation scheme, and
 particle trajectory maps.
 
-The two Elsasser equations share one pressure, recovered spectrally from
-pi = (-Laplace)^-1 d_i d_j (zm_i zp_j); equivalently the pressure gradient is
-the Leray complement of the advection term, which is how the linearized
-Picard systems define their per-iterate pressures.  There is no explicit
-dissipation: products are 2/3-dealiased and runs are meant to stay smooth.
+The system is d_t z+ + (z- . grad) z+ = -grad pi, d_t z- + (z+ . grad) z- =
+-grad pi with div z+ = div z- = 0.  Because both advectors are solenoidal,
+(w . grad) z = div(z (x) w), so both equations are built from the same d^2
+dealiased products M_ij = z+_i z-_j: dz+_i/dt = -P(d_j M_ij) and
+dz-_i/dt = -P(d_j M_ji), where P is the Leray projection.  P removes the
+pressure gradient exactly, so the tendency never solves for pi;
+`pressure_gradient` (pi = (-Laplace)^-1 d_i d_j (zm_i zp_j)) is kept as the
+subject of the lab's pressure estimate.  The linearized Picard systems define
+their per-iterate pressures the same way, as the Leray complement of the
+advection term.  There is no explicit dissipation: products are
+2/3-dealiased and runs are meant to stay smooth.
 """
 
 from __future__ import annotations
@@ -24,8 +30,12 @@ from .spectral import (
     Grid,
     RealField,
     SpectralError,
+    _forward,
+    _inverse,
+    _leray,
     _masked_product,
     dealias,
+    dealias_mask,
     frequencies,
     from_function,
     leray_project,
@@ -90,18 +100,27 @@ def from_elsasser(state: ElsasserState):
 # ---------------------------------------------------------------------------
 
 
-def advection(w: RealField, z: RealField) -> RealField:
-    """(w . grad) z with dealiased products."""
-    grid = w.grid
+def _dyads(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dealiased products a_i b_j of stacked values a (m,) + shape and
+    b (n,) + shape, as coefficients (m, n) + spectral_shape, in one batched
+    forward transform."""
+    out = _forward(grid, a[:, np.newaxis] * b[np.newaxis, :])
+    out *= dealias_mask(grid)
+    return out
+
+
+def _row_divergence(grid: Grid, m: np.ndarray) -> np.ndarray:
+    """sum_j d_j m[:, j] for dyad coefficients m (k, d) + spectral_shape."""
     freqs = frequencies(grid)
-    comps = []
-    for c in range(z.ncomp):
-        acc = np.zeros(grid.spectral_shape, dtype=complex)
-        for i in range(grid.dimension):
-            dz = sfft.irfftn(1j * freqs[i] * z.coeffs[c], s=grid.shape)
-            acc += _masked_product(grid, w.values[i], dz)
-        comps.append(acc)
-    return RealField(grid, coeffs=np.stack(comps))
+    return sum(1j * freqs[j] * m[:, j] for j in range(grid.dimension))
+
+
+def advection(w: RealField, z: RealField) -> RealField:
+    """(w . grad) z, computed in divergence form sum_j d_j (z_i w_j) with
+    dealiased products.  Equal to the advective form only when w is
+    solenoidal (the divergence form adds z div w)."""
+    grid = w.grid
+    return RealField(grid, coeffs=_row_divergence(grid, _dyads(grid, z.values, w.values)))
 
 
 def pressure_gradient(state: ElsasserState) -> RealField:
@@ -122,13 +141,31 @@ def pressure_gradient(state: ElsasserState) -> RealField:
     return RealField(grid, coeffs=out)
 
 
+def _elsasser_rhs(grid: Grid, zp: np.ndarray, zm: np.ndarray) -> np.ndarray:
+    """Coefficients of (dz+/dt, dz-/dt), shape (2, d) + spectral_shape, from
+    the values of z+ and z-.  Both equations read the same dyads
+    M_ij = z+_i z-_j; the Leray projection removes the pressure and scrubs
+    round-off divergence."""
+    # nested calls, so the d^2 dyad array is freed before the projection runs
+    return _leray(grid, _shared_divergences(grid, _dyads(grid, zp, zm)))
+
+
+def _shared_divergences(grid: Grid, m: np.ndarray) -> np.ndarray:
+    """Minus the divergences that advect z+ and z-: -(d_j M_ij, d_j M_ji)."""
+    out = np.stack([_row_divergence(grid, m), _row_divergence(grid, m.swapaxes(0, 1))])
+    out *= -1.0
+    return out
+
+
 def mhd_tendency(state: ElsasserState):
-    """Right sides (dz+/dt, dz-/dt) of the symmetrized system, both
-    Leray-projected to scrub round-off divergence."""
-    grad_pi = pressure_gradient(state)
-    fp = leray_project(-advection(state.z_minus, state.z_plus) - grad_pi)
-    fm = leray_project(-advection(state.z_plus, state.z_minus) - grad_pi)
-    return fp, fm
+    """Right sides (dz+/dt, dz-/dt) of the Elsasser system, both
+    Leray-projected (solenoidal)."""
+    grid = state.grid
+    k = _elsasser_rhs(grid, state.z_plus.values, state.z_minus.values)
+    return (
+        RealField(grid, coeffs=k[0], solenoidal=True),
+        RealField(grid, coeffs=k[1], solenoidal=True),
+    )
 
 
 def cfl_bound(state: ElsasserState) -> float:
@@ -140,7 +177,14 @@ def cfl_bound(state: ElsasserState) -> float:
 
 
 def step(state: ElsasserState, dt: float) -> ElsasserState:
-    """One classical RK4 step of the nonlinear system."""
+    """One classical RK4 step of the nonlinear system.
+
+    RK4 runs on the stacked (2, d) + spectral_shape coefficient array of the
+    pair: each stage is one batched inverse transform of that array and one
+    batched forward transform of the d^2 dyads.  The first stage and the CFL
+    check both read the values of the input state, so they are transformed
+    at most once.
+    """
     if dt <= 0.0:
         raise SpectralError("dt must be positive")
     bound = cfl_bound(state)
@@ -151,18 +195,27 @@ def step(state: ElsasserState, dt: float) -> ElsasserState:
             CflWarning,
             stacklevel=2,
         )
-    y_p, y_m = state.z_plus, state.z_minus
+    grid = state.grid
+    zp, zm = state.z_plus, state.z_minus
 
-    def rhs(zp, zm):
-        return mhd_tendency(ElsasserState(zp, zm, state.t))
+    def ahead(c, k):
+        # y + c k for the stacked pair y, without a stacked copy of y
+        out = c * k
+        out[0] += zp.coeffs
+        out[1] += zm.coeffs
+        return out
 
-    k1p, k1m = rhs(y_p, y_m)
-    k2p, k2m = rhs(y_p + (0.5 * dt) * k1p, y_m + (0.5 * dt) * k1m)
-    k3p, k3m = rhs(y_p + (0.5 * dt) * k2p, y_m + (0.5 * dt) * k2m)
-    k4p, k4m = rhs(y_p + dt * k3p, y_m + dt * k3m)
-    new_p = y_p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-    new_m = y_m + (dt / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-    return ElsasserState(new_p, new_m, state.t + dt)
+    k = _elsasser_rhs(grid, zp.values, zm.values)
+    total = k
+    for frac, weight in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
+        k = _elsasser_rhs(grid, *_inverse(grid, ahead(frac * dt, k)))
+        total += weight * k
+    new = ahead(dt / 6.0, total)
+    return ElsasserState(
+        RealField(grid, coeffs=new[0], solenoidal=zp.solenoidal),
+        RealField(grid, coeffs=new[1], solenoidal=zm.solenoidal),
+        state.t + dt,
+    )
 
 
 def run(state: ElsasserState, t_final: float, dt: float, callback=None) -> ElsasserState:

@@ -162,11 +162,13 @@ def spectral_weights(grid: Grid) -> np.ndarray:
 
 
 def _forward(grid: Grid, values: np.ndarray) -> np.ndarray:
-    return sfft.rfftn(values, axes=tuple(range(1, grid.dimension + 1)))
+    """rfft over the trailing d axes; every leading axis is a batch axis."""
+    return sfft.rfftn(values, axes=tuple(range(-grid.dimension, 0)))
 
 
 def _inverse(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    return sfft.irfftn(coeffs, s=grid.shape, axes=tuple(range(1, grid.dimension + 1)))
+    """Inverse of _forward, batched over the leading axes."""
+    return sfft.irfftn(coeffs, s=grid.shape, axes=tuple(range(-grid.dimension, 0)))
 
 
 class RealField:
@@ -499,7 +501,6 @@ def low_pass_saturating(f: RealField, j: int) -> RealField:
 
 def block_magnitudes(f: RealField) -> np.ndarray:
     """Stack of pointwise magnitudes |Delta_j f|, shape (n_shells,) + grid.shape."""
-    bank = make_filter_bank(f.grid)
     return np.stack([dyadic_block(f, j).magnitude() for j in f.grid.js])
 
 
@@ -605,20 +606,38 @@ def riesz(f: RealField, axis: int) -> RealField:
     return apply_multiplier(f, mult, solenoidal=False)
 
 
+@lru_cache(maxsize=None)
+def _leray_denominators(dimension: int, points: int):
+    """|xi|^2 and the same with the mean mode set to 1 (safe to divide by)."""
+    r2 = _radius(dimension, points) ** 2
+    safe = np.where(r2 == 0.0, 1.0, r2)
+    r2.flags.writeable = False
+    safe.flags.writeable = False
+    return r2, safe
+
+
+def _leray(grid: Grid, c: np.ndarray) -> np.ndarray:
+    """Leray projection of stacked vector coefficients, shape
+    (..., d) + spectral_shape: the component axis is the one just before the
+    spectral axes, and every axis before it is a batch axis."""
+    d = grid.dimension
+    freqs = frequencies(grid)
+    r2, safe = _leray_denominators(d, grid.points)
+    index = [(..., a) + (slice(None),) * d for a in range(d)]
+    xi_dot = sum(freqs[a] * c[index[a]] for a in range(d))
+    out = np.empty_like(c)
+    for a in range(d):
+        np.subtract(
+            c[index[a]], np.where(r2 == 0.0, 0.0, freqs[a] * xi_dot / safe), out=out[index[a]]
+        )
+    return out
+
+
 def leray_project(v: RealField) -> RealField:
     """Divergence-free (Leray) projection; the mean mode is left untouched."""
     if not v.is_vector:
         raise SpectralError("leray projection expects a vector field")
-    d = v.grid.dimension
-    freqs = frequencies(v.grid)
-    r2 = radius(v.grid) ** 2
-    safe = np.where(r2 == 0.0, 1.0, r2)
-    c = v.coeffs
-    xi_dot = sum(freqs[a] * c[a] for a in range(d))
-    out = np.stack(
-        [c[a] - np.where(r2 == 0.0, 0.0, freqs[a] * xi_dot / safe) for a in range(d)]
-    )
-    return RealField(v.grid, coeffs=out, solenoidal=True)
+    return RealField(v.grid, coeffs=_leray(v.grid, v.coeffs), solenoidal=True)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from lpmhd.spaces import NormSpec, lp_norm, tl_norm
 G = sp.Grid(2, 64)
 
 
-def euler_tendency_oracle(u_values, n):
-    """Independently coded velocity-form Euler right side -P(u . grad u),
+def transport_tendency_oracle(w_values, z_values, n):
+    """Independently coded advective-form right side -P((w . grad) z) in 2D,
     using raw numpy FFTs and its own 2/3 mask."""
     k = np.fft.fftfreq(n, 1.0 / n)
     kx = k[:, None]
@@ -22,10 +22,10 @@ def euler_tendency_oracle(u_values, n):
     def ddx(vals, kk):
         return np.real(np.fft.ifft2(1j * kk * np.fft.fft2(vals)))
 
-    adv = np.zeros_like(u_values)
+    adv = np.zeros_like(z_values)
     for c in range(2):
-        term = u_values[0] * ddx(u_values[c], kx) + u_values[1] * ddx(
-            u_values[c], ky
+        term = w_values[0] * ddx(z_values[c], kx) + w_values[1] * ddx(
+            z_values[c], ky
         )
         adv[c] = np.real(np.fft.ifft2(np.fft.fft2(term) * mask))
     # Leray projection of the advection term
@@ -33,10 +33,32 @@ def euler_tendency_oracle(u_values, n):
     k2 = kx**2 + ky**2
     safe = np.where(k2 == 0, 1.0, k2)
     dot = kx * ahat[0] + ky * ahat[1]
-    out = np.zeros_like(u_values)
+    out = np.zeros_like(z_values)
     out[0] = -np.real(np.fft.ifft2(ahat[0] - np.where(k2 == 0, 0, kx * dot / safe)))
     out[1] = -np.real(np.fft.ifft2(ahat[1] - np.where(k2 == 0, 0, ky * dot / safe)))
     return out
+
+
+def count_transforms(monkeypatch):
+    """Wrap scipy.fft rfftn/irfftn; the returned list receives the number of
+    scalar N^d transforms (the batch size) of every call."""
+    import scipy.fft
+
+    counts = []
+    for name in ("rfftn", "irfftn"):
+        original = getattr(scipy.fft, name)
+
+        def counted(x, s=None, axes=None, *args, _original=original, **kwargs):
+            if axes is None:
+                axes = range(x.ndim - len(s), x.ndim) if s is not None else range(x.ndim)
+            transformed = {a % x.ndim for a in axes}
+            counts.append(
+                math.prod(n for a, n in enumerate(x.shape) if a not in transformed)
+            )
+            return _original(x, s, axes, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counted)
+    return counts
 
 
 class TestElsasser:
@@ -126,20 +148,24 @@ class TestTendency:
         assert np.max(np.abs(fp.values)) <= 1e-12
 
     def test_euler_oracle(self):
-        # with b = 0 both Elsasser tendencies equal the velocity-form Euler
-        # right side; cross-check against the independent implementation
-        for maker, seed in ((mhd.taylor_green, None), (None, 10)):
-            if maker is not None:
-                u, b = maker(G)
-            else:
-                u = sp.random_solenoidal(G, seed=seed)
-                b = sp.zero_field(G, 2)
+        # dz+/dt = -P((z- . grad) z+) and dz-/dt = -P((z+ . grad) z-),
+        # cross-checked against the independent advective-form oracle; with
+        # b = 0 both are the velocity-form Euler right side
+        cases = (
+            mhd.taylor_green(G),
+            (sp.random_solenoidal(G, seed=10), sp.zero_field(G, 2)),
+            mhd.random_pair(G, seed=21),
+        )
+        for u, b in cases:
             state = mhd.to_elsasser(u, b)
             fp, fm = mhd.mhd_tendency(state)
-            oracle = euler_tendency_oracle(u.values, G.points)
-            scale = max(np.max(np.abs(oracle)), 1e-12)
-            assert np.max(np.abs(fp.values - oracle)) <= 1e-10 * max(scale, 1.0)
-            assert np.max(np.abs(fm.values - oracle)) <= 1e-10 * max(scale, 1.0)
+            zp, zm = state.z_plus.values, state.z_minus.values
+            for got, oracle in (
+                (fp, transport_tendency_oracle(zm, zp, G.points)),
+                (fm, transport_tendency_oracle(zp, zm, G.points)),
+            ):
+                scale = max(np.max(np.abs(oracle)), 1e-12)
+                assert np.max(np.abs(got.values - oracle)) <= 1e-10 * max(scale, 1.0)
 
 
 class TestStep:
@@ -152,11 +178,14 @@ class TestStep:
         out = mhd.step(state, dt)
         u_pkg, _ = mhd.from_elsasser(out)
 
+        def euler(vals):
+            return transport_tendency_oracle(vals, vals, G.points)
+
         def rk4_oracle(vals):
-            k1 = euler_tendency_oracle(vals, G.points)
-            k2 = euler_tendency_oracle(vals + 0.5 * dt * k1, G.points)
-            k3 = euler_tendency_oracle(vals + 0.5 * dt * k2, G.points)
-            k4 = euler_tendency_oracle(vals + dt * k3, G.points)
+            k1 = euler(vals)
+            k2 = euler(vals + 0.5 * dt * k1)
+            k3 = euler(vals + 0.5 * dt * k2)
+            k4 = euler(vals + dt * k3)
             return vals + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
         expect = rk4_oracle(u.values)
@@ -179,6 +208,27 @@ class TestStep:
         state = mhd.to_elsasser(u, b)
         with pytest.warns(mhd.CflWarning):
             mhd.step(state, 1.0)
+
+    @pytest.mark.parametrize(
+        "grid, expected", [(sp.Grid(2, 64), 32), (sp.Grid(3, 16), 60)]
+    )
+    def test_transform_count(self, monkeypatch, grid, expected):
+        # 4 stages x (2d inverse + d^2 forward) on coefficient-only input,
+        # CFL check included; the pressure is never solved for
+        def no_pressure(state):
+            raise AssertionError("pressure_gradient called")
+
+        monkeypatch.setattr(mhd, "pressure_gradient", no_pressure)
+        u, b = mhd.random_pair(grid, seed=22)
+        state = mhd.to_elsasser(u, b)
+        coeff_only = mhd.ElsasserState(
+            sp.RealField(grid, coeffs=state.z_plus.coeffs, solenoidal=True),
+            sp.RealField(grid, coeffs=state.z_minus.coeffs, solenoidal=True),
+        )
+        counts = count_transforms(monkeypatch)
+        mhd.step(coeff_only, 1e-3)
+        assert sum(counts) == expected
+        mhd.mhd_tendency(state)
 
     def test_richardson_order(self):
         u, b = mhd.orszag_tang(G)
