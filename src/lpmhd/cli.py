@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
 
 from . import diagnostics as diag
 from . import lab, mhd
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, _parse_pq, load_config
 from .spaces import NormSpec, norm_record, tl_norm
 from .spectral import (
     SpectralError,
@@ -59,12 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True, help="snapshot file")
     p.add_argument("--out", required=True, help="output directory")
     return parser
-
-
-def _parse_pq(text: str) -> float:
-    if isinstance(text, str) and text.lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
 
 
 def _initial_state(cfg: RunConfig) -> mhd.ElsasserState:
@@ -124,19 +117,24 @@ def _cmd_simulate(args) -> int:
             save_snapshot(u, os.path.join(snap_dir, f"u_t{t_snap:.6f}.npz"), s.t)
             save_snapshot(b, os.path.join(snap_dir, f"b_t{t_snap:.6f}.npz"), s.t)
 
-    stream.append(state)
-    maybe_snapshot(state, 0)
-    for m in range(1, n_steps + 1):
-        state = mhd.step(state, cfg.dt)
-        if m % cfg.cadence == 0 or m == n_steps:
-            stream.append(state)
-        maybe_snapshot(state, m)
-
+    # rows are written and flushed as they are recorded, so a run that
+    # fails midway keeps its prefix and a long run can be tailed
     stamp = datetime.now(timezone.utc).isoformat()
-    diag.write_csv(
-        stream.records, cfg.grid, os.path.join(outdir, "diagnostics.csv"),
-        cfg.norm_specs, timestamp=stamp,
-    )
+    with open(os.path.join(outdir, "diagnostics.csv"), "w") as csv_fh:
+        csv_fh.write(diag.csv_header(cfg.grid, cfg.norm_specs, timestamp=stamp))
+
+        def emit(s):
+            csv_fh.write(diag.csv_line(stream.append(s), cfg.norm_specs))
+            csv_fh.flush()
+
+        emit(state)
+        maybe_snapshot(state, 0)
+        for m in range(1, n_steps + 1):
+            state = mhd.step(state, cfg.dt)
+            if m % cfg.cadence == 0 or m == n_steps:
+                emit(state)
+            maybe_snapshot(state, m)
+
     diag.write_json(
         stream.records, cfg.grid, os.path.join(outdir, "diagnostics.json"),
         cfg.norm_specs,
@@ -211,7 +209,8 @@ def _cmd_verify(args) -> int:
 def _cmd_norm(args) -> int:
     field, _ = load_snapshot(args.field)
     spec = NormSpec(
-        s=args.s, p=_parse_pq(args.p), q=_parse_pq(args.q),
+        s=args.s, p=_parse_pq(args.p, "--p", "the command line", text=True),
+        q=_parse_pq(args.q, "--q", "the command line", text=True),
         homogeneous=args.homogeneous,
     )
     field_id = os.path.splitext(os.path.basename(args.field))[0]
@@ -246,7 +245,7 @@ def main(argv=None) -> int:
     try:
         return _HANDLERS[args.subcommand](args)
     except (ConfigError, SpectralError, lab.HypothesisError,
-            lab.UnknownInequalityError, ValueError) as exc:
+            lab.UnknownInequalityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

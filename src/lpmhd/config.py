@@ -67,10 +67,18 @@ def _get(mapping, key, kind, where, default=None, required=False):
     return value
 
 
-def _parse_pq(value, key, where) -> float:
+def _parse_pq(value, key, where, text=False) -> float:
+    """An integrability exponent p or q: a number or 'inf'.  YAML values
+    must be numbers (a quoted number is rejected); `text` also accepts the
+    numeric strings of command-line arguments."""
     if isinstance(value, str):
         if value.lower() in ("inf", "infinity"):
             return math.inf
+        if text:
+            try:
+                return float(value)
+            except ValueError:
+                pass
         raise ConfigError(f"key '{key}' in {where} must be a number or 'inf'")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"key '{key}' in {where} must be a number or 'inf'")
@@ -247,7 +255,10 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         times = snaps.get("times", [])
         if not isinstance(times, list):
             raise ConfigError("snapshots.times must be a list")
-        cfg.snapshot_times = tuple(float(t) for t in times)
+        try:
+            cfg.snapshot_times = tuple(float(t) for t in times)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"snapshots.times must be numbers: {exc}") from exc
 
     if subcommand == "picard":
         pmap = _require_mapping(data["picard"], "section 'picard'")
@@ -288,7 +299,10 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         res = vmap.get("resolutions", [])
         if not isinstance(res, list):
             raise ConfigError("verify.resolutions must be a list")
-        cfg.verify_resolutions = tuple(int(n) for n in res)
+        try:
+            cfg.verify_resolutions = tuple(int(n) for n in res)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"verify.resolutions must be integers: {exc}") from exc
         cfg.verify_growth_threshold = _get(
             vmap, "growth_threshold", float, "section 'verify'", default=1.2
         )

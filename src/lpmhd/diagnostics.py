@@ -3,9 +3,18 @@ norms, the blow-up integrand sup_j ||Delta_j (curl u, curl b)||_inf with its
 running trapezoid integral, per-block curl sup norms, and the Gronwall
 envelope fit.
 
+A record decomposes the stacked curls (curl u, curl b) once: one batched
+inverse transform per dyadic shell yields the per-shell sups of curl u and
+curl b and the stacked sup whose maximum over shells is the blow-up
+integrand.  The stream continues the trapezoid integral from the previous
+record's integrand, so nothing is evaluated twice.  Gradient sup norms are
+one batched inverse per field, and the record reads (caches) the state's
+grid values, which the next RK4 step reuses.
+
 The blow-up monitor only reports; it never terminates a run.  CSV columns
 are emitted in the fixed order documented by `csv_columns`, one row per
-record, with a JSON mirror.
+record (`csv_header` and `csv_line` let a run stream them as it goes), with
+a JSON mirror.
 """
 
 from __future__ import annotations
@@ -18,10 +27,10 @@ import numpy as np
 from scipy import fft as sfft
 
 from .mhd import ElsasserState, from_elsasser
-from .spaces import NormSpec, tl_norm
+from .spaces import tl_norm
 from .spectral import (
-    RealField,
     SpectralError,
+    _inverse,
     curl,
     jacobian_sup_norm,
     make_filter_bank,
@@ -49,23 +58,35 @@ def curl_pair(state: ElsasserState):
     return curl(u), curl(b)
 
 
-def block_sup_norms(f: RealField) -> list:
-    """||Delta_j f||_inf over the dyadic range, pointwise component
-    magnitude."""
-    bank = make_filter_bank(f.grid)
-    out = []
-    for j in f.grid.js:
-        blk = RealField(f.grid, coeffs=f.coeffs * bank.phi[j])
-        out.append(float(blk.magnitude().max()))
-    return out
+def _curl_shell_sups(state: ElsasserState):
+    """Decompose the stacked curls (curl u, curl b) into dyadic blocks once
+    and read every block quantity of a record from that single pass.
 
-
-def blowup_integrand(state: ElsasserState) -> float:
-    """||(curl u, curl b)||  in homogeneous F^0_{inf,inf}: the stacked curls
-    are treated as one multi-component field."""
+    Returns (integrand, sup_u, sup_b): the homogeneous F^0_{inf,inf} norm
+    sup_j ||Delta_j (curl u, curl b)||_inf of the stacked curls, and the
+    per-shell lists ||Delta_j curl u||_inf, ||Delta_j curl b||_inf.  Each
+    shell is one batched inverse of all 2*nc curl components; pointwise
+    magnitudes sum the squares of the first nc (u), the last nc (b) or all
+    of them (the integrand), with |.| for the 1-component curls of 2D.
+    """
     wu, wb = curl_pair(state)
-    stacked = RealField(state.grid, coeffs=np.concatenate([wu.coeffs, wb.coeffs]))
-    return tl_norm(stacked, NormSpec(0.0, math.inf, math.inf, homogeneous=True))
+    grid, nc = state.grid, wu.ncomp
+    stacked = np.concatenate([wu.coeffs, wb.coeffs])
+    bank = make_filter_bank(grid)
+    sup_all, sup_u, sup_b = [], [], []
+    for j in grid.js:
+        blk = _inverse(grid, stacked * bank.phi[j])
+        if nc == 1:
+            sup_u.append(float(np.abs(blk[0]).max()))
+            sup_b.append(float(np.abs(blk[1]).max()))
+        np.square(blk, out=blk)
+        if nc > 1:
+            # sqrt is monotone, so sqrt(max) equals max(sqrt) exactly
+            sup_u.append(math.sqrt(blk[:nc].sum(axis=0).max()))
+            sup_b.append(math.sqrt(blk[nc:].sum(axis=0).max()))
+        sup_all.append(math.sqrt(blk.sum(axis=0).max()))
+    # np.max, unlike max(), propagates a NaN from a non-finite state
+    return float(np.max(sup_all)), sup_u, sup_b
 
 
 @dataclass(frozen=True)
@@ -85,13 +106,17 @@ class DiagnosticsRecord:
 
 
 def record(
-    state: ElsasserState, specs=(), blowup_integral: float = 0.0
+    state: ElsasserState, specs=(), prev: DiagnosticsRecord | None = None
 ) -> DiagnosticsRecord:
-    """Fill every diagnostic field for one state.  The running integral is
-    the caller's (DiagnosticsStream maintains it across records)."""
-    wu, wb = curl_pair(state)
-    stacked = RealField(state.grid, coeffs=np.concatenate([wu.coeffs, wb.coeffs]))
-    b_t = tl_norm(stacked, NormSpec(0.0, math.inf, math.inf, homogeneous=True))
+    """Fill every diagnostic field for one state.  The running integral of
+    the blow-up integrand continues from `prev` by the trapezoid rule
+    (0 when there is no previous record)."""
+    b_t, sup_u, sup_b = _curl_shell_sups(state)
+    integral = 0.0
+    if prev is not None:
+        integral = prev.blowup_integral + 0.5 * (state.t - prev.t) * (
+            prev.blowup_integrand + b_t
+        )
     norms = {
         spec.label: tl_norm(state.z_plus, spec) + tl_norm(state.z_minus, spec)
         for spec in specs
@@ -103,9 +128,9 @@ def record(
         grad_sup_z_plus=jacobian_sup_norm(state.z_plus),
         grad_sup_z_minus=jacobian_sup_norm(state.z_minus),
         blowup_integrand=b_t,
-        blowup_integral=blowup_integral,
-        block_sup_curl_u=tuple(block_sup_norms(wu)),
-        block_sup_curl_b=tuple(block_sup_norms(wb)),
+        blowup_integral=integral,
+        block_sup_curl_u=tuple(sup_u),
+        block_sup_curl_b=tuple(sup_b),
         norms=norms,
     )
 
@@ -119,14 +144,8 @@ class DiagnosticsStream:
         self.records: list[DiagnosticsRecord] = []
 
     def append(self, state: ElsasserState) -> DiagnosticsRecord:
-        integral = 0.0
-        if self.records:
-            prev = self.records[-1]
-            rec_b = blowup_integrand(state)
-            integral = prev.blowup_integral + 0.5 * (state.t - prev.t) * (
-                prev.blowup_integrand + rec_b
-            )
-        rec = record(state, self.specs, blowup_integral=integral)
+        prev = self.records[-1] if self.records else None
+        rec = record(state, self.specs, prev)
         self.records.append(rec)
         return rec
 
@@ -210,18 +229,24 @@ def record_row(rec: DiagnosticsRecord, specs=()) -> list:
     return row
 
 
+def csv_header(grid, specs=(), timestamp: str | None = None) -> str:
+    """The `# created:` comment line (when a timestamp is given) and the
+    column header, newline-terminated.  The comment line is excluded from
+    byte-level comparisons."""
+    head = "" if timestamp is None else f"# created: {timestamp}\n"
+    return head + ",".join(csv_columns(grid, specs)) + "\n"
+
+
+def csv_line(rec: DiagnosticsRecord, specs=()) -> str:
+    """One record as a newline-terminated CSV row (values as repr)."""
+    return ",".join(repr(float(x)) for x in record_row(rec, specs)) + "\n"
+
+
 def write_csv(records, grid, path, specs=(), timestamp: str | None = None) -> None:
-    """One row per record in the documented column order.  The leading
-    comment line carries the timestamp and is excluded from byte-level
-    comparisons."""
-    lines = []
-    if timestamp is not None:
-        lines.append(f"# created: {timestamp}")
-    lines.append(",".join(csv_columns(grid, specs)))
-    for rec in records:
-        lines.append(",".join(repr(float(x)) for x in record_row(rec, specs)))
+    """One row per record in the documented column order."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(csv_header(grid, specs, timestamp))
+        fh.writelines(csv_line(rec, specs) for rec in records)
 
 
 def write_json(records, grid, path, specs=()) -> None:

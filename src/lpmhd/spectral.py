@@ -18,6 +18,7 @@ true product.
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -584,14 +585,11 @@ def jacobian(v: RealField) -> RealField:
 
 
 def jacobian_sup_norm(v: RealField) -> float:
-    """max over the grid of the Frobenius norm of the component gradients."""
-    freqs = frequencies(v.grid)
-    c = v.coeffs
-    total = np.zeros(v.grid.shape)
-    for m in range(v.ncomp):
-        for a in range(v.grid.dimension):
-            total += _inverse(v.grid, (1j * freqs[a] * c[m])[np.newaxis])[0] ** 2
-    return float(np.sqrt(total.max()))
+    """max over the grid of the Frobenius norm of the component gradients,
+    from one batched inverse of all ncomp*d gradient components."""
+    grads = _inverse(v.grid, jacobian(v).coeffs)
+    np.square(grads, out=grads)
+    return float(np.sqrt(grads.sum(axis=0).max()))
 
 
 def riesz(f: RealField, axis: int) -> RealField:
@@ -758,14 +756,20 @@ def save_snapshot(field: RealField, path, time: float | None = None) -> None:
 
 
 def load_snapshot(path):
-    """Read a snapshot written by save_snapshot; returns (field, time)."""
-    with np.load(path) as data:
-        version = int(data["format_version"])
-        if version != SNAPSHOT_FORMAT_VERSION:
-            raise SpectralError(f"unsupported snapshot format version {version}")
-        grid = Grid(int(data["dimension"]), int(data["points"]))
-        field = RealField(
-            grid, values=data["values"], solenoidal=bool(data["solenoidal"])
-        )
-        t = float(data["time"])
+    """Read a snapshot written by save_snapshot; returns (field, time).
+    A file that is not such an archive raises SpectralError."""
+    try:
+        with np.load(path) as data:
+            version = int(data["format_version"])
+            if version != SNAPSHOT_FORMAT_VERSION:
+                raise SpectralError(f"unsupported snapshot format version {version}")
+            grid = Grid(int(data["dimension"]), int(data["points"]))
+            field = RealField(
+                grid, values=data["values"], solenoidal=bool(data["solenoidal"])
+            )
+            t = float(data["time"])
+    except SpectralError:
+        raise
+    except (ValueError, KeyError, zipfile.BadZipFile) as exc:
+        raise SpectralError(f"unreadable snapshot {path}: {exc}") from exc
     return field, (None if math.isnan(t) else t)

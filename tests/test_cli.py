@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 import yaml
 
+from lpmhd import diagnostics as diag
+from lpmhd import mhd
 from lpmhd import spectral as sp
 from lpmhd.cli import main
-from lpmhd.config import ConfigError, parse_config
+from lpmhd.config import ConfigError, load_config, parse_config
 
 
 def write(path, text):
@@ -102,6 +104,20 @@ verify:
         cfg = parse_config(verify_text, "verify")
         assert parse_config(cfg.to_yaml(), "verify") == cfg
 
+    def test_non_numeric_snapshot_time(self):
+        text = SIM_TEMPLATE.format(out="x", kind="random", amp=1.0)
+        with pytest.raises(ConfigError, match="snapshots.times"):
+            parse_config(text + "snapshots: {times: [soon]}\n", "simulate")
+
+    def test_non_numeric_resolution(self):
+        text = """
+output: x
+grid: {dimension: 2, points: 64}
+verify: {ids: [bernstein], resolutions: [x, 64]}
+"""
+        with pytest.raises(ConfigError, match="verify.resolutions"):
+            parse_config(text, "verify")
+
     def test_picard_n_max_constraint(self):
         text = """
 output: x
@@ -169,6 +185,57 @@ class TestSimulate:
         text = SIM_TEMPLATE.format(out="/dev/null/nope", kind="orszag-tang", amp=1.0)
         cfg = write(tmp_path / "bad.yaml", text)
         assert main(["simulate", "--config", cfg]) == 3
+
+    def test_streamed_csv_matches_write_csv(self, tmp_path, monkeypatch):
+        streams = []
+
+        class Capturing(diag.DiagnosticsStream):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                streams.append(self)
+
+        monkeypatch.setattr(diag, "DiagnosticsStream", Capturing)
+        text = SIM_TEMPLATE.format(out=tmp_path / "run", kind="orszag-tang", amp=1.0)
+        cfg_path = write(tmp_path / "o.yaml", text)
+        assert main(["simulate", "--config", cfg_path]) == 0
+        cfg = load_config(cfg_path, "simulate")
+        ref = tmp_path / "ref.csv"
+        diag.write_csv(streams[0].records, cfg.grid, ref, cfg.norm_specs, timestamp="T")
+        streamed = (tmp_path / "run" / "diagnostics.csv").read_text().splitlines()
+        assert streamed[0].startswith("# created: ")
+        assert streamed[1:] == ref.read_text().splitlines()[1:]
+
+    def test_failed_run_keeps_recorded_rows(self, tmp_path, monkeypatch):
+        full = SIM_TEMPLATE.format(out=tmp_path / "full", kind="orszag-tang", amp=1.0)
+        assert main(["simulate", "--config", write(tmp_path / "f.yaml", full)]) == 0
+        real_step = mhd.step
+        taken = []
+
+        def failing_step(state, dt):
+            if len(taken) == 5:
+                raise RuntimeError("step failed")
+            taken.append(dt)
+            return real_step(state, dt)
+
+        monkeypatch.setattr(mhd, "step", failing_step)
+        cut = SIM_TEMPLATE.format(out=tmp_path / "cut", kind="orszag-tang", amp=1.0)
+        with pytest.raises(RuntimeError, match="step failed"):
+            main(["simulate", "--config", write(tmp_path / "c.yaml", cut)])
+        # cadence 2: rows for steps 0, 2 and 4 were recorded before step 6 failed
+        kept = (tmp_path / "cut" / "diagnostics.csv").read_text().splitlines()
+        ref = (tmp_path / "full" / "diagnostics.csv").read_text().splitlines()
+        assert len(kept) == 2 + 3
+        assert kept[1:] == ref[1:5]
+
+    def test_internal_value_error_propagates(self, tmp_path, monkeypatch):
+        # a bare ValueError is a bug, not a validation error: no exit 2
+        def broken_step(state, dt):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(mhd, "step", broken_step)
+        text = SIM_TEMPLATE.format(out=tmp_path / "run", kind="orszag-tang", amp=1.0)
+        with pytest.raises(ValueError, match="broadcast"):
+            main(["simulate", "--config", write(tmp_path / "v.yaml", text)])
 
 
 class TestPicardCli:
@@ -290,6 +357,20 @@ class TestSnapshotTools:
             blk, _ = sp.load_snapshot(outdir / f"block_j{j}.npz")
             acc = acc + blk.values
         assert np.max(np.abs(acc - f.values)) <= 1e-12 * np.max(np.abs(f.values))
+
+    def test_norm_bad_exponent_exit_2(self, tmp_path, capsys):
+        _, _, path = self._snapshot(tmp_path)
+        assert main(["norm", "--field", str(path), "--s", "1",
+                     "--p", "abc", "--q", "2"]) == 2
+        assert "--p" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b"not a snapshot\n", b"PK\x03\x04 cut"])
+    def test_corrupt_snapshot_exit_2(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.npz"
+        path.write_bytes(content)
+        assert main(["norm", "--field", str(path), "--s", "1",
+                     "--p", "2", "--q", "2"]) == 2
+        assert "unreadable snapshot" in capsys.readouterr().err
 
     def test_missing_snapshot_is_io_error(self, tmp_path):
         assert main(["norm", "--field", str(tmp_path / "missing.npz"),

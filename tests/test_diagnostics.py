@@ -6,7 +6,8 @@ import pytest
 from lpmhd import diagnostics as diag
 from lpmhd import mhd
 from lpmhd import spectral as sp
-from lpmhd.spaces import NormSpec, lp_norm
+from lpmhd.spaces import NormSpec, lp_norm, sup_block_norm
+from test_mhd import count_transforms
 
 G = sp.Grid(2, 64)
 SPECS = (NormSpec(1.5, 2, 2, homogeneous=False),)
@@ -80,6 +81,50 @@ class TestRecord:
         wu, wb = diag.curl_pair(state)
         bound = c * (lp_norm(wu, math.inf) + lp_norm(wb, math.inf))
         assert rec.blowup_integrand <= bound
+
+
+class TestSinglePass:
+    @staticmethod
+    def coeff_only(state, t):
+        return mhd.ElsasserState(
+            sp.RealField(state.grid, coeffs=state.z_plus.coeffs, solenoidal=True),
+            sp.RealField(state.grid, coeffs=state.z_minus.coeffs, solenoidal=True),
+            t,
+        )
+
+    @pytest.mark.parametrize(
+        "grid, expected", [(sp.Grid(2, 64), 54), (sp.Grid(3, 16), 84)]
+    )
+    def test_transform_count(self, monkeypatch, grid, expected):
+        # per record: 2d state values, 2 d^2 gradients, and per shell 2nc
+        # curl components plus 2d components for the one norm; the curls
+        # are decomposed once, whether or not a trapezoid step is taken
+        u, b = mhd.random_pair(grid, seed=23)
+        state = mhd.to_elsasser(u, b)
+        stream = diag.DiagnosticsStream(SPECS)
+        counts = count_transforms(monkeypatch)
+        for t in (0.0, 1e-3):
+            recorded = self.coeff_only(state, t)
+            counts.clear()
+            stream.append(recorded)
+            assert sum(counts) == expected
+            # the record caches the values the next RK4 step reads
+            assert recorded.z_plus._values is not None
+            assert recorded.z_minus._values is not None
+
+    @pytest.mark.parametrize("grid", [sp.Grid(2, 64), sp.Grid(3, 16)])
+    def test_matches_separate_evaluations(self, grid):
+        u, b = mhd.random_pair(grid, seed=24)
+        state = mhd.to_elsasser(u, b)
+        rec = diag.record(state, ())
+        wu, wb = diag.curl_pair(state)
+        stacked = sp.RealField(grid, coeffs=np.concatenate([wu.coeffs, wb.coeffs]))
+        assert rec.blowup_integrand == sup_block_norm(stacked)
+        for sups, w in ((rec.block_sup_curl_u, wu), (rec.block_sup_curl_b, wb)):
+            mags = sp.block_magnitudes(w)
+            assert len(sups) == len(mags)
+            for j, sup in enumerate(sups):
+                assert sup == float(mags[j].max())
 
 
 class TestStream:
