@@ -41,8 +41,8 @@ from .spaces import (
 from .paracalc import (
     CommutatorSplit,
     bony_reconstruction,
-    commutator,
-    commutator_split,
+    commutator_family,
+    commutator_split_family,
     paraproduct,
     remainder,
 )

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 
 from . import diagnostics as diag
@@ -130,7 +131,8 @@ def _cmd_simulate(args) -> int:
         emit(state)
         maybe_snapshot(state, 0)
         for m in range(1, n_steps + 1):
-            state = mhd.step(state, cfg.dt)
+            # stamped m*dt: repeated addition would drift off the grid times
+            state = replace(mhd.step(state, cfg.dt), t=m * cfg.dt)
             if m % cfg.cadence == 0 or m == n_steps:
                 emit(state)
             maybe_snapshot(state, m)

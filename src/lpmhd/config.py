@@ -184,7 +184,10 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
     """Parse and fully validate a config document for one subcommand."""
     if subcommand not in _SECTIONS:
         raise ConfigError(f"subcommand '{subcommand}' does not take a config file")
-    data = yaml.safe_load(text)
+    try:
+        data = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"malformed YAML: {exc}") from exc
     if data is None:
         data = {}
     data = _require_mapping(data, "the config document")

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .mhd import ElsasserState, from_elsasser
 from .spaces import tl_norm
@@ -154,11 +153,8 @@ def block_kernel_constant(grid) -> float:
     """max_j of the l1 norm of the Delta_j convolution kernel: the L_inf
     operator norm bounding ||Delta_j f||_inf <= C ||f||_inf."""
     bank = make_filter_bank(grid)
-    best = 0.0
-    for j in grid.js:
-        kernel = sfft.irfftn(bank.phi[j].astype(complex), s=grid.shape)
-        best = max(best, float(np.sum(np.abs(kernel))))
-    return best
+    kernels = _inverse(grid, np.stack([bank.phi[j] for j in grid.js]).astype(complex))
+    return max(float(np.sum(np.abs(kernel))) for kernel in kernels)
 
 
 # ---------------------------------------------------------------------------

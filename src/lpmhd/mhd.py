@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import fft as sfft
 from scipy import ndimage
 
 from .spaces import NormSpec, tl_norm
@@ -33,14 +32,14 @@ from .spectral import (
     _forward,
     _inverse,
     _leray,
-    _masked_product,
+    _leray_denominators,
     dealias,
     dealias_mask,
     frequencies,
     from_function,
+    jacobian,
     leray_project,
     low_pass_saturating,
-    radius,
     random_solenoidal,
     solenoidal_residual,
     zero_field,
@@ -129,13 +128,9 @@ def pressure_gradient(state: ElsasserState) -> RealField:
     grid = state.grid
     d = grid.dimension
     freqs = frequencies(grid)
-    r2 = radius(grid) ** 2
-    safe = np.where(r2 == 0.0, 1.0, r2)
-    zm, zp = state.z_minus.values, state.z_plus.values
-    quad = np.zeros(grid.spectral_shape, dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            quad += freqs[i] * freqs[j] * _masked_product(grid, zm[i], zp[j])
+    r2, safe = _leray_denominators(d, grid.points)
+    m = _dyads(grid, state.z_minus.values, state.z_plus.values)
+    quad = sum(freqs[i] * freqs[j] * m[i, j] for i in range(d) for j in range(d))
     pi_hat = np.where(r2 == 0.0, 0.0, -quad / safe)
     out = np.stack([1j * freqs[a] * pi_hat for a in range(d)])
     return RealField(grid, coeffs=out)
@@ -220,12 +215,14 @@ def step(state: ElsasserState, dt: float) -> ElsasserState:
 
 def run(state: ElsasserState, t_final: float, dt: float, callback=None) -> ElsasserState:
     """Step until t_final (an integer number of steps), calling
-    callback(state) after the initial state and after every step."""
-    n_steps = _step_count(t_final - state.t, dt)
+    callback(state) after the initial state and after every step.  Step m
+    is stamped t0 + m*dt, so times do not accumulate round-off."""
+    t0 = state.t
+    n_steps = _step_count(t_final - t0, dt)
     if callback is not None:
         callback(state)
-    for _ in range(n_steps):
-        state = step(state, dt)
+    for m in range(1, n_steps + 1):
+        state = replace(step(state, dt), t=t0 + m * dt)
         if callback is not None:
             callback(state)
     return state
@@ -466,8 +463,7 @@ def _fourier_refine(v: RealField, factor: int) -> np.ndarray:
     for c in range(v.ncomp):
         dest = out[c]
         dest[grids] = src[c]
-    values = sfft.irfftn(out, s=(m,) * d, axes=tuple(range(1, d + 1)))
-    return values * float(factor) ** d
+    return _inverse(Grid(d, m), out) * float(factor) ** d
 
 
 @dataclass
@@ -489,12 +485,9 @@ class TrajectoryMap:
         grid = self.grid
         d = grid.dimension
         disp = RealField(grid, values=self.displacement)
-        freqs = frequencies(grid)
-        jac = np.empty((d, d) + grid.shape)
+        jac = _inverse(grid, jacobian(disp).coeffs).reshape((d, d) + grid.shape)
         for a in range(d):
-            for b in range(d):
-                deriv = sfft.irfftn(1j * freqs[b] * disp.coeffs[a], s=grid.shape)
-                jac[a, b] = deriv + (1.0 if a == b else 0.0)
+            jac[a, a] += 1.0
         if d == 2:
             return jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
         return (
@@ -548,15 +541,14 @@ def trajectory_map(
     sampler = _VelocitySampler(grid)
     x = labels.astype(float).copy()
     n_steps = _step_count(t_final, dt)
-    t = 0.0
-    for _ in range(n_steps):
+    for m in range(n_steps):
+        t = m * dt
         v1 = sampler(v_of_t(t), x)
         v2 = sampler(v_of_t(t + 0.5 * dt), x + 0.5 * dt * v1)
         v3 = sampler(v_of_t(t + 0.5 * dt), x + 0.5 * dt * v2)
         v4 = sampler(v_of_t(t + dt), x + dt * v3)
         x = x + (dt / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-        t += dt
-    return TrajectoryMap(grid=grid, t=t, positions=x, labels=labels)
+    return TrajectoryMap(grid=grid, t=n_steps * dt, positions=x, labels=labels)
 
 
 # ---------------------------------------------------------------------------

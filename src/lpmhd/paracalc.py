@@ -21,6 +21,12 @@ exactly because constants commute with Fourier multipliers, which is why the
 reconstruction is exact rather than merely asymptotic.  Block windows follow
 the support bookkeeping: |k'-k| <= 4 for I and III, k' >= k-2 for II,
 k' >= k-3 for IV; dropped terms vanish identically on the lattice.
+
+The commutator API is family-level only: the paper measures the commutator
+summed over every shell k inside an F^s_{p,q} norm, so `commutator_family`
+and `commutator_split_family` return dicts keyed by k, built from one shared
+set of factor transforms.  A single shell is a lookup,
+``commutator_family(f, g)[k]``.
 """
 
 from __future__ import annotations
@@ -28,11 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .spectral import (
     RealField,
     SpectralError,
+    _inverse,
     _masked_product,
     dealias,
     frequencies,
@@ -61,8 +67,8 @@ def paraproduct(u: RealField, v: RealField) -> RealField:
     uhat, vhat = u.coeffs[0], v.coeffs[0]
     acc = np.zeros(grid.spectral_shape, dtype=complex)
     for j in range(grid.j0 + 1, grid.j_max + 1):
-        low = sfft.irfftn(bank.chi[j - 1] * uhat, s=grid.shape)
-        blk = sfft.irfftn(bank.phi[j] * vhat, s=grid.shape)
+        low = _inverse(grid, bank.chi[j - 1] * uhat)
+        blk = _inverse(grid, bank.phi[j] * vhat)
         acc += _masked_product(grid, low, blk)
     return RealField(grid, coeffs=acc[np.newaxis])
 
@@ -75,15 +81,13 @@ def remainder(u: RealField, v: RealField) -> RealField:
     bank = make_filter_bank(grid)
     u, v = dealias(u), dealias(v)
     uhat, vhat = u.coeffs[0], v.coeffs[0]
-    blocks_v = {
-        j: sfft.irfftn(bank.phi[j] * vhat, s=grid.shape) for j in grid.js
-    }
+    blocks_v = {j: _inverse(grid, bank.phi[j] * vhat) for j in grid.js}
     acc = np.zeros(grid.spectral_shape, dtype=complex)
     for j in grid.js:
         tilde = sum(
             blocks_v[j + d] for d in (-1, 0, 1) if grid.j0 <= j + d <= grid.j_max
         )
-        blk_u = sfft.irfftn(bank.phi[j] * uhat, s=grid.shape)
+        blk_u = _inverse(grid, bank.phi[j] * uhat)
         acc += _masked_product(grid, blk_u, tilde)
     return RealField(grid, coeffs=acc[np.newaxis])
 
@@ -176,31 +180,25 @@ class _CommutatorWorkspace:
     def f_block(self, k, i):
         key = (k, i)
         if key not in self._f_block:
-            spec = self.bank.phi[k] * self.fhat[i]
-            self._f_block[key] = sfft.irfftn(spec, s=self.grid.shape)
+            self._f_block[key] = _inverse(self.grid, self.bank.phi[k] * self.fhat[i])
         return self._f_block[key]
 
     def f_low(self, j, i):
         key = (j, i)
         if key not in self._f_low:
-            spec = self.bank.chi[j] * self.fhat[i]
-            self._f_low[key] = sfft.irfftn(spec, s=self.grid.shape)
+            self._f_low[key] = _inverse(self.grid, self.bank.chi[j] * self.fhat[i])
         return self._f_low[key]
 
     def dg_block(self, k, i):
         key = (k, i)
         if key not in self._dg_block:
-            self._dg_block[key] = sfft.irfftn(
-                self.bank.phi[k] * self.ghat_d[i], s=self.grid.shape
-            )
+            self._dg_block[key] = _inverse(self.grid, self.bank.phi[k] * self.ghat_d[i])
         return self._dg_block[key]
 
     def dg_low(self, j, i):
         key = (j, i)
         if key not in self._dg_low:
-            self._dg_low[key] = sfft.irfftn(
-                self.bank.chi[j] * self.ghat_d[i], s=self.grid.shape
-            )
+            self._dg_low[key] = _inverse(self.grid, self.bank.chi[j] * self.ghat_d[i])
         return self._dg_low[key]
 
     # -- k-independent product sums ------------------------------------------
@@ -240,27 +238,12 @@ class _CommutatorWorkspace:
 
     # -- assembly -------------------------------------------------------------
 
-    def direct(self, k):
-        """f . grad Delta_k g - Delta_k (f . grad g), spectral coefficients."""
-        grid = self.grid
-        whole = sum(
-            _masked_product(
-                grid, self.f_phys[i], sfft.irfftn(self.ghat_d[i], s=grid.shape)
-            )
-            for i in range(self.d)
-        )
-        acc = sum(
-            _masked_product(grid, self.f_phys[i], self.dg_block(k, i))
-            for i in range(self.d)
-        )
-        return acc - self.bank.phi[k] * whole
-
     def direct_family(self):
+        """f . grad Delta_k g - Delta_k (f . grad g) for every shell k,
+        spectral coefficients keyed by k."""
         grid = self.grid
         whole = sum(
-            _masked_product(
-                grid, self.f_phys[i], sfft.irfftn(self.ghat_d[i], s=grid.shape)
-            )
+            _masked_product(grid, self.f_phys[i], _inverse(grid, self.ghat_d[i]))
             for i in range(self.d)
         )
         out = {}
@@ -282,7 +265,7 @@ class _CommutatorWorkspace:
         term_i = np.zeros(grid.spectral_shape, dtype=complex)
         for kp in range(max(j0 + 1, k - 1), min(j_max, k + 1) + 1):
             for i in range(d):
-                blk = sfft.irfftn(bank.phi[k] * bank.phi[kp] * self.ghat_d[i], s=grid.shape)
+                blk = _inverse(grid, bank.phi[k] * bank.phi[kp] * self.ghat_d[i])
                 term_i += _masked_product(grid, self.f_low(kp - 1, i), blk)
         for kp in range(max(j0 + 1, k - 4), min(j_max, k + 4) + 1):
             term_i -= bank.phi[k] * self.p1(kp)
@@ -293,9 +276,7 @@ class _CommutatorWorkspace:
         term_ii = np.zeros(grid.spectral_shape, dtype=complex)
         for kp in range(max(j0, k - 2), min(j_max, k - 1) + 1):
             for i in range(d):
-                low = sfft.irfftn(
-                    bank.chi[kp + 2] * bank.phi[k] * self.ghat_d[i], s=grid.shape
-                )
+                low = _inverse(grid, bank.chi[kp + 2] * bank.phi[k] * self.ghat_d[i])
                 term_ii += _masked_product(grid, low, self.f_block(kp, i))
         for i in range(d):
             high = self.f_phys[i] - self.f_low(k, i)
@@ -325,22 +306,10 @@ def _workspaces(f: RealField, g: RealField):
     ]
 
 
-def _check_k(grid, k):
-    if not grid.j0 <= k <= grid.j_max:
-        raise SpectralError(f"shell index {k} outside [{grid.j0}, {grid.j_max}]")
-
-
-def commutator(f: RealField, g: RealField, k: int) -> RealField:
-    """Direct evaluation of [f, Delta_k] . grad g = f . grad Delta_k g
-    - Delta_k (f . grad g); the reference value for the split."""
-    _check_k(f.grid, k)
-    spaces = _workspaces(f, g)
-    coeffs = np.stack([ws.direct(k) for ws in spaces])
-    return RealField(f.grid, coeffs=coeffs)
-
-
 def commutator_family(f: RealField, g: RealField) -> dict:
-    """Direct commutators for every shell k, sharing factor transforms."""
+    """Direct commutators f . grad Delta_k g - Delta_k (f . grad g) for every
+    shell k, sharing factor transforms; the reference values for the split.
+    One shell is ``commutator_family(f, g)[k]``."""
     spaces = _workspaces(f, g)
     families = [ws.direct_family() for ws in spaces]
     return {
@@ -349,20 +318,9 @@ def commutator_family(f: RealField, g: RealField) -> dict:
     }
 
 
-def commutator_split(f: RealField, g: RealField, k: int) -> CommutatorSplit:
-    """The four-term split at shell k; term_i + ... + term_iv reconstructs
-    commutator(f, g, k) exactly."""
-    _check_k(f.grid, k)
-    spaces = _workspaces(f, g)
-    parts = [ws.split(k) for ws in spaces]
-    fields = [
-        RealField(f.grid, coeffs=np.stack([p[t] for p in parts])) for t in range(4)
-    ]
-    return CommutatorSplit(k, *fields)
-
-
 def commutator_split_family(f: RealField, g: RealField) -> dict:
-    """Splits for every shell k with shared precomputation."""
+    """The four-term split for every shell k with shared precomputation;
+    ``[k].total`` reconstructs ``commutator_family(f, g)[k]`` exactly."""
     spaces = _workspaces(f, g)
     out = {}
     for k in f.grid.js:

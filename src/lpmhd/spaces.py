@@ -14,12 +14,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sfft
 
 from .spectral import (
     Grid,
     RealField,
     SpectralError,
+    _forward,
+    _inverse,
     apply_multiplier,
     block_magnitudes,
     radius,
@@ -139,7 +140,7 @@ def _ball_kernels(dimension: int, points: int):
     for r in maximal_radii(grid):
         ball = dist2 <= r * r * (1.0 + 1e-12)
         kernel = ball / ball.sum()
-        spec = sfft.rfftn(kernel)
+        spec = _forward(grid, kernel)
         spec.flags.writeable = False
         out.append(spec)
     return tuple(out)
@@ -150,8 +151,8 @@ def ball_average(f: RealField, radius_index: int) -> np.ndarray:
     if not f.is_scalar:
         raise SpectralError("ball averages expect a scalar field")
     kernels = _ball_kernels(f.grid.dimension, f.grid.points)
-    spec = sfft.rfftn(np.abs(f.values[0])) * kernels[radius_index]
-    return sfft.irfftn(spec, s=f.grid.shape)
+    spec = _forward(f.grid, np.abs(f.values[0])) * kernels[radius_index]
+    return _inverse(f.grid, spec)
 
 
 def maximal_function(f: RealField) -> RealField:
@@ -161,9 +162,9 @@ def maximal_function(f: RealField) -> RealField:
         raise SpectralError("maximal function expects a scalar field")
     best = np.abs(f.values[0]).copy()
     kernels = _ball_kernels(f.grid.dimension, f.grid.points)
-    spec_abs = sfft.rfftn(best)
+    spec_abs = _forward(f.grid, best)
     for kern in kernels:
-        avg = sfft.irfftn(spec_abs * kern, s=f.grid.shape)
+        avg = _inverse(f.grid, spec_abs * kern)
         np.maximum(best, avg, out=best)
     return RealField(f.grid, values=best)
 

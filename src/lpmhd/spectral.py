@@ -13,6 +13,12 @@ leading axes and non-negative rfft ordering on the last axis.  Pointwise
 products of fields use the 2/3-rule (modes with any |xi_i| > floor(N/3) are
 discarded), which makes products of dealiased inputs exact truncations of the
 true product.
+
+`_forward` and `_inverse` are the only transform entry points of the
+package: every other module transforms through them, so the layout (rfft
+over the trailing d axes, every leading axis a batch axis) is decided in one
+place.  They reach scipy.fft as module attributes (`sfft.rfftn`) at call
+time, which is what lets a transform counter patch those attributes.
 """
 
 from __future__ import annotations
@@ -387,7 +393,7 @@ def multiply(u: RealField, v: RealField) -> RealField:
 
 def _masked_product(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """rfft of a*b truncated to the 2/3 ball (array-level workhorse)."""
-    prod = sfft.rfftn(a * b)
+    prod = _forward(grid, a * b)
     prod *= dealias_mask(grid)
     return prod
 
@@ -674,7 +680,9 @@ def random_band_limited(
     The coefficients are drawn per mode in a fixed, resolution-independent
     order and the L2 normalization is computed spectrally, so the same
     (seed, kmax, decay, amplitude) describes the same continuum function at
-    every resolution that can represent it.
+    every resolution that can represent it.  The field is returned by its
+    rfft coefficients (values are one inverse transform away), and every
+    mode outside the band is an exact zero.
     """
     if kmax is None:
         kmax = grid.dealias_limit
@@ -690,18 +698,16 @@ def random_band_limited(
     if norm > 0.0:
         coeff *= amplitude / norm
 
+    # rfft half-spectrum: a pair with xi_d > 0 stores its representative,
+    # one with xi_d < 0 the conjugate at -xi, and the xi_d = 0 plane both
     n = grid.points
-    spec = np.zeros((ncomp,) + grid.shape, dtype=complex)
-    idx_pos = tuple(np.mod(modes[:, a], n) for a in range(grid.dimension))
-    idx_neg = tuple(np.mod(-modes[:, a], n) for a in range(grid.dimension))
-    for m in range(ncomp):
-        spec[(m,) + idx_pos] = coeff[m]
-        spec[(m,) + idx_neg] = np.conj(coeff[m])
-    spec *= float(n) ** grid.dimension
-    values = np.real(
-        sfft.ifftn(spec, axes=tuple(range(1, grid.dimension + 1)))
-    )
-    return RealField(grid, values=values)
+    spec = np.zeros((ncomp,) + grid.spectral_shape, dtype=complex)
+    scale = float(n) ** grid.dimension
+    for sign, part in ((1, coeff), (-1, np.conj(coeff))):
+        rows = sign * modes[:, -1] >= 0
+        idx = tuple(np.mod(sign * modes[rows, a], n) for a in range(grid.dimension))
+        spec[(slice(None),) + idx] = part[:, rows] * scale
+    return RealField(grid, coeffs=spec)
 
 
 def random_solenoidal(

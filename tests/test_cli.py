@@ -104,6 +104,13 @@ verify:
         cfg = parse_config(verify_text, "verify")
         assert parse_config(cfg.to_yaml(), "verify") == cfg
 
+    def test_malformed_yaml(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="malformed YAML"):
+            parse_config("grid: [", "simulate")
+        cfg = write(tmp_path / "bad.yaml", "grid: [")
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "malformed YAML" in capsys.readouterr().err
+
     def test_non_numeric_snapshot_time(self):
         text = SIM_TEMPLATE.format(out="x", kind="random", amp=1.0)
         with pytest.raises(ConfigError, match="snapshots.times"):
@@ -161,6 +168,18 @@ class TestSimulate:
         j1 = (tmp_path / "r1" / "diagnostics.json").read_bytes()
         j2 = (tmp_path / "r2" / "diagnostics.json").read_bytes()
         assert j1 == j2
+
+    def test_times_stamped_on_grid(self, tmp_path):
+        # dt = 0.1 to t = 2: every row reads m*dt exactly, the last 2.0
+        text = SIM_TEMPLATE.format(out=tmp_path / "run", kind="orszag-tang", amp=0.1)
+        text = text.replace("points: 64", "points: 16").replace("cadence: 2", "cadence: 1")
+        text = text.replace("dt: 0.001", "dt: 0.1").replace("t_final: 0.01", "t_final: 2.0")
+        cfg = write(tmp_path / "t.yaml", text)
+        assert main(["simulate", "--config", cfg]) == 0
+        lines = (tmp_path / "run" / "diagnostics.csv").read_text().splitlines()
+        times = [float(row.split(",")[0]) for row in lines[2:]]
+        assert times == [m * 0.1 for m in range(21)]
+        assert times[-1] == 2.0
 
     def test_cfl_abort(self, tmp_path, capsys):
         text = SIM_TEMPLATE.format(out=tmp_path / "run", kind="orszag-tang", amp=1.0)

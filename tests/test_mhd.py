@@ -242,6 +242,15 @@ class TestStep:
         e2 = np.max(np.abs(small.z_plus.values - ref.z_plus.values))
         assert math.log2(e1 / e2) >= 3.8
 
+    def test_run_stamps_grid_times(self):
+        # t0 + m*dt, not repeated addition (which reaches 2.0000000000000004)
+        grid = sp.Grid(2, 16)
+        zero = mhd.ElsasserState(sp.zero_field(grid, 2), sp.zero_field(grid, 2))
+        times = []
+        final = mhd.run(zero, t_final=2.0, dt=0.1, callback=lambda s: times.append(s.t))
+        assert times == [m * 0.1 for m in range(21)]
+        assert final.t == 2.0
+
     def test_solenoidal_preserved(self):
         u, b = mhd.orszag_tang(G)
         state = mhd.to_elsasser(u, b)
@@ -317,6 +326,11 @@ class TestTrajectory:
         tm = mhd.trajectory_map(sp.zero_field(G, 2), G, t_final=1.0, dt=0.25)
         assert np.max(np.abs(tm.displacement)) == 0.0
         assert np.max(np.abs(tm.jacobian_determinant() - 1.0)) == 0.0
+
+    def test_final_time_on_grid(self):
+        grid = sp.Grid(2, 16)
+        tm = mhd.trajectory_map(sp.zero_field(grid, 2), grid, t_final=2.0, dt=0.1)
+        assert tm.t == 2.0
 
     def test_constant_velocity(self):
         c = sp.RealField(

@@ -7,9 +7,7 @@ from lpmhd import spectral as sp
 from lpmhd.paracalc import (
     bony_base_terms,
     bony_reconstruction,
-    commutator,
     commutator_family,
-    commutator_split,
     commutator_split_family,
     paraproduct,
     remainder,
@@ -115,27 +113,23 @@ class TestCommutator:
             solenoidal=True,
         )
         g = sp.random_band_limited(G, seed=11)
+        fam = commutator_family(f, g)
         for k in (-1, 0, 3):
-            out = commutator(f, g, k)
-            assert np.max(np.abs(out.values)) <= 1e-12
+            assert np.max(np.abs(fam[k].values)) <= 1e-12
 
     def test_constant_argument(self):
         f = sp.random_solenoidal(G, seed=12)
         g = sp.from_function(G, lambda x, y: np.full_like(x, 5.0))
-        out = commutator(f, g, 2)
+        out = commutator_family(f, g)[2]
         assert np.max(np.abs(out.values)) <= 1e-12
 
     def test_rejects_non_solenoidal(self):
         f = sp.random_band_limited(G, seed=13, ncomp=2)  # not projected
         g = sp.random_band_limited(G, seed=14)
         with pytest.raises(sp.SpectralError, match="solenoidal"):
-            commutator(f, g, 2)
-
-    def test_out_of_range_k(self):
-        f = sp.random_solenoidal(G, seed=15)
-        g = sp.random_band_limited(G, seed=16)
-        with pytest.raises(sp.SpectralError):
-            commutator(f, g, G.j_max + 1)
+            commutator_family(f, g)
+        with pytest.raises(sp.SpectralError, match="solenoidal"):
+            commutator_split_family(f, g)
 
     def test_split_reconstructs_direct(self):
         for seed in range(5):
@@ -152,19 +146,11 @@ class TestCommutator:
                 else:
                     assert np.max(np.abs(total.values)) <= 1e-12
 
-    def test_single_k_matches_family(self):
-        f = sp.random_solenoidal(G, seed=17)
-        g = sp.random_band_limited(G, seed=18)
-        single = commutator_split(f, g, 2)
-        fam = commutator_split_family(f, g)[2]
-        for key in ("I", "II", "III", "IV"):
-            assert np.array_equal(single.terms[key].values, fam.terms[key].values)
-
     def test_vector_argument(self):
         f = sp.random_solenoidal(G, seed=19)
         g = sp.random_band_limited(G, seed=20, ncomp=2)
-        direct = commutator(f, g, 1)
-        split = commutator_split(f, g, 1)
+        direct = commutator_family(f, g)[1]
+        split = commutator_split_family(f, g)[1]
         assert direct.ncomp == 2
         assert rel_l2(split.total.values, direct.values) <= 1e-10
 
@@ -178,8 +164,8 @@ class TestCommutator:
         # sits strictly below block k - 5 = 0
         f = sp.leray_project(sp.low_pass(raw, 0))
         g = sp.dyadic_block(sp.random_band_limited(grid, seed=22, decay=0.5), k)
-        split = commutator_split(f, g, k)
-        direct = commutator(f, g, k)
+        split = commutator_split_family(f, g)[k]
+        direct = commutator_family(f, g)[k]
         scale = np.linalg.norm(direct.values)
         assert scale > 0
         assert np.linalg.norm(split.term_ii.values) <= 1e-10 * scale
@@ -190,6 +176,6 @@ class TestCommutator:
     def test_zero_advector_gives_zero_terms(self):
         f = sp.zero_field(G, 2)
         g = sp.random_band_limited(G, seed=23)
-        split = commutator_split(f, g, 1)
+        split = commutator_split_family(f, g)[1]
         for term in split.terms.values():
             assert np.max(np.abs(term.values)) == 0.0

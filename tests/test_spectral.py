@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lpmhd
 from lpmhd import spectral as sp
 
 
@@ -313,3 +317,88 @@ class TestRandomFields:
     def test_kmax_validation(self):
         with pytest.raises(sp.SpectralError):
             sp.random_band_limited(G64, seed=1, kmax=40)
+
+    @staticmethod
+    def full_spectrum_oracle(grid, seed, ncomp, kmax, decay=2.0, amplitude=1.0):
+        """The field assembled on the full complex spectrum (every mode and
+        its conjugate) and brought back with a complex inverse FFT."""
+        modes = sp._half_lattice_modes(grid.dimension, kmax)
+        draws = np.random.default_rng(seed).standard_normal((ncomp, len(modes), 2))
+        coeff = (draws[..., 0] + 1j * draws[..., 1]) / np.sqrt(2.0)
+        coeff = coeff * np.sqrt((modes.astype(float) ** 2).sum(axis=1)) ** (-decay)
+        coeff *= amplitude / np.sqrt(2.0 * np.sum(np.abs(coeff) ** 2))
+        n = grid.points
+        spec = np.zeros((ncomp,) + grid.shape, dtype=complex)
+        pos = tuple(np.mod(modes[:, a], n) for a in range(grid.dimension))
+        neg = tuple(np.mod(-modes[:, a], n) for a in range(grid.dimension))
+        for m in range(ncomp):
+            spec[(m,) + pos] = coeff[m]
+            spec[(m,) + neg] = np.conj(coeff[m])
+        spec *= float(n) ** grid.dimension
+        axes = tuple(range(1, grid.dimension + 1))
+        return np.real(np.fft.ifftn(spec, axes=axes))
+
+    @pytest.mark.parametrize("d,n", [(2, 64), (3, 16)])
+    @pytest.mark.parametrize("vector", [False, True])
+    @pytest.mark.parametrize("kmax", [None, 3])
+    def test_matches_full_spectrum_oracle(self, d, n, vector, kmax):
+        grid = sp.Grid(d, n)
+        ncomp = d if vector else 1
+        f = sp.random_band_limited(grid, seed=21, ncomp=ncomp, kmax=kmax)
+        band = grid.dealias_limit if kmax is None else kmax
+        expect = self.full_spectrum_oracle(grid, 21, ncomp, band)
+        assert rel_max(f.values, expect) <= 1e-12
+        outside = np.zeros(grid.spectral_shape, dtype=bool)
+        for freq in sp.frequencies(grid):
+            outside = outside | (np.abs(freq) > band)
+        assert np.all(f.coeffs[:, outside] == 0.0)
+
+
+class TestTransformEntryPoint:
+    """spectral._forward/_inverse are the only places that call scipy.fft."""
+
+    @staticmethod
+    def fft_aliases(tree):
+        """Names bound to scipy.fft (or its functions) by import statements."""
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                for alias in node.names:
+                    if node.module.startswith("scipy.fft") or (
+                        node.module == "scipy" and alias.name == "fft"
+                    ):
+                        names.add(alias.asname or alias.name)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("scipy.fft"):
+                        names.add(alias.asname or alias.name.split(".")[0])
+        return names
+
+    def test_only_spectral_imports_scipy_fft(self):
+        src = Path(lpmhd.__file__).parent
+        offenders = []
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            reaches = any(
+                isinstance(node, ast.Attribute)
+                and node.attr == "fft"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "scipy"
+                for node in ast.walk(tree)
+            )
+            if path.name != "spectral.py" and (self.fft_aliases(tree) or reaches):
+                offenders.append(path.name)
+        assert offenders == []
+
+    def test_spectral_calls_scipy_fft_only_in_the_pair(self):
+        tree = ast.parse(Path(sp.__file__).read_text())
+        aliases = self.fft_aliases(tree)
+        assert aliases == {"sfft"}
+        allowed = set()
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in ("_forward", "_inverse"):
+                allowed |= {id(n) for n in ast.walk(node)}
+        uses = [
+            n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id in aliases
+        ]
+        assert uses and all(id(n) in allowed for n in uses)
