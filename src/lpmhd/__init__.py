@@ -62,8 +62,10 @@ from .diagnostics import DiagnosticsRecord, DiagnosticsStream, gronwall_check
 from .lab import (
     INEQUALITY_IDS,
     InequalityReport,
+    run_inequalities,
     run_inequality,
     stability_sweep,
+    stability_sweeps,
 )
 
 __version__ = "0.1.0"

@@ -179,27 +179,28 @@ def _cmd_verify(args) -> int:
     report_dir = os.path.join(outdir, "reports")
     os.makedirs(report_dir, exist_ok=True)
 
+    params_by_id = {iid: dict(cfg.verify_params.get(iid, {})) for iid in ids}
     ok = True
     summary_entries = []
-    for iid in ids:
-        params = dict(cfg.verify_params.get(iid, {}))
-        if len(cfg.verify_resolutions) >= 2:
-            sweep = lab.stability_sweep(
-                iid, params, cfg.verify_resolutions, cfg.verify_trials, cfg.seed
-            )
+    if len(cfg.verify_resolutions) >= 2:
+        sweeps = lab.stability_sweeps(
+            ids, params_by_id, cfg.verify_resolutions, cfg.verify_trials, cfg.seed
+        )
+        for iid, sweep in zip(ids, sweeps):
             payload = sweep.to_dict()
             payload["reports"] = [r.to_dict() for r in sweep.reports]
             with open(os.path.join(report_dir, f"{iid}.json"), "w") as fh:
                 json.dump(payload, fh, indent=1, sort_keys=True)
                 fh.write("\n")
-            final = sweep.reports[-1]
-            summary_entries.append(final)
+            summary_entries.append(sweep.reports[-1])
             ok = ok and all(r.finite for r in sweep.reports)
             ok = ok and sweep.max_growth <= cfg.verify_growth_threshold
-        else:
+    else:
+        for params in params_by_id.values():
             params.setdefault("n", cfg.grid_points)
             params.setdefault("d", cfg.grid_dimension)
-            report = lab.run_inequality(iid, params, cfg.verify_trials, cfg.seed)
+        reports = lab.run_inequalities(ids, params_by_id, cfg.verify_trials, cfg.seed)
+        for iid, report in zip(ids, reports):
             lab.write_report_json(report, os.path.join(report_dir, f"{iid}.json"))
             summary_entries.append(report)
             ok = ok and report.finite

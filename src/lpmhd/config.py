@@ -299,6 +299,8 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
                     f"unknown inequality id '{iid}'; known: {', '.join(INEQUALITY_IDS)}"
                 )
         cfg.verify_trials = _get(vmap, "trials", int, "section 'verify'", default=200)
+        if cfg.verify_trials < 1:
+            raise ConfigError(f"verify.trials = {cfg.verify_trials} must be >= 1")
         res = vmap.get("resolutions", [])
         if not isinstance(res, list):
             raise ConfigError("verify.resolutions must be a list")
@@ -306,6 +308,10 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
             cfg.verify_resolutions = tuple(int(n) for n in res)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"verify.resolutions must be integers: {exc}") from exc
+        if len(set(cfg.verify_resolutions)) < len(cfg.verify_resolutions):
+            raise ConfigError(
+                f"verify.resolutions {list(cfg.verify_resolutions)} repeat a resolution"
+            )
         cfg.verify_growth_threshold = _get(
             vmap, "growth_threshold", float, "section 'verify'", default=1.2
         )

@@ -5,10 +5,18 @@ advective commutator estimates and their four per-term bounds, plus the
 sharp Riesz-transform spot check.
 
 Empirical constants are reported, never compared to theoretical values;
-acceptance is finiteness plus stability across resolution (stability_sweep
+acceptance is finiteness plus stability across resolution (stability_sweeps
 reruns identical seeds at each N, so for band-limited generators the same
-continuum fields are measured on finer lattices).  Reports are reproducible
-bit-for-bit from (id, params, seed).
+continuum fields are measured on finer lattices).
+
+`run_inequalities` and `stability_sweeps` take several ids at once and
+evaluate each trial once per group of ids that share its work: the
+commutator ids (A2, A3, term-I..IV) with equal merged params draw one
+(f, g) pair per trial, build the direct and the split commutator family at
+most once each, and compute each right-hand-side factor once.  Nothing is
+kept between trials or calls.  Reports are reproducible bit-for-bit from
+(id, params, seed), whichever ids are evaluated beside them;
+`run_inequality` and `stability_sweep` are the one-id forms.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -236,42 +245,62 @@ def _commutator_lhs(fields_by_k, grid, s, pp, qq):
     return shell_lp_lq(stack, grid.js, s, pp, qq)
 
 
-def _commutator_a2(p, grid, kmax, seed, trial):
+_TERM_OF = {"term-I": "I", "term-II": "II", "term-III": "III", "term-IV": "IV"}
+
+
+class _PairFactors:
+    """The right-hand-side factors of one trial's (f, g), each evaluated on
+    first use only."""
+
+    def __init__(self, f, g, spec):
+        self.f, self.g, self.spec = f, g, spec
+
+    @cached_property
+    def jac_f(self):
+        return jacobian_sup_norm(self.f)
+
+    @cached_property
+    def jac_g(self):
+        return jacobian_sup_norm(self.g)
+
+    @cached_property
+    def tl_f(self):
+        return tl_norm(self.f, self.spec)
+
+    @cached_property
+    def tl_g(self):
+        return tl_norm(self.g, self.spec)
+
+
+def _commutator_ratios(ids, p, grid, kmax, seed, trial):
+    """Ratios of the commutator ids (A2, A3, term-I..IV) on one trial's
+    (f, g): the direct family, the split family and each right-hand-side
+    factor are computed at most once, and nothing outlives the trial."""
     f, g = _solenoidal_pair(p, grid, kmax, seed, trial)
-    fam = commutator_family(f, g)
-    lhs = _commutator_lhs(fam, grid, p["s"], p["p"], p["q"])
-    spec = NormSpec(p["s"], p["p"], p["q"])
-    rhs = jacobian_sup_norm(f) * tl_norm(g, spec) + jacobian_sup_norm(g) * tl_norm(
-        f, spec
-    )
-    return lhs / rhs
-
-
-def _commutator_a3(p, grid, kmax, seed, trial):
-    f, g = _solenoidal_pair(p, grid, kmax, seed, trial)
-    fam = commutator_family(f, g)
-    lhs = _commutator_lhs(fam, grid, p["s"], p["p"], p["q"])
-    spec = NormSpec(p["s"], p["p"], p["q"])
-    rhs = jacobian_sup_norm(f) * tl_norm(g, spec) + lp_norm(g, INF) * tl_norm(
-        jacobian(f), spec
-    )
-    return lhs / rhs
-
-
-def _term_runner(term_key):
-    def run(p, grid, kmax, seed, trial):
-        f, g = _solenoidal_pair(p, grid, kmax, seed, trial)
+    s, pp, qq = p["s"], p["p"], p["q"]
+    spec = NormSpec(s, pp, qq)
+    rhs = _PairFactors(f, g, spec)
+    out = {}
+    if "commutator-A2" in ids or "commutator-A3" in ids:
+        lhs = _commutator_lhs(commutator_family(f, g), grid, s, pp, qq)
+        if "commutator-A2" in ids:
+            out["commutator-A2"] = lhs / (rhs.jac_f * rhs.tl_g + rhs.jac_g * rhs.tl_f)
+        if "commutator-A3" in ids:
+            out["commutator-A3"] = lhs / (
+                rhs.jac_f * rhs.tl_g + lp_norm(g, INF) * tl_norm(jacobian(f), spec)
+            )
+    terms = [iid for iid in dict.fromkeys(ids) if iid in _TERM_OF]
+    if terms:
         splits = commutator_split_family(f, g)
-        fields = {k: splits[k].terms[term_key] for k in grid.js}
-        lhs = _commutator_lhs(fields, grid, p["s"], p["p"], p["q"])
-        spec = NormSpec(p["s"], p["p"], p["q"])
-        if term_key in ("I", "IV"):
-            rhs = jacobian_sup_norm(f) * tl_norm(g, spec)
-        else:
-            rhs = jacobian_sup_norm(g) * tl_norm(f, spec)
-        return lhs / rhs
-
-    return run
+        for iid in terms:
+            key = _TERM_OF[iid]
+            fields = {k: splits[k].terms[key] for k in grid.js}
+            lhs = _commutator_lhs(fields, grid, s, pp, qq)
+            if key in ("I", "IV"):
+                out[iid] = lhs / (rhs.jac_f * rhs.tl_g)
+            else:
+                out[iid] = lhs / (rhs.jac_g * rhs.tl_f)
+    return out
 
 
 def _riesz_bounded(p, grid, kmax, seed, trial):
@@ -303,58 +332,76 @@ def _pressure(p, grid, kmax, seed, trial):
     return lhs / rhs
 
 
+def _alone(fn):
+    """Evaluator of an id that shares no work with other ids: fn returns
+    the one ratio of a trial."""
+
+    def evaluate(ids, p, grid, kmax, seed, trial):
+        return {ids[0]: fn(p, grid, kmax, seed, trial)}
+
+    return evaluate
+
+
 @dataclass(frozen=True)
 class _Runner:
+    """An id's default params, its hypothesis check, and its evaluator
+    ``(ids, p, grid, kmax, seed, trial) -> {id: ratio}``.  Ids with the same
+    evaluator share each trial's work when their params are equal."""
+
     defaults: dict
-    fn: object
+    evaluate: object
     validate: object = None
 
+
+_COMMUTATOR = {**_COMMON, "s": 1.5, "p": 2.0, "q": 2.0}
 
 _RUNNERS = {
     "bernstein": _Runner(
         {**_COMMON, "k": 1, "p": 2.0, "direction": "forward"},
-        _bernstein,
+        _alone(_bernstein),
         lambda p: _require(
             p["direction"] in ("forward", "reverse"), "bernstein",
             "direction in {forward, reverse}",
         ),
     ),
-    "deriv-equiv": _Runner({**_COMMON, "s": 1.5, "p": 2.0, "q": 2.0}, _deriv_equiv),
+    "deriv-equiv": _Runner(
+        {**_COMMON, "s": 1.5, "p": 2.0, "q": 2.0}, _alone(_deriv_equiv)
+    ),
     "product": _Runner(
         {**_COMMON, "s": 1.5, "p": 2.0, "q": 2.0, "homogeneous": True},
-        _product,
+        _alone(_product),
         lambda p: _require(p["s"] > 0, "product", "s > 0"),
     ),
     "vector-maximal": _Runner(
-        {**_COMMON, "p": 2.0, "q": 2.0, "family": 8}, _vector_maximal
+        {**_COMMON, "p": 2.0, "q": 2.0, "family": 8}, _alone(_vector_maximal)
     ),
-    "majorant": _Runner(dict(_COMMON), _majorant),
+    "majorant": _Runner(dict(_COMMON), _alone(_majorant)),
     "commutator-A2": _Runner(
-        {**_COMMON, "s": 1.5, "p": 2.0, "q": 2.0},
-        _commutator_a2,
+        _COMMUTATOR,
+        _commutator_ratios,
         lambda p: _require(p["s"] > 0, "commutator-A2", "s > 0"),
     ),
     "commutator-A3": _Runner(
-        {**_COMMON, "s": 1.5, "p": 2.0, "q": 2.0},
-        _commutator_a3,
+        _COMMUTATOR,
+        _commutator_ratios,
         lambda p: _require(p["s"] > -1, "commutator-A3", "s > -1"),
     ),
-    "term-I": _Runner({**_COMMON, "s": 1.5, "p": 2.0, "q": 2.0}, _term_runner("I")),
+    "term-I": _Runner(_COMMUTATOR, _commutator_ratios),
     "term-II": _Runner(
-        {**_COMMON, "s": 1.5, "p": 2.0, "q": 2.0},
-        _term_runner("II"),
+        _COMMUTATOR,
+        _commutator_ratios,
         lambda p: _require(p["s"] > 0, "term-II", "s > 0"),
     ),
-    "term-III": _Runner({**_COMMON, "s": 1.5, "p": 2.0, "q": 2.0}, _term_runner("III")),
+    "term-III": _Runner(_COMMUTATOR, _commutator_ratios),
     "term-IV": _Runner(
-        {**_COMMON, "s": 1.5, "p": 2.0, "q": 2.0},
-        _term_runner("IV"),
+        _COMMUTATOR,
+        _commutator_ratios,
         lambda p: _require(p["s"] > -1, "term-IV", "s > -1"),
     ),
-    "riesz-bounded": _Runner({**_COMMON, "s": 1.5}, _riesz_bounded),
+    "riesz-bounded": _Runner({**_COMMON, "s": 1.5}, _alone(_riesz_bounded)),
     "pressure-3.11": _Runner(
         {**_COMMON, "s": 1.5, "p": 2.0, "q": 2.0},
-        _pressure,
+        _alone(_pressure),
         lambda p: _require(
             p["s"] > 1, "pressure-3.11", "s > 1 (the product estimate is applied at order s - 1)"
         ),
@@ -364,11 +411,13 @@ _RUNNERS = {
 INEQUALITY_IDS = tuple(sorted(_RUNNERS))
 
 
-def run_inequality(
-    inequality_id: str, params: dict | None = None, trials: int = 200, seed: int = 0
-) -> InequalityReport:
-    """Measure per-trial LHS/RHS ratios for one inequality on seeded random
-    fields; the report's max ratio is the empirical constant."""
+def _check_trials(trials: int):
+    if trials < 1:
+        raise HypothesisError(f"trials = {trials}: at least one trial is required")
+
+
+def _job(inequality_id: str, params: dict | None):
+    """(runner, merged params) of one id, validated before any trial runs."""
     if inequality_id not in _RUNNERS:
         raise UnknownInequalityError(
             f"unknown inequality id '{inequality_id}'; known: {', '.join(INEQUALITY_IDS)}"
@@ -377,19 +426,59 @@ def run_inequality(
     p = _norm_params(params or {}, runner.defaults, inequality_id)
     if runner.validate is not None:
         runner.validate(p)
-    grid, kmax = _grid_and_kmax(p)
-    ratios = np.array(
-        [runner.fn(p, grid, kmax, seed, t) for t in range(trials)]
-    )
-    return InequalityReport(
-        inequality_id=inequality_id,
-        params={k: v for k, v in p.items()},
-        dimension=grid.dimension,
-        points=grid.points,
-        trials=trials,
-        seed=seed,
-        ratios=ratios,
-    )
+    return runner, p
+
+
+def run_inequalities(
+    ids, params_by_id: dict | None = None, trials: int = 200, seed: int = 0
+) -> list:
+    """Measure per-trial LHS/RHS ratios for several inequalities on seeded
+    random fields, one report per id in the order given; a report's max
+    ratio is the empirical constant.
+
+    Ids with the same evaluator and equal merged params form one group, and
+    each trial of a group is evaluated once for all its ids: the commutator
+    ids (A2, A3, term-I..IV) draw their (f, g) pair and build each
+    commutator family once per trial.  A report depends only on its own
+    (id, params, seed), so it is the same whichever ids run beside it."""
+    _check_trials(trials)
+    params_by_id = params_by_id or {}
+    jobs = [_job(iid, params_by_id.get(iid)) for iid in ids]
+    groups = {}
+    for pos, (runner, p) in enumerate(jobs):
+        key = (runner.evaluate, repr(sorted(p.items())))
+        groups.setdefault(key, []).append(pos)
+    ratios = [[] for _ in jobs]
+    for (evaluate, _), members in groups.items():
+        p = jobs[members[0]][1]
+        grid, kmax = _grid_and_kmax(p)
+        group_ids = [ids[pos] for pos in members]
+        for t in range(trials):
+            got = evaluate(group_ids, p, grid, kmax, seed, t)
+            for pos in members:
+                ratios[pos].append(got[ids[pos]])
+    reports = []
+    for iid, (_, p), r in zip(ids, jobs, ratios):
+        grid = Grid(p["d"], p["n"])
+        reports.append(
+            InequalityReport(
+                inequality_id=iid,
+                params=dict(p),
+                dimension=grid.dimension,
+                points=grid.points,
+                trials=trials,
+                seed=seed,
+                ratios=np.array(r),
+            )
+        )
+    return reports
+
+
+def run_inequality(
+    inequality_id: str, params: dict | None = None, trials: int = 200, seed: int = 0
+) -> InequalityReport:
+    """``run_inequalities`` for one id."""
+    return run_inequalities([inequality_id], {inequality_id: params}, trials, seed)[0]
 
 
 @dataclass
@@ -413,14 +502,16 @@ class SweepResult:
         }
 
 
-def stability_sweep(
-    inequality_id: str,
-    params: dict | None = None,
+def stability_sweeps(
+    ids,
+    params_by_id: dict | None = None,
     resolutions=(64, 128),
     trials: int = 200,
     seed: int = 0,
-) -> SweepResult:
-    """Rerun one inequality with identical seeds at each resolution.
+) -> list:
+    """Rerun several inequalities with identical seeds at each resolution,
+    one sweep per id in the order given; at each resolution the ids are
+    evaluated together as in ``run_inequalities``.
 
     The generator band limit defaults to one sixth of the coarsest
     resolution, so even quadratic products of test fields are fully
@@ -431,27 +522,56 @@ def stability_sweep(
     resolutions = sorted(int(n) for n in resolutions)
     if len(resolutions) < 2:
         raise HypothesisError("stability sweep requires >= 2 resolutions")
-    params = dict(params or {})
-    if params.get("kmax") is None:
-        params["kmax"] = max(2, min(resolutions) // 6)
-    reports = []
-    for n in resolutions:
-        run_params = dict(params)
-        run_params["n"] = n
-        reports.append(run_inequality(inequality_id, run_params, trials, seed))
-    growth = [
-        b.max_ratio / a.max_ratio if a.max_ratio > 0 else math.inf
-        for a, b in zip(reports, reports[1:])
+    if len(set(resolutions)) < len(resolutions):
+        raise HypothesisError(
+            f"stability sweep resolutions {resolutions} repeat a resolution"
+        )
+    _check_trials(trials)
+    params_by_id = params_by_id or {}
+    base = {}
+    for iid in ids:
+        params = dict(params_by_id.get(iid) or {})
+        if params.get("kmax") is None:
+            params["kmax"] = max(2, min(resolutions) // 6)
+        base[iid] = params
+    per_n = [
+        run_inequalities(
+            ids, {iid: {**params, "n": n} for iid, params in base.items()}, trials, seed
+        )
+        for n in resolutions
     ]
-    # the per-report growth factor is the step up from the previous resolution
-    for rep, g in zip(reports[1:], growth):
-        rep.growth_factor = float(g)
-    return SweepResult(
-        inequality_id=inequality_id,
-        resolutions=resolutions,
-        reports=reports,
-        growth_factors=growth,
-    )
+    sweeps = []
+    for pos, iid in enumerate(ids):
+        reports = [reps[pos] for reps in per_n]
+        growth = [
+            b.max_ratio / a.max_ratio if a.max_ratio > 0 else math.inf
+            for a, b in zip(reports, reports[1:])
+        ]
+        # the per-report growth factor is the step up from the previous resolution
+        for rep, g in zip(reports[1:], growth):
+            rep.growth_factor = float(g)
+        sweeps.append(
+            SweepResult(
+                inequality_id=iid,
+                resolutions=list(resolutions),
+                reports=reports,
+                growth_factors=growth,
+            )
+        )
+    return sweeps
+
+
+def stability_sweep(
+    inequality_id: str,
+    params: dict | None = None,
+    resolutions=(64, 128),
+    trials: int = 200,
+    seed: int = 0,
+) -> SweepResult:
+    """``stability_sweeps`` for one id."""
+    return stability_sweeps(
+        [inequality_id], {inequality_id: params}, resolutions, trials, seed
+    )[0]
 
 
 def write_report_json(report: InequalityReport, path) -> None:

@@ -152,11 +152,26 @@ def _validate_advector(f: RealField):
         )
 
 
+def _block_values(grid, coeffs: np.ndarray):
+    """Physical values of a spectral block, or None when its coefficients are
+    identically zero.  Such a block's values and every product with it are
+    exact zeros, so skipping them leaves every sum unchanged bit for bit."""
+    return _inverse(grid, coeffs) if coeffs.any() else None
+
+
+def _add_product(acc: np.ndarray, grid, a, b):
+    """acc += P_K(a * b), skipped when either factor is an empty block."""
+    if a is not None and b is not None:
+        acc += _masked_product(grid, a, b)
+
+
 class _CommutatorWorkspace:
     """Shared per-(f, g-component) precomputations for the commutator family.
 
     Everything is keyed by shell index so assembling all k reuses the same
-    physical-space factors.
+    physical-space factors.  A block factor whose spectrum is identically
+    zero (band-limited data leave the high shells empty) is held as None and
+    is never transformed or multiplied.
     """
 
     def __init__(self, f: RealField, g_coeffs: np.ndarray):
@@ -175,30 +190,35 @@ class _CommutatorWorkspace:
         self._q = {}
         self._p2 = {}
 
-    # -- cached factors -----------------------------------------------------
+    def _zeros(self):
+        return np.zeros(self.grid.spectral_shape, dtype=complex)
+
+    # -- cached factors (None: identically zero) -----------------------------
 
     def f_block(self, k, i):
         key = (k, i)
         if key not in self._f_block:
-            self._f_block[key] = _inverse(self.grid, self.bank.phi[k] * self.fhat[i])
+            self._f_block[key] = _block_values(self.grid, self.bank.phi[k] * self.fhat[i])
         return self._f_block[key]
 
     def f_low(self, j, i):
         key = (j, i)
         if key not in self._f_low:
-            self._f_low[key] = _inverse(self.grid, self.bank.chi[j] * self.fhat[i])
+            self._f_low[key] = _block_values(self.grid, self.bank.chi[j] * self.fhat[i])
         return self._f_low[key]
 
     def dg_block(self, k, i):
         key = (k, i)
         if key not in self._dg_block:
-            self._dg_block[key] = _inverse(self.grid, self.bank.phi[k] * self.ghat_d[i])
+            self._dg_block[key] = _block_values(
+                self.grid, self.bank.phi[k] * self.ghat_d[i]
+            )
         return self._dg_block[key]
 
     def dg_low(self, j, i):
         key = (j, i)
         if key not in self._dg_low:
-            self._dg_low[key] = _inverse(self.grid, self.bank.chi[j] * self.ghat_d[i])
+            self._dg_low[key] = _block_values(self.grid, self.bank.chi[j] * self.ghat_d[i])
         return self._dg_low[key]
 
     # -- k-independent product sums ------------------------------------------
@@ -206,33 +226,38 @@ class _CommutatorWorkspace:
     def p1(self, kp):
         """sum_i P_K( S_{kp-1} f_i * d_i Delta_{kp} g )"""
         if kp not in self._p1:
-            self._p1[kp] = sum(
-                _masked_product(self.grid, self.f_low(kp - 1, i), self.dg_block(kp, i))
-                for i in range(self.d)
-            )
+            acc = self._zeros()
+            for i in range(self.d):
+                _add_product(acc, self.grid, self.f_low(kp - 1, i), self.dg_block(kp, i))
+            self._p1[kp] = acc
         return self._p1[kp]
 
     def q(self, kp):
         """sum_i P_K( S_{kp-1} d_i g * Delta_{kp} f_i )"""
         if kp not in self._q:
-            self._q[kp] = sum(
-                _masked_product(self.grid, self.dg_low(kp - 1, i), self.f_block(kp, i))
-                for i in range(self.d)
-            )
+            acc = self._zeros()
+            for i in range(self.d):
+                _add_product(acc, self.grid, self.dg_low(kp - 1, i), self.f_block(kp, i))
+            self._q[kp] = acc
         return self._q[kp]
 
     def p2(self, kp):
         """sum_i P_K( Delta_{kp} f_i * d_i Delta~_{kp} g )"""
         if kp not in self._p2:
             grid = self.grid
-            acc = np.zeros(grid.spectral_shape, dtype=complex)
+            acc = self._zeros()
             for i in range(self.d):
-                tilde = sum(
+                blk = self.f_block(kp, i)
+                if blk is None:
+                    continue
+                near = (
                     self.dg_block(kp + d, i)
                     for d in (-1, 0, 1)
                     if grid.j0 <= kp + d <= grid.j_max
                 )
-                acc += _masked_product(grid, self.f_block(kp, i), tilde)
+                tilde = [t for t in near if t is not None]
+                if tilde:
+                    acc += _masked_product(grid, blk, sum(tilde))
             self._p2[kp] = acc
         return self._p2[kp]
 
@@ -242,17 +267,18 @@ class _CommutatorWorkspace:
         """f . grad Delta_k g - Delta_k (f . grad g) for every shell k,
         spectral coefficients keyed by k."""
         grid = self.grid
-        whole = sum(
-            _masked_product(grid, self.f_phys[i], _inverse(grid, self.ghat_d[i]))
-            for i in range(self.d)
-        )
+        whole = self._zeros()
+        for i in range(self.d):
+            _add_product(
+                whole, grid, self.f_phys[i], _block_values(grid, self.ghat_d[i])
+            )
         out = {}
         for k in grid.js:
-            acc = sum(
-                _masked_product(grid, self.f_phys[i], self.dg_block(k, i))
-                for i in range(self.d)
-            )
-            out[k] = acc - self.bank.phi[k] * whole
+            acc = self._zeros()
+            for i in range(self.d):
+                _add_product(acc, grid, self.f_phys[i], self.dg_block(k, i))
+            acc -= self.bank.phi[k] * whole
+            out[k] = acc
         return out
 
     def split(self, k):
@@ -262,33 +288,40 @@ class _CommutatorWorkspace:
 
         # I: sum_{k'~k} [S_{k'-1} f_i, Delta_k] d_i Delta_{k'} g.  The first
         # (paraproduct-of-block) piece survives only for |k'-k| <= 1.
-        term_i = np.zeros(grid.spectral_shape, dtype=complex)
+        term_i = self._zeros()
         for kp in range(max(j0 + 1, k - 1), min(j_max, k + 1) + 1):
             for i in range(d):
-                blk = _inverse(grid, bank.phi[k] * bank.phi[kp] * self.ghat_d[i])
-                term_i += _masked_product(grid, self.f_low(kp - 1, i), blk)
+                if self.f_low(kp - 1, i) is None:
+                    continue
+                blk = _block_values(grid, bank.phi[k] * bank.phi[kp] * self.ghat_d[i])
+                _add_product(term_i, grid, self.f_low(kp - 1, i), blk)
         for kp in range(max(j0 + 1, k - 4), min(j_max, k + 4) + 1):
             term_i -= bank.phi[k] * self.p1(kp)
 
         # II: sum_{k'>=k-2} S_{k'+2}(Delta_k d_i g) Delta_{k'} f_i; for
         # k' >= k the low-pass factor is the identity on the block's support,
         # so those terms group into one high-pass product.
-        term_ii = np.zeros(grid.spectral_shape, dtype=complex)
+        term_ii = self._zeros()
         for kp in range(max(j0, k - 2), min(j_max, k - 1) + 1):
             for i in range(d):
-                low = _inverse(grid, bank.chi[kp + 2] * bank.phi[k] * self.ghat_d[i])
-                term_ii += _masked_product(grid, low, self.f_block(kp, i))
+                if self.f_block(kp, i) is None:
+                    continue
+                low = _block_values(grid, bank.chi[kp + 2] * bank.phi[k] * self.ghat_d[i])
+                _add_product(term_ii, grid, low, self.f_block(kp, i))
         for i in range(d):
-            high = self.f_phys[i] - self.f_low(k, i)
+            if self.dg_block(k, i) is None:
+                continue
+            low = self.f_low(k, i)
+            high = self.f_phys[i] if low is None else self.f_phys[i] - low
             term_ii += _masked_product(grid, self.dg_block(k, i), high)
 
         # III: -Delta_k sum_{k'~k} S_{k'-1}(d_i g) Delta_{k'} f_i
-        term_iii = np.zeros(grid.spectral_shape, dtype=complex)
+        term_iii = self._zeros()
         for kp in range(max(j0 + 1, k - 4), min(j_max, k + 4) + 1):
             term_iii -= bank.phi[k] * self.q(kp)
 
         # IV: -Delta_k sum_{k'>=k-3} Delta_{k'} f_i d_i Delta~_{k'} g
-        term_iv = np.zeros(grid.spectral_shape, dtype=complex)
+        term_iv = self._zeros()
         for kp in range(max(j0, k - 3), j_max + 1):
             term_iv -= bank.phi[k] * self.p2(kp)
 

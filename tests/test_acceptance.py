@@ -163,19 +163,23 @@ def test_criterion_04_sobolev_oracle_band():
 
 def test_criterion_05_commutator_estimates_sweep():
     t0 = time.time()
-    jobs = []
-    for s, p, q in ((1.5, 2.0, 2.0), (2.5, 4.0, 2.0)):
-        for iid in ("commutator-A2", "commutator-A3", "term-I", "term-II",
-                    "term-III", "term-IV"):
-            jobs.append((iid, {"s": s, "p": p, "q": q}))
-    jobs.append(("commutator-A3", {"s": -0.5, "p": 2.0, "q": 2.0}))
+    # 13 (id, params) jobs in one grouped call per (s, p, q): the ids of a
+    # call share each trial's (f, g) and commutator families
+    all_ids = ("commutator-A2", "commutator-A3", "term-I", "term-II",
+               "term-III", "term-IV")
+    groups = [
+        (all_ids, {"s": 1.5, "p": 2.0, "q": 2.0}),
+        (all_ids, {"s": 2.5, "p": 4.0, "q": 2.0}),
+        (("commutator-A3",), {"s": -0.5, "p": 2.0, "q": 2.0}),
+    ]
     worst_growth = 0.0
-    for iid, params in jobs:
-        sweep = lab.stability_sweep(iid, params, resolutions=(64, 128),
-                                    trials=200, seed=42)
-        assert all(rep.finite for rep in sweep.reports), (iid, params)
-        assert sweep.max_growth <= 1.2, (iid, params, sweep.max_growth)
-        worst_growth = max(worst_growth, sweep.max_growth)
+    for ids, params in groups:
+        sweeps = lab.stability_sweeps(ids, {iid: params for iid in ids},
+                                      resolutions=(64, 128), trials=200, seed=42)
+        for iid, sweep in zip(ids, sweeps):
+            assert all(rep.finite for rep in sweep.reports), (iid, params)
+            assert sweep.max_growth <= 1.2, (iid, params, sweep.max_growth)
+            worst_growth = max(worst_growth, sweep.max_growth)
     elapsed = time.time() - t0
     report(5, f"A.2/A.3 and per-term bounds finite, worst 64->128 growth "
               f"{worst_growth:.3f} (limit 1.2), 200 trials each, {elapsed:.0f}s")

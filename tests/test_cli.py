@@ -125,6 +125,15 @@ verify: {ids: [bernstein], resolutions: [x, 64]}
         with pytest.raises(ConfigError, match="verify.resolutions"):
             parse_config(text, "verify")
 
+    def test_repeated_resolution(self):
+        text = """
+output: x
+grid: {dimension: 2, points: 64}
+verify: {ids: [bernstein], resolutions: [64, 64]}
+"""
+        with pytest.raises(ConfigError, match="verify.resolutions"):
+            parse_config(text, "verify")
+
     def test_picard_n_max_constraint(self):
         text = """
 output: x
@@ -332,6 +341,48 @@ verify: {{ids: {ids}, trials: 5{extra}}}
         )
         assert report["resolutions"] == [64, 128]
         assert report["max_growth"] <= 1.2
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_must_be_positive(self, tmp_path, capsys, trials):
+        cfg = write(
+            tmp_path / "v.yaml",
+            f"""
+output: {tmp_path / 'vrun'}
+grid: {{dimension: 2, points: 64}}
+verify: {{ids: [commutator-A2], trials: {trials}}}
+""",
+        )
+        assert main(["verify", "--config", cfg]) == 2
+        assert "verify.trials" in capsys.readouterr().err
+
+    def test_grouped_reports_match_single_id_runs(self, tmp_path):
+        ids = ("commutator-A2", "commutator-A3", "term-I", "term-II",
+               "term-III", "term-IV")
+        text = """
+output: {out}
+seed: 5
+grid: {{dimension: 2, points: 64}}
+verify:
+  ids: [{ids}]
+  trials: 2
+  resolutions: [32, 64]
+  params: {{term-III: {{s: 2.5}}}}
+""".replace("{ids}", ", ".join(ids))
+        cfg = write(tmp_path / "all.yaml", text.format(out=tmp_path / "all"))
+        assert main(["verify", "--config", cfg]) == 0
+        summary = (tmp_path / "all" / "summary.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in summary[1:]] == list(ids)
+        for iid in ids:
+            out = tmp_path / iid
+            one = write(tmp_path / f"{iid}.yaml", text.format(out=out))
+            assert main(["verify", "--config", one, "--ids", iid]) == 0
+            name = f"{iid}.json"
+            assert (out / "reports" / name).read_bytes() == (
+                tmp_path / "all" / "reports" / name
+            ).read_bytes()
+            assert (out / "summary.csv").read_text().splitlines()[1] == summary[
+                1 + ids.index(iid)
+            ]
 
     def test_growth_threshold_failure_exit_1(self, tmp_path):
         # an impossible threshold makes an otherwise healthy sweep fail

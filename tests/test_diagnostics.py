@@ -7,7 +7,6 @@ from lpmhd import diagnostics as diag
 from lpmhd import mhd
 from lpmhd import spectral as sp
 from lpmhd.spaces import NormSpec, lp_norm, sup_block_norm
-from test_mhd import count_transforms
 
 G = sp.Grid(2, 64)
 SPECS = (NormSpec(1.5, 2, 2, homogeneous=False),)
@@ -95,14 +94,14 @@ class TestSinglePass:
     @pytest.mark.parametrize(
         "grid, expected", [(sp.Grid(2, 64), 54), (sp.Grid(3, 16), 84)]
     )
-    def test_transform_count(self, monkeypatch, grid, expected):
+    def test_transform_count(self, count_transforms, grid, expected):
         # per record: 2d state values, 2 d^2 gradients, and per shell 2nc
         # curl components plus 2d components for the one norm; the curls
         # are decomposed once, whether or not a trapezoid step is taken
         u, b = mhd.random_pair(grid, seed=23)
         state = mhd.to_elsasser(u, b)
         stream = diag.DiagnosticsStream(SPECS)
-        counts = count_transforms(monkeypatch)
+        counts = count_transforms()
         for t in (0.0, 1e-3):
             recorded = self.coeff_only(state, t)
             counts.clear()

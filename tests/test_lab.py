@@ -39,6 +39,25 @@ class TestValidation:
         with pytest.raises(lab.HypothesisError, match="2 resolutions"):
             lab.stability_sweep("bernstein", {}, resolutions=(64,), trials=1)
 
+    def test_sweep_rejects_repeated_resolutions(self):
+        with pytest.raises(lab.HypothesisError, match="repeat"):
+            lab.stability_sweep("bernstein", {}, resolutions=(64, 64), trials=1)
+        with pytest.raises(lab.HypothesisError, match="repeat"):
+            lab.stability_sweeps(
+                ["term-I", "term-II"], {}, resolutions=(32, 64, 32), trials=1
+            )
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_must_be_positive(self, trials):
+        with pytest.raises(lab.HypothesisError, match="at least one trial"):
+            lab.run_inequality("bernstein", {}, trials=trials)
+        with pytest.raises(lab.HypothesisError, match="at least one trial"):
+            lab.run_inequalities(["term-I", "commutator-A2"], {}, trials=trials)
+        with pytest.raises(lab.HypothesisError, match="at least one trial"):
+            lab.stability_sweep("bernstein", {}, trials=trials)
+        with pytest.raises(lab.HypothesisError, match="at least one trial"):
+            lab.stability_sweeps(["term-I"], {}, trials=trials)
+
 
 class TestBernstein:
     def test_single_mode_ratio_is_one(self):
@@ -157,3 +176,76 @@ class TestSweep:
             "vector-maximal", {"n": 64, "p": 2.0, "q": math.inf}, trials=4, seed=16
         )
         assert rep.finite
+
+
+COMMUTATOR_IDS = (
+    "commutator-A2", "commutator-A3", "term-I", "term-II", "term-III", "term-IV"
+)
+
+
+class TestGrouping:
+    """Ids evaluated together give the reports of separate calls."""
+
+    @pytest.mark.parametrize(
+        "spq, override",
+        [
+            ((1.5, 2.0, 2.0), {}),
+            # a per-id override starts its own group
+            ((2.5, 4.0, 2.0), {"term-II": {"kmax": 3}}),
+        ],
+    )
+    def test_sweeps_match_single_sweeps(self, spq, override):
+        s, p, q = spq
+        params = {
+            iid: {"s": s, "p": p, "q": q, **override.get(iid, {})}
+            for iid in COMMUTATOR_IDS
+        }
+        together = lab.stability_sweeps(
+            COMMUTATOR_IDS, params, resolutions=(32, 64), trials=3, seed=17
+        )
+        assert [sw.inequality_id for sw in together] == list(COMMUTATOR_IDS)
+        for iid, sweep in zip(COMMUTATOR_IDS, together):
+            alone = lab.stability_sweep(
+                iid, params[iid], resolutions=(32, 64), trials=3, seed=17
+            )
+            assert sweep.to_dict() == alone.to_dict()
+            for a, b in zip(sweep.reports, alone.reports):
+                assert a.params == b.params
+                assert np.array_equal(a.ratios, b.ratios)
+
+    def test_one_evaluation_per_trial(self, monkeypatch):
+        calls = {"direct": 0, "split": 0}
+
+        def counted(name, fn):
+            def wrapper(f, g):
+                calls[name] += 1
+                return fn(f, g)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            lab, "commutator_family", counted("direct", lab.commutator_family)
+        )
+        monkeypatch.setattr(
+            lab, "commutator_split_family",
+            counted("split", lab.commutator_split_family),
+        )
+        lab.stability_sweeps(COMMUTATOR_IDS, {}, resolutions=(32, 64), trials=2, seed=3)
+        assert calls == {"direct": 4, "split": 4}
+        calls.update(direct=0, split=0)
+        params = {"n": 32}
+        lab.run_inequalities(
+            ["term-I", "term-IV"], {"term-I": params, "term-IV": params}, trials=2, seed=3
+        )
+        assert calls == {"direct": 0, "split": 2}
+
+    def test_no_state_between_calls(self, count_transforms):
+        counts = count_transforms()
+        sizes = []
+        for _ in range(2):
+            counts.clear()
+            lab.stability_sweeps(
+                COMMUTATOR_IDS, {}, resolutions=(32, 64), trials=1, seed=4
+            )
+            sizes.append(sum(counts))
+        assert sizes[0] == sizes[1] > 0

@@ -39,28 +39,6 @@ def transport_tendency_oracle(w_values, z_values, n):
     return out
 
 
-def count_transforms(monkeypatch):
-    """Wrap scipy.fft rfftn/irfftn; the returned list receives the number of
-    scalar N^d transforms (the batch size) of every call."""
-    import scipy.fft
-
-    counts = []
-    for name in ("rfftn", "irfftn"):
-        original = getattr(scipy.fft, name)
-
-        def counted(x, s=None, axes=None, *args, _original=original, **kwargs):
-            if axes is None:
-                axes = range(x.ndim - len(s), x.ndim) if s is not None else range(x.ndim)
-            transformed = {a % x.ndim for a in axes}
-            counts.append(
-                math.prod(n for a, n in enumerate(x.shape) if a not in transformed)
-            )
-            return _original(x, s, axes, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.fft, name, counted)
-    return counts
-
-
 class TestElsasser:
     def test_euler_reduction(self):
         u = sp.random_solenoidal(G, seed=1)
@@ -212,7 +190,7 @@ class TestStep:
     @pytest.mark.parametrize(
         "grid, expected", [(sp.Grid(2, 64), 32), (sp.Grid(3, 16), 60)]
     )
-    def test_transform_count(self, monkeypatch, grid, expected):
+    def test_transform_count(self, monkeypatch, count_transforms, grid, expected):
         # 4 stages x (2d inverse + d^2 forward) on coefficient-only input,
         # CFL check included; the pressure is never solved for
         def no_pressure(state):
@@ -225,7 +203,7 @@ class TestStep:
             sp.RealField(grid, coeffs=state.z_plus.coeffs, solenoidal=True),
             sp.RealField(grid, coeffs=state.z_minus.coeffs, solenoidal=True),
         )
-        counts = count_transforms(monkeypatch)
+        counts = count_transforms()
         mhd.step(coeff_only, 1e-3)
         assert sum(counts) == expected
         mhd.mhd_tendency(state)

@@ -179,3 +179,33 @@ class TestCommutator:
         split = commutator_split_family(f, g)[1]
         for term in split.terms.values():
             assert np.max(np.abs(term.values)) == 0.0
+
+
+class TestEmptyBlocks:
+    # kmax = 10 leaves shells j >= 4 empty (|xi| <= 10*sqrt(2) < 16): their
+    # blocks are never transformed and their products never formed
+    @pytest.mark.parametrize(
+        "n, direct_xf, split_xf", [(64, 26, 134), (128, 26, 138)]
+    )
+    def test_transform_count(self, count_transforms, n, direct_xf, split_xf):
+        grid = sp.Grid(2, n)
+        f = sp.random_solenoidal(grid, seed=40, kmax=10)
+        g = sp.random_band_limited(grid, seed=41, kmax=10)
+        counts = count_transforms()
+        commutator_family(f, g)
+        assert sum(counts) == direct_xf
+        counts.clear()
+        commutator_split_family(f, g)
+        assert sum(counts) == split_xf
+
+    @pytest.mark.parametrize("grid", [sp.Grid(2, 128), sp.Grid(3, 16)])
+    def test_split_reconstructs_direct_with_empty_shells(self, grid):
+        f = sp.random_solenoidal(grid, seed=42, kmax=3)
+        g = sp.random_band_limited(grid, seed=43, kmax=3)
+        assert not np.any(sp.dyadic_block(g, 3).coeffs)
+        fam = commutator_family(f, g)
+        splits = commutator_split_family(f, g)
+        scale = max(np.linalg.norm(fam[k].values) for k in grid.js)
+        for k in grid.js:
+            err = np.linalg.norm(splits[k].total.values - fam[k].values)
+            assert err <= 1e-12 * scale
