@@ -196,8 +196,10 @@ def _cmd_verify(args) -> int:
             ok = ok and all(r.finite for r in sweep.reports)
             ok = ok and sweep.max_growth <= cfg.verify_growth_threshold
     else:
+        # a single listed resolution is the one run; none means grid.points
+        n = cfg.verify_resolutions[0] if cfg.verify_resolutions else cfg.grid_points
         for params in params_by_id.values():
-            params.setdefault("n", cfg.grid_points)
+            params.setdefault("n", n)
             params.setdefault("d", cfg.grid_dimension)
         reports = lab.run_inequalities(ids, params_by_id, cfg.verify_trials, cfg.seed)
         for iid, report in zip(ids, reports):

@@ -5,6 +5,12 @@ The homogeneous shell sum runs over the grid's dyadic range [j0, j_max]; the
 mean mode never contributes because phi_j(0) = 0 for every j.  The s = 0,
 p = q = inf homogeneous norm is sup_j ||Delta_j f||_inf, the quantity driving
 the blow-up monitor.
+
+F^s_{2,2} is H^s, so at p = q = 2 the shell sum is evaluated by Plancherel
+in coefficient space, with no transform: sum_j 2^{2sj} ||Delta_j f||_2^2
+from the rfft spectrum after projecting its xi_d = 0 and xi_d = N/2 planes
+onto their Hermitian part (the spectrum the inverse transform realizes).
+It agrees with the shell path to round-off, not bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .spectral import (
     apply_multiplier,
     block_magnitudes,
     radius,
+    shell_energies,
 )
 
 INF = math.inf
@@ -91,7 +98,19 @@ def tl_norm(f: RealField, spec: NormSpec) -> float:
 
     Homogeneous: L^p in x of the l^q over shells of 2^{js} |Delta_j f(x)|.
     Inhomogeneous adds the L^p norm of f itself.
+
+    p = q = 2 is evaluated by Plancherel from the coefficients, after the
+    Hermitian projection of the xi_d = 0 and N/2 planes (`shell_energies`):
+    no transform for a field that has them, one forward transform otherwise.
+    Every other (p, q) inverse-transforms the dyadic blocks.
     """
+    if spec.p == spec.q == 2.0:
+        shells, total = shell_energies(f)
+        weights = 2.0 ** (2.0 * spec.s * np.asarray(f.grid.js, dtype=float))
+        value = math.sqrt(float(weights @ shells))
+        if not spec.homogeneous:
+            value += math.sqrt(total)
+        return value
     mags = block_magnitudes(f)
     value = shell_lp_lq(mags, f.grid.js, spec.s, spec.p, spec.q)
     if not spec.homogeneous:

@@ -507,8 +507,68 @@ def low_pass_saturating(f: RealField, j: int) -> RealField:
 
 
 def block_magnitudes(f: RealField) -> np.ndarray:
-    """Stack of pointwise magnitudes |Delta_j f|, shape (n_shells,) + grid.shape."""
-    return np.stack([dyadic_block(f, j).magnitude() for j in f.grid.js])
+    """Stack of pointwise magnitudes |Delta_j f|, shape (n_shells,) + grid.shape:
+    per shell, one batched inverse of every component, written into the stack.
+
+    (One inverse of all shells at once gives the same bits, but it measured
+    up to 1.7x slower once the stack passes about 1 MB, as at 2D N=128 and
+    3D N=32, where its multi-MB temporaries miss the cache.)
+    """
+    grid, bank = f.grid, make_filter_bank(f.grid)
+    out = np.empty((len(grid.js),) + grid.shape)
+    for i, j in enumerate(grid.js):
+        blk = _inverse(grid, f.coeffs * bank.phi[j])
+        if f.ncomp == 1:
+            np.abs(blk[0], out=out[i])
+        else:
+            np.square(blk, out=blk)
+            np.sqrt(blk.sum(axis=0), out=out[i])
+    return out
+
+
+@lru_cache(maxsize=None)
+def _plancherel_weights(dimension: int, points: int) -> np.ndarray:
+    """Rows w * phi_j^2 for j in [j0, j_max], then w alone (w the rfft
+    multiplicities), each flattened over the spectral lattice and divided by
+    N^{2d}: shape (n_shells + 1, prod(spectral_shape))."""
+    bank = _make_filter_bank(dimension, points)
+    w = _spectral_weights(dimension, points)
+    rows = [w * bank.phi[j] ** 2 for j in bank.grid.js] + [w]
+    out = np.stack(rows).reshape(len(rows), -1)
+    out /= float(points) ** (2 * dimension)
+    out.flags.writeable = False
+    return out
+
+
+def _realized_energy(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """sum over components of |c(xi)|^2 for the spectrum that `_inverse`
+    realizes, flattened over the spectral lattice.
+
+    irfftn reads a real signal off the xi_d = 0 and xi_d = N/2 planes, i.e.
+    only their Hermitian part (c(xi) + conj c(-xi)) / 2; a field whose
+    coefficients are not Hermitian there (the Nyquist line of a derivative,
+    for one) would otherwise be credited with energy its values do not have.
+    """
+
+    def energy(c):
+        return (np.square(c.real) + np.square(c.imag)).sum(axis=0)
+
+    out = energy(coeffs)
+    # xi -> -xi on the d-1 leading axes of the two edge planes
+    mirror = np.ix_(*[(-np.arange(grid.points)) % grid.points] * (grid.dimension - 1))
+    edges = coeffs[..., [0, -1]]
+    out[..., [0, -1]] = energy(0.5 * (edges + np.conj(edges[(slice(None),) + mirror])))
+    return out.ravel()
+
+
+def shell_energies(f: RealField):
+    """Plancherel energies, with no transform once f has coefficients:
+    (e, total) with e[j - j0] = ||Delta_j f||_2^2 for j in [j0, j_max] and
+    total = ||f||_2^2, in the normalized measure."""
+    sums = _plancherel_weights(f.grid.dimension, f.grid.points) @ _realized_energy(
+        f.grid, f.coeffs
+    )
+    return sums[:-1], float(sums[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -342,6 +342,17 @@ verify: {{ids: {ids}, trials: 5{extra}}}
         assert report["resolutions"] == [64, 128]
         assert report["max_growth"] <= 1.2
 
+    def test_single_resolution_is_run(self, tmp_path):
+        cfg = self._config(
+            tmp_path, ids="[bernstein, commutator-A2]", extra=", resolutions: [128]"
+        )
+        assert main(["verify", "--config", cfg]) == 0
+        for iid in ("bernstein", "commutator-A2"):
+            report = json.loads(
+                (tmp_path / "vrun" / "reports" / f"{iid}.json").read_text()
+            )
+            assert report["points"] == 128
+
     @pytest.mark.parametrize("trials", [0, -1])
     def test_trials_must_be_positive(self, tmp_path, capsys, trials):
         cfg = write(

@@ -92,12 +92,13 @@ class TestSinglePass:
         )
 
     @pytest.mark.parametrize(
-        "grid, expected", [(sp.Grid(2, 64), 54), (sp.Grid(3, 16), 84)]
+        "grid, expected", [(sp.Grid(2, 64), 26), (sp.Grid(3, 16), 54)]
     )
     def test_transform_count(self, count_transforms, grid, expected):
         # per record: 2d state values, 2 d^2 gradients, and per shell 2nc
-        # curl components plus 2d components for the one norm; the curls
-        # are decomposed once, whether or not a trapezoid step is taken
+        # curl components; the curls are decomposed once, whether or not a
+        # trapezoid step is taken, and the p = q = 2 norm is a Plancherel
+        # sum over the coefficients, with no transform
         u, b = mhd.random_pair(grid, seed=23)
         state = mhd.to_elsasser(u, b)
         stream = diag.DiagnosticsStream(SPECS)

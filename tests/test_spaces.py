@@ -134,6 +134,64 @@ class TestTlNorm:
         assert abs(ratios[64][1] - ratios[128][1]) <= 0.2 * ratios[64][1]
 
 
+def _plancherel_inputs(grid):
+    """White noise (scalar and vector), its Jacobian, a Riesz transform, a
+    mixed derivative and a solenoidal field.  The derivatives and the Riesz
+    transform are not Hermitian on the xi_d = 0 and N/2 planes, which a
+    Plancherel sum must project out to match the values."""
+    d = grid.dimension
+    rng = np.random.default_rng(grid.points + d)
+    noise = sp.RealField(grid, values=rng.standard_normal(grid.shape))
+    return {
+        "noise": noise,
+        "noise-vector": sp.RealField(
+            grid, values=rng.standard_normal((d,) + grid.shape)
+        ),
+        "jacobian": sp.jacobian(noise),
+        "riesz": sp.riesz(noise, 0),
+        "mixed": sp.spectral_derivative(noise, (1,) * d),
+        "solenoidal": sp.random_solenoidal(grid, seed=3),
+    }
+
+
+class TestPlancherel:
+    """p = q = 2 norms come from the coefficients; the shell path is the oracle."""
+
+    @pytest.mark.parametrize("d,n", [(2, 64), (2, 128), (3, 16), (3, 32)])
+    def test_matches_shell_path(self, d, n):
+        grid = sp.Grid(d, n)
+        for name, f in _plancherel_inputs(grid).items():
+            mags = sp.block_magnitudes(f)
+            for s in (-0.5, 1.5, 2.5):
+                oracle = shell_lp_lq(mags, grid.js, s, 2.0, 2.0)
+                value = tl_norm(f, NormSpec(s, 2, 2))
+                assert abs(value - oracle) <= 1e-12 * oracle, (name, s)
+                if s > 0:
+                    oracle += lp_norm(f, 2)
+                    value = tl_norm(f, NormSpec(s, 2, 2, homogeneous=False))
+                    assert abs(value - oracle) <= 1e-12 * oracle, (name, s)
+
+    @pytest.mark.parametrize("homogeneous", [True, False])
+    @pytest.mark.parametrize("grid", [sp.Grid(2, 64), sp.Grid(3, 16)])
+    def test_coefficient_field_needs_no_transform(
+        self, count_transforms, grid, homogeneous
+    ):
+        f = sp.random_solenoidal(grid, seed=4)
+        f = sp.RealField(grid, coeffs=f.coeffs)
+        counts = count_transforms()
+        tl_norm(f, NormSpec(2.5, 2, 2, homogeneous=homogeneous))
+        assert counts == []
+
+    @pytest.mark.parametrize("grid", [sp.Grid(2, 64), sp.Grid(3, 16)])
+    def test_values_field_needs_one_forward(self, count_transforms, grid):
+        values = sp.random_solenoidal(grid, seed=5).values
+        f = sp.RealField(grid, values=values)
+        counts = count_transforms()
+        tl_norm(f, NormSpec(2.5, 2, 2, homogeneous=False))
+        assert counts == [grid.dimension]
+        assert f._coeffs is not None  # the one call was the forward transform
+
+
 class TestShellReduce:
     def test_matches_manual(self):
         stack = np.abs(np.random.default_rng(0).normal(size=(3, 8, 8)))

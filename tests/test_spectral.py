@@ -126,6 +126,18 @@ class TestDyadicBlock:
             assert np.all(out.coeffs == 0.0)
             assert np.all(out.values == 0.0)
 
+    @pytest.mark.parametrize("d,n", [(2, 64), (2, 128), (3, 16), (3, 32)])
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_block_magnitudes_match_per_shell_stack(self, d, n, vector):
+        # the raw-array shell loop gives the dyadic_block stack bit for bit
+        grid = sp.Grid(d, n)
+        ncomp = d if vector else 1
+        f = sp.RealField(
+            grid, values=np.random.default_rng(n).standard_normal((ncomp,) + grid.shape)
+        )
+        per_shell = np.stack([sp.dyadic_block(f, j).magnitude() for j in grid.js])
+        assert np.array_equal(sp.block_magnitudes(f), per_shell)
+
     @settings(max_examples=20, deadline=None)
     @given(
         a=st.floats(-10, 10, allow_nan=False),
