@@ -11,8 +11,9 @@ pressure gradient exactly, so the tendency never solves for pi;
 `pressure_gradient` (pi = (-Laplace)^-1 d_i d_j (zm_i zp_j)) is kept as the
 subject of the lab's pressure estimate.  The linearized Picard systems define
 their per-iterate pressures the same way, as the Leray complement of the
-advection term.  There is no explicit dissipation: products are
-2/3-dealiased and runs are meant to stay smooth.
+advection term, and step through the nonlinear system's RK4 (iterate 1,
+advected by the zero pair, is held fixed).  There is no explicit
+dissipation: products are 2/3-dealiased and runs are meant to stay smooth.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .spectral import (
     frequencies,
     from_function,
     jacobian,
-    leray_project,
     low_pass_saturating,
     random_solenoidal,
     solenoidal_residual,
@@ -171,6 +171,40 @@ def cfl_bound(state: ElsasserState) -> float:
     return 0.5 * state.grid.spacing / float(vmax)
 
 
+def _rk4(zp: np.ndarray, zm: np.ndarray, k1: np.ndarray, dt: float, rhs) -> np.ndarray:
+    """One classical RK4 step of y' = rhs(y) for the pair y = (zp, zm) of
+    coefficient arrays, without stacking y, given the first-stage tendency k1
+    (accumulated in place).  Returns the new y, shape (2, d) + spectral_shape."""
+
+    def ahead(c, k):
+        # y + c k for the stacked pair y, without a stacked copy of y
+        out = c * k
+        out[0] += zp
+        out[1] += zm
+        return out
+
+    k = total = k1
+    for frac, weight in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
+        k = rhs(ahead(frac * dt, k))
+        total += weight * k
+    return ahead(dt / 6.0, total)
+
+
+def _require_dt(dt: float):
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise SpectralError("dt must be positive")
+
+
+def _warn_cfl(state: ElsasserState, dt: float, name: str):
+    bound = cfl_bound(state)
+    if dt > bound:
+        warnings.warn(
+            f"dt = {dt:g} violates the advective CFL bound 0.5*h/max|{name}| = {bound:g}",
+            CflWarning,
+            stacklevel=3,
+        )
+
+
 def step(state: ElsasserState, dt: float) -> ElsasserState:
     """One classical RK4 step of the nonlinear system.
 
@@ -180,32 +214,18 @@ def step(state: ElsasserState, dt: float) -> ElsasserState:
     check both read the values of the input state, so they are transformed
     at most once.
     """
-    if dt <= 0.0:
-        raise SpectralError("dt must be positive")
-    bound = cfl_bound(state)
-    if dt > bound:
-        warnings.warn(
-            f"dt = {dt:g} violates the advective CFL bound "
-            f"0.5*h/max|z| = {bound:g}",
-            CflWarning,
-            stacklevel=2,
-        )
+    _require_dt(dt)
+    _warn_cfl(state, dt, "z")
     grid = state.grid
     zp, zm = state.z_plus, state.z_minus
 
-    def ahead(c, k):
-        # y + c k for the stacked pair y, without a stacked copy of y
-        out = c * k
-        out[0] += zp.coeffs
-        out[1] += zm.coeffs
-        return out
+    def rhs(y):
+        values = _inverse(grid, y)
+        del y  # the stage coefficients are freed before the dyads are formed
+        return _elsasser_rhs(grid, *values)
 
-    k = _elsasser_rhs(grid, zp.values, zm.values)
-    total = k
-    for frac, weight in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
-        k = _elsasser_rhs(grid, *_inverse(grid, ahead(frac * dt, k)))
-        total += weight * k
-    new = ahead(dt / 6.0, total)
+    k1 = _elsasser_rhs(grid, zp.values, zm.values)
+    new = _rk4(zp.coeffs, zm.coeffs, k1, dt, rhs)
     return ElsasserState(
         RealField(grid, coeffs=new[0], solenoidal=zp.solenoidal),
         RealField(grid, coeffs=new[1], solenoidal=zm.solenoidal),
@@ -229,6 +249,7 @@ def run(state: ElsasserState, t_final: float, dt: float, callback=None) -> Elsas
 
 
 def _step_count(span: float, dt: float) -> int:
+    _require_dt(dt)
     n = round(span / dt)
     if n < 1 or abs(n * dt - span) > 1e-9 * max(1.0, abs(span)):
         raise SpectralError(f"time span {span} is not an integer multiple of dt={dt}")
@@ -256,18 +277,6 @@ class PicardIterate:
         return float(self.diff_norms.max())
 
 
-def _pair_norm(zp: RealField, zm: RealField, spec: NormSpec) -> float:
-    return tl_norm(zp, spec) + tl_norm(zm, spec)
-
-
-def _linear_tendency(zp, zm, wp, wm):
-    """Linear transport tendency: advect (zp, zm) by the frozen advector pair
-    (wp, wm); per-equation pressure = Leray complement of the advection."""
-    fp = leray_project(-advection(wm, zp))
-    fm = leray_project(-advection(wp, zm))
-    return fp, fm
-
-
 def picard_iterate(
     z0_plus: RealField,
     z0_minus: RealField,
@@ -289,6 +298,10 @@ def picard_iterate(
     Low-pass truncation indices saturate at j_max + 1, where S_j is the
     identity on the lattice.
 
+    Iterate 1 is advected by the zero pair, so it stays S_2 z0 for all time
+    and is never advanced.  Iterates n >= 2 step through `step`'s RK4 on
+    their stacked coefficient pair, one batched inverse transform per stage.
+
     Difference norms are recorded in the inhomogeneous F^{s-1}_{p,q} norm of
     the pair at every grid time; sup over the grid is the reported per-n
     norm.
@@ -304,79 +317,62 @@ def picard_iterate(
     n_steps = _step_count(t_final, dt)
 
     z0p, z0m = dealias(z0_plus), dealias(z0_minus)
-    bound = cfl_bound(ElsasserState(z0p, z0m))
-    if dt > bound:
-        warnings.warn(
-            f"dt = {dt:g} violates the advective CFL bound "
-            f"0.5*h/max|z0| = {bound:g}",
-            CflWarning,
-            stacklevel=2,
-        )
-    states = [
-        (zero_field(grid, grid.dimension), zero_field(grid, grid.dimension))
-    ]
-    for n in range(1, n_max + 1):
-        states.append(
-            (low_pass_saturating(z0p, n + 1), low_pass_saturating(z0m, n + 1))
-        )
+    _warn_cfl(ElsasserState(z0p, z0m), dt, "z0")
+    flags = (z0p.solenoidal, z0m.solenoidal)
 
+    def pair(c, values=(None, None)):
+        # the field pair of stacked coefficients c (and values, when known)
+        return tuple(RealField(grid, values=v, coeffs=ci, solenoidal=f)
+                     for v, ci, f in zip(values, c, flags))
+
+    def pair_norm(c):
+        zp, zm = pair(c)
+        return tl_norm(zp, spec) + tl_norm(zm, spec)
+
+    def transport_step(y, advectors):
+        # one RK4 step of iterate y, each stage advected by the matching pair
+        # of `advectors`; returns the new y and y's own stage pairs
+        stages = []
+        ws = iter(advectors)
+
+        def rhs(c):
+            zp, zm = pair(c, _inverse(grid, c))
+            wp, wm = next(ws)
+            stages.append((zp, zm))
+            k = np.stack([advection(wm, zp).coeffs, advection(wp, zm).coeffs])
+            k *= -1.0
+            return _leray(grid, k)
+
+        return _rk4(y[0], y[1], rhs(y), dt, rhs), stages
+
+    # ys[n]: the stacked (2, d) + spectral_shape coefficients of iterate n
+    ys = [None] + [np.stack([low_pass_saturating(z, n + 1).coeffs for z in (z0p, z0m)])
+                   for n in range(1, n_max + 1)]
+    first = pair(ys[1])
     times = np.arange(n_steps + 1) * dt
     diffs = np.zeros((n_max + 1, n_steps + 1))
-    for n in range(1, n_max + 1):
-        diffs[n, 0] = _pair_norm(
-            states[n][0] - states[n - 1][0], states[n][1] - states[n - 1][1], spec
-        )
-    trajectories = (
-        [[pair] for pair in states] if keep_trajectories else None
-    )
-
-    zero_pair = states[0]
-    half = 0.5 * dt
+    diffs[1] = pair_norm(ys[1])
+    for n in range(2, n_max + 1):
+        diffs[n, 0] = pair_norm(ys[n] - ys[n - 1])
+    # pairs at times[:-1]: a stage-1 pair is the iterate at the step's start
+    trajectories = [None, [first] * n_steps] + [[] for _ in range(2, n_max + 1)]
     for m in range(n_steps):
-        prev_stages = [zero_pair] * 4
-        for n in range(1, n_max + 1):
-            yp, ym = states[n]
-            w1, w2, w3, w4 = prev_stages
-            g1p, g1m = _linear_tendency(yp, ym, *w1)
-            y2 = (yp + half * g1p, ym + half * g1m)
-            g2p, g2m = _linear_tendency(*y2, *w2)
-            y3 = (yp + half * g2p, ym + half * g2m)
-            g3p, g3m = _linear_tendency(*y3, *w3)
-            y4 = (yp + dt * g3p, ym + dt * g3m)
-            g4p, g4m = _linear_tendency(*y4, *w4)
-            prev_stages = [(yp, ym), y2, y3, y4]
-            states[n] = (
-                yp + (dt / 6.0) * (g1p + 2.0 * g2p + 2.0 * g3p + g4p),
-                ym + (dt / 6.0) * (g1m + 2.0 * g2m + 2.0 * g3m + g4m),
-            )
-        for n in range(1, n_max + 1):
-            diffs[n, m + 1] = _pair_norm(
-                states[n][0] - states[n - 1][0],
-                states[n][1] - states[n - 1][1],
-                spec,
-            )
+        stages = [first] * 4
+        for n in range(2, n_max + 1):
+            ys[n], stages = transport_step(ys[n], stages)
+            diffs[n, m + 1] = pair_norm(ys[n] - ys[n - 1])
             if keep_trajectories:
-                trajectories[n].append(states[n])
+                trajectories[n].append(stages[0])
 
     out = []
-    t_end = n_steps * dt
     for n in range(1, n_max + 1):
-        final = ElsasserState(states[n][0], states[n][1], t_end)
+        final = first if n == 1 else pair(ys[n])
         traj = None
         if keep_trajectories:
-            traj = [
-                ElsasserState(zp, zm, float(tm))
-                for (zp, zm), tm in zip(trajectories[n], times)
-            ]
-        out.append(
-            PicardIterate(
-                n=n,
-                times=times,
-                diff_norms=diffs[n].copy(),
-                final_state=final,
-                trajectory=traj,
-            )
-        )
+            traj = [ElsasserState(*zs, float(tm))
+                    for zs, tm in zip(trajectories[n] + [final], times)]
+        out.append(PicardIterate(n, times, diffs[n].copy(),
+                                 ElsasserState(*final, float(times[-1])), traj))
     return out
 
 

@@ -39,6 +39,57 @@ def transport_tendency_oracle(w_values, z_values, n):
     return out
 
 
+def picard_oracle(z0_plus, z0_minus, s, p, q, t_final, dt, n_max, keep_trajectories=False):
+    """Reference Picard scheme: every iterate, iterate 1 included, advanced
+    through its own RK4 loop of `RealField` arithmetic, each stage advected
+    by the previous iterate's matching stage."""
+    grid = z0_plus.grid
+    spec = NormSpec(s - 1.0, p, q, homogeneous=False)
+    n_steps = round(t_final / dt)
+
+    def tendency(zp, zm, wp, wm):
+        return (sp.leray_project(-mhd.advection(wm, zp)),
+                sp.leray_project(-mhd.advection(wp, zm)))
+
+    def diff_norm(a, b):
+        return tl_norm(a[0] - b[0], spec) + tl_norm(a[1] - b[1], spec)
+
+    z0p, z0m = sp.dealias(z0_plus), sp.dealias(z0_minus)
+    states = [(sp.zero_field(grid, grid.dimension), sp.zero_field(grid, grid.dimension))]
+    for n in range(1, n_max + 1):
+        states.append((sp.low_pass_saturating(z0p, n + 1),
+                       sp.low_pass_saturating(z0m, n + 1)))
+    diffs = np.zeros((n_max + 1, n_steps + 1))
+    for n in range(1, n_max + 1):
+        diffs[n, 0] = diff_norm(states[n], states[n - 1])
+    trajectories = [[pair] for pair in states]
+    half = 0.5 * dt
+    for m in range(n_steps):
+        prev_stages = [states[0]] * 4
+        for n in range(1, n_max + 1):
+            yp, ym = states[n]
+            w1, w2, w3, w4 = prev_stages
+            g1p, g1m = tendency(yp, ym, *w1)
+            y2 = (yp + half * g1p, ym + half * g1m)
+            g2p, g2m = tendency(*y2, *w2)
+            y3 = (yp + half * g2p, ym + half * g2m)
+            g3p, g3m = tendency(*y3, *w3)
+            y4 = (yp + dt * g3p, ym + dt * g3m)
+            g4p, g4m = tendency(*y4, *w4)
+            prev_stages = [(yp, ym), y2, y3, y4]
+            states[n] = (
+                yp + (dt / 6.0) * (g1p + 2.0 * g2p + 2.0 * g3p + g4p),
+                ym + (dt / 6.0) * (g1m + 2.0 * g2m + 2.0 * g3m + g4m),
+            )
+        for n in range(1, n_max + 1):
+            diffs[n, m + 1] = diff_norm(states[n], states[n - 1])
+            trajectories[n].append(states[n])
+    return [
+        (diffs[n], states[n], trajectories[n] if keep_trajectories else None)
+        for n in range(1, n_max + 1)
+    ]
+
+
 class TestElsasser:
     def test_euler_reduction(self):
         u = sp.random_solenoidal(G, seed=1)
@@ -249,17 +300,115 @@ class TestStep:
         assert abs(cross_helicity(state) - h0) <= 1e-10 * max(abs(h0), e0)
 
 
+class TestTimeGrid:
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+    @pytest.mark.parametrize("call", ["step", "run", "picard_iterate", "trajectory_map"])
+    def test_rejects_bad_dt(self, call, dt):
+        grid = sp.Grid(2, 16)
+        zero = sp.zero_field(grid, 2)
+        state = mhd.ElsasserState(zero, zero)
+        calls = {
+            "step": lambda: mhd.step(state, dt),
+            "run": lambda: mhd.run(state, t_final=0.1, dt=dt),
+            "picard_iterate": lambda: mhd.picard_iterate(
+                zero, zero, s=2.5, p=2, q=2, t_final=0.1, dt=dt, n_max=2
+            ),
+            "trajectory_map": lambda: mhd.trajectory_map(zero, grid, t_final=0.1, dt=dt),
+        }
+        with pytest.raises(sp.SpectralError, match="dt must be positive"):
+            calls[call]()
+
+
+def _picard_pair(grid, seed):
+    return (
+        sp.random_solenoidal(grid, seed=seed, amplitude=0.1),
+        sp.random_solenoidal(grid, seed=seed + 1, amplitude=0.1),
+    )
+
+
 class TestPicard:
     def test_first_iterate_frozen(self):
         # with the zero advector, iterate 1 is S_2 z0 frozen in time
-        zp = sp.random_solenoidal(G, seed=12, amplitude=0.1)
-        zm = sp.random_solenoidal(G, seed=13, amplitude=0.1)
+        zp, zm = _picard_pair(G, 12)
         its = mhd.picard_iterate(zp, zm, s=2.5, p=2, q=2, t_final=0.01,
-                                 dt=1e-3, n_max=1, keep_trajectories=True)
+                                 dt=1e-3, n_max=2, keep_trajectories=True)
         first = its[0]
         init_p = sp.low_pass(sp.dealias(zp), 2)
-        for state in first.trajectory:
-            assert np.max(np.abs(state.z_plus.values - init_p.values)) <= 1e-12
+        init_m = sp.low_pass(sp.dealias(zm), 2)
+        for state in first.trajectory + [first.final_state]:
+            assert np.array_equal(state.z_plus.values, init_p.values)
+            assert np.array_equal(state.z_minus.values, init_m.values)
+        assert np.all(first.diff_norms == first.diff_norms[0])
+
+    @pytest.mark.parametrize("keep", [False, True])
+    @pytest.mark.parametrize(
+        "grid, n_max, p",
+        [(sp.Grid(2, 64), 4, 2), (sp.Grid(2, 64), 3, 3), (sp.Grid(3, 16), 2, 2)],
+    )
+    def test_matches_oracle(self, grid, n_max, p, keep):
+        zp, zm = _picard_pair(grid, 40)
+        args = dict(s=2.5, p=p, q=2, t_final=0.005, dt=1e-3, n_max=n_max,
+                    keep_trajectories=keep)
+        its = mhd.picard_iterate(zp, zm, **args)
+        ref = picard_oracle(zp, zm, **args)
+        for it, (diffs, (rp, rm), traj) in zip(its, ref, strict=True):
+            assert np.array_equal(it.diff_norms, diffs)
+            assert np.array_equal(it.final_state.z_plus.coeffs, rp.coeffs)
+            assert np.array_equal(it.final_state.z_minus.coeffs, rm.coeffs)
+            if not keep:
+                assert it.trajectory is None
+                continue
+            assert [state.t for state in it.trajectory] == list(it.times)
+            for state, (tp, tm) in zip(it.trajectory, traj, strict=True):
+                assert np.array_equal(state.z_plus.coeffs, tp.coeffs)
+                assert np.array_equal(state.z_minus.coeffs, tm.coeffs)
+
+    @pytest.mark.parametrize(
+        "grid, n_max, expected", [(sp.Grid(2, 64), 4, 728), (sp.Grid(3, 16), 2, 492)]
+    )
+    def test_transform_count(self, count_transforms, grid, n_max, expected):
+        # coefficient-only input: the CFL check and iterate 1's values once
+        # (2d + 2d inverse), then 5 steps x (n_max - 1) iterates x 4 stages x
+        # (2d inverse + 2d^2 forward); the p = q = 2 norms need none
+        zp, zm = _picard_pair(grid, 42)
+        counts = count_transforms()
+        mhd.picard_iterate(zp, zm, s=2.5, p=2, q=2, t_final=0.005, dt=1e-3,
+                           n_max=n_max)
+        assert sum(counts) == expected
+
+    def test_advection_calls(self, monkeypatch):
+        # iterate 1 is never advanced, so no advector is the zero pair
+        nonzero = []
+        original = mhd.advection
+
+        def spy(w, z):
+            nonzero.append(bool(np.any(w.values)))
+            return original(w, z)
+
+        monkeypatch.setattr(mhd, "advection", spy)
+        zp, zm = _picard_pair(G, 44)
+        n_max, n_steps = 4, 3
+        mhd.picard_iterate(zp, zm, s=2.5, p=2, q=2, t_final=n_steps * 1e-3,
+                           dt=1e-3, n_max=n_max)
+        assert len(nonzero) == (n_max - 1) * 4 * 2 * n_steps
+        assert all(nonzero)
+
+    def test_one_rk4(self, monkeypatch):
+        calls = []
+        original = mhd._rk4
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(mhd, "_rk4", spy)
+        zp, zm = _picard_pair(G, 46)
+        mhd.step(mhd.ElsasserState(zp, zm), 1e-3)
+        assert len(calls) == 1
+        n_max, n_steps = 4, 3
+        mhd.picard_iterate(zp, zm, s=2.5, p=2, q=2, t_final=n_steps * 1e-3,
+                           dt=1e-3, n_max=n_max)
+        assert len(calls) == 1 + (n_max - 1) * n_steps
 
     def test_contraction_ratios(self):
         zp = sp.random_solenoidal(G, seed=14, decay=3.0, amplitude=0.05)
