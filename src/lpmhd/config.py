@@ -240,6 +240,9 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         cfg.dt = _get(tmap, "dt", float, "section 'time'", required=True)
         if cfg.t_final <= 0 or cfg.dt <= 0:
             raise ConfigError("t_final and dt must be positive")
+        n_steps = round(cfg.t_final / cfg.dt)
+        if abs(n_steps * cfg.dt - cfg.t_final) > 1e-9 * max(1.0, cfg.t_final):
+            raise ConfigError("t_final must be an integer multiple of dt")
         if subcommand == "simulate":
             cfg.cadence = _get(tmap, "cadence", int, "section 'time'", default=1)
             if cfg.cadence < 1:

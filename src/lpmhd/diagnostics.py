@@ -36,19 +36,23 @@ from .spectral import (
 )
 
 
+def _energy_and_cross_helicity(state: ElsasserState):
+    """(energy, cross_helicity) from one evaluation of ||z+||_2^2 and
+    ||z-||_2^2 under the normalized measure."""
+    ep = float(np.mean(np.sum(state.z_plus.values**2, axis=0)))
+    em = float(np.mean(np.sum(state.z_minus.values**2, axis=0)))
+    return 0.5 * (ep + em), 0.25 * (ep - em)
+
+
 def energy(state: ElsasserState) -> float:
     """(1/2)(||z+||_2^2 + ||z-||_2^2) = ||u||_2^2 + ||b||_2^2, normalized
     measure."""
-    ep = float(np.mean(np.sum(state.z_plus.values**2, axis=0)))
-    em = float(np.mean(np.sum(state.z_minus.values**2, axis=0)))
-    return 0.5 * (ep + em)
+    return _energy_and_cross_helicity(state)[0]
 
 
 def cross_helicity(state: ElsasserState) -> float:
     """mean(u . b) = (1/4)(||z+||_2^2 - ||z-||_2^2)."""
-    ep = float(np.mean(np.sum(state.z_plus.values**2, axis=0)))
-    em = float(np.mean(np.sum(state.z_minus.values**2, axis=0)))
-    return 0.25 * (ep - em)
+    return _energy_and_cross_helicity(state)[1]
 
 
 def curl_pair(state: ElsasserState):
@@ -120,10 +124,11 @@ def record(
         spec.label: tl_norm(state.z_plus, spec) + tl_norm(state.z_minus, spec)
         for spec in specs
     }
+    e, h = _energy_and_cross_helicity(state)
     return DiagnosticsRecord(
         t=state.t,
-        energy=energy(state),
-        cross_helicity=cross_helicity(state),
+        energy=e,
+        cross_helicity=h,
         grad_sup_z_plus=jacobian_sup_norm(state.z_plus),
         grad_sup_z_minus=jacobian_sup_norm(state.z_minus),
         blowup_integrand=b_t,

@@ -100,6 +100,15 @@ def _trial_seed(seed: int, trial: int, stream: int = 0):
     return np.random.SeedSequence(entropy=seed, spawn_key=(trial, stream))
 
 
+def _draw(p, grid, kmax, seed, trial, stream=0, sampler=random_band_limited):
+    """Stream `stream` of one trial's random fields, drawn by `sampler` with
+    the id's decay and amplitude under the band limit kmax."""
+    return sampler(
+        grid, _trial_seed(seed, trial, stream), decay=p["decay"], kmax=kmax,
+        amplitude=p["amplitude"],
+    )
+
+
 def _norm_params(params: dict, defaults: dict, inequality_id: str) -> dict:
     merged = dict(defaults)
     unknown = set(params) - set(defaults)
@@ -147,10 +156,7 @@ def _bernstein(p, grid, kmax, seed, trial):
     # measure identical cases at every resolution
     j_band = max(2, int(math.floor(math.log2(kmax))))
     j = 1 + trial % j_band
-    f = random_band_limited(
-        grid, _trial_seed(seed, trial), decay=p["decay"], kmax=kmax,
-        amplitude=p["amplitude"],
-    )
+    f = _draw(p, grid, kmax, seed, trial)
     k = p["k"]
     if p["direction"] == "forward":
         f = low_pass(f, j)
@@ -170,10 +176,7 @@ def _bernstein(p, grid, kmax, seed, trial):
 
 
 def _deriv_equiv(p, grid, kmax, seed, trial):
-    f = random_band_limited(
-        grid, _trial_seed(seed, trial), decay=p["decay"], kmax=kmax,
-        amplitude=p["amplitude"],
-    )
+    f = _draw(p, grid, kmax, seed, trial)
     upper = tl_norm(f, NormSpec(p["s"] + 1.0, p["p"], p["q"]))
     lower = tl_norm(jacobian(f), NormSpec(p["s"], p["p"], p["q"]))
     if upper == 0.0 or lower == 0.0:
@@ -183,14 +186,8 @@ def _deriv_equiv(p, grid, kmax, seed, trial):
 
 
 def _product(p, grid, kmax, seed, trial):
-    f = random_band_limited(
-        grid, _trial_seed(seed, trial, 0), decay=p["decay"], kmax=kmax,
-        amplitude=p["amplitude"],
-    )
-    g = random_band_limited(
-        grid, _trial_seed(seed, trial, 1), decay=p["decay"], kmax=kmax,
-        amplitude=p["amplitude"],
-    )
+    f = _draw(p, grid, kmax, seed, trial)
+    g = _draw(p, grid, kmax, seed, trial, 1)
     spec = NormSpec(p["s"], p["p"], p["q"], homogeneous=p["homogeneous"])
     lhs = tl_norm(multiply(f, g), spec)
     rhs = lp_norm(f, INF) * tl_norm(g, spec) + lp_norm(g, INF) * tl_norm(f, spec)
@@ -199,10 +196,7 @@ def _product(p, grid, kmax, seed, trial):
 
 def _vector_maximal(p, grid, kmax, seed, trial):
     fields = [
-        random_band_limited(
-            grid, _trial_seed(seed, trial, i), decay=p["decay"], kmax=kmax,
-            amplitude=p["amplitude"],
-        )
+        _draw(p, grid, kmax, seed, trial, i)
         for i in range(p["family"])
     ]
     raw = np.stack([np.abs(f.values[0]) for f in fields])
@@ -214,10 +208,7 @@ def _vector_maximal(p, grid, kmax, seed, trial):
 
 
 def _majorant(p, grid, kmax, seed, trial):
-    f = random_band_limited(
-        grid, _trial_seed(seed, trial), decay=p["decay"], kmax=kmax,
-        amplitude=p["amplitude"],
-    )
+    f = _draw(p, grid, kmax, seed, trial)
     mf = maximal_function(f).values[0]
     best = np.abs(f.values[0]).copy()
     eps = grid.spacing
@@ -229,14 +220,8 @@ def _majorant(p, grid, kmax, seed, trial):
 
 
 def _solenoidal_pair(p, grid, kmax, seed, trial):
-    f = random_solenoidal(
-        grid, _trial_seed(seed, trial, 0), decay=p["decay"], kmax=kmax,
-        amplitude=p["amplitude"],
-    )
-    g = random_band_limited(
-        grid, _trial_seed(seed, trial, 1), decay=p["decay"], kmax=kmax,
-        amplitude=p["amplitude"],
-    )
+    f = _draw(p, grid, kmax, seed, trial, sampler=random_solenoidal)
+    g = _draw(p, grid, kmax, seed, trial, 1)
     return f, g
 
 
@@ -304,10 +289,7 @@ def _commutator_ratios(ids, p, grid, kmax, seed, trial):
 
 
 def _riesz_bounded(p, grid, kmax, seed, trial):
-    f = random_band_limited(
-        grid, _trial_seed(seed, trial), decay=p["decay"], kmax=kmax,
-        amplitude=p["amplitude"],
-    )
+    f = _draw(p, grid, kmax, seed, trial)
     axis = trial % grid.dimension
     spec = NormSpec(p["s"], 2.0, 2.0)
     denom = tl_norm(f, spec)
@@ -315,14 +297,8 @@ def _riesz_bounded(p, grid, kmax, seed, trial):
 
 
 def _pressure(p, grid, kmax, seed, trial):
-    zp = random_solenoidal(
-        grid, _trial_seed(seed, trial, 0), decay=p["decay"], kmax=kmax,
-        amplitude=p["amplitude"],
-    )
-    zm = random_solenoidal(
-        grid, _trial_seed(seed, trial, 1), decay=p["decay"], kmax=kmax,
-        amplitude=p["amplitude"],
-    )
+    zp = _draw(p, grid, kmax, seed, trial, sampler=random_solenoidal)
+    zm = _draw(p, grid, kmax, seed, trial, 1, sampler=random_solenoidal)
     state = mhd.ElsasserState(zp, zm)
     spec = NormSpec(p["s"], p["p"], p["q"])
     lhs = tl_norm(mhd.pressure_gradient(state), spec)

@@ -27,11 +27,21 @@ summed over every shell k inside an F^s_{p,q} norm, so `commutator_family`
 and `commutator_split_family` return dicts keyed by k, built from one shared
 set of factor transforms.  A single shell is a lookup,
 ``commutator_family(f, g)[k]``.
+
+Both halves read their factors from one dyadic-block cache per scalar
+spectrum (`_Blocks`): the values of Delta_j a and S_j a, each
+inverse-transformed on first use, and None for a block whose coefficients
+are all zero, which is then never transformed or multiplied.  The paraproduct
+piece P_K(S_{j-1}a Delta_j b) and the remainder piece P_K(Delta_j a
+Delta~_j b) are summed over j by `paraproduct` and `remainder`, and over the
+components i of (f_i, d_i g) by the commutator split for terms I, III and IV.
+`bony_reconstruction` shares one cache per argument across all its terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -42,68 +52,127 @@ from .spectral import (
     _masked_product,
     dealias,
     frequencies,
-    low_pass,
     make_filter_bank,
-    multiply,
     solenoidal_residual,
 )
 
 SOLENOIDAL_TOL = 1e-10
 
 
-def _check_pair(u: RealField, v: RealField):
+def _block_values(grid, coeffs: np.ndarray):
+    """Physical values of a spectral block, or None when its coefficients are
+    identically zero.  Such a block's values and every product with it are
+    exact zeros, so skipping them leaves every sum unchanged bit for bit."""
+    return _inverse(grid, coeffs) if coeffs.any() else None
+
+
+def _add_product(acc: np.ndarray, grid, a, b):
+    """acc += P_K(a * b), skipped when either factor is an empty block."""
+    if a is not None and b is not None:
+        acc += _masked_product(grid, a, b)
+
+
+class _Blocks:
+    """The dyadic blocks of one scalar spectrum a: ``block(j)`` gives the
+    values of Delta_j a and ``low(j)`` those of S_j a.  Each is
+    inverse-transformed on first use and held as None when its coefficients
+    are identically zero."""
+
+    def __init__(self, grid, coeffs: np.ndarray):
+        bank = make_filter_bank(grid)
+        self.grid = grid
+        self.coeffs = coeffs
+        self.block = cache(lambda j: _block_values(grid, bank.phi[j] * coeffs))
+        self.low = cache(lambda j: _block_values(grid, bank.chi[j] * coeffs))
+
+
+def _paraproduct_piece(a: _Blocks, b: _Blocks, j: int):
+    """P_K(S_{j-1}a * Delta_j b), or None when either factor is empty."""
+    low, blk = a.low(j - 1), b.block(j)
+    if low is None or blk is None:
+        return None
+    return _masked_product(a.grid, low, blk)
+
+
+def _remainder_piece(a: _Blocks, b: _Blocks, j: int):
+    """P_K(Delta_j a * Delta~_j b), Delta~_j b the sum of the nonempty blocks
+    j-1, j, j+1 of b; None when no product survives."""
+    grid = a.grid
+    blk = a.block(j)
+    if blk is None:
+        return None
+    near = (b.block(j + d) for d in (-1, 0, 1) if grid.j0 <= j + d <= grid.j_max)
+    tilde = [t for t in near if t is not None]
+    if not tilde:
+        return None
+    return _masked_product(grid, blk, sum(tilde))
+
+
+def _sum_pieces(grid, piece, pairs, js) -> np.ndarray:
+    """Sum of piece(a, b, j) over j in js and (a, b) in pairs, in that
+    order, skipping empty pieces."""
+    acc = np.zeros(grid.spectral_shape, dtype=complex)
+    for j in js:
+        for a, b in pairs:
+            p = piece(a, b, j)
+            if p is not None:
+                acc += p
+    return acc
+
+
+def _scalar_blocks(u: RealField, v: RealField):
+    """One block cache per dealiased argument of a Bony operator."""
     if u.grid != v.grid:
         raise SpectralError("grid mismatch between paraproduct arguments")
     if not (u.is_scalar and v.is_scalar):
         raise SpectralError("paraproduct operations expect scalar fields")
+    return _Blocks(u.grid, dealias(u).coeffs[0]), _Blocks(v.grid, dealias(v).coeffs[0])
+
+
+def _paraproduct(a: _Blocks, b: _Blocks) -> np.ndarray:
+    grid = a.grid
+    return _sum_pieces(grid, _paraproduct_piece, [(a, b)], range(grid.j0 + 1, grid.j_max + 1))
+
+
+def _remainder(a: _Blocks, b: _Blocks) -> np.ndarray:
+    return _sum_pieces(a.grid, _remainder_piece, [(a, b)], a.grid.js)
+
+
+def _base_terms(a: _Blocks, b: _Blocks) -> np.ndarray:
+    grid, j0 = a.grid, a.grid.j0
+
+    def product(x, y):
+        if x is None or y is None:
+            return np.zeros(grid.spectral_shape, dtype=complex)
+        return _masked_product(grid, x, y)
+
+    p0a, p0b = a.low(j0), b.low(j0)
+    s1a, s1b = a.low(j0 + 1), b.low(j0 + 1)
+    # (-1.0) * as in RealField subtraction, which fixes the sign of zeros
+    return product(p0a, s1b) + product(s1a, p0b) + (-1.0) * product(p0a, p0b)
 
 
 def paraproduct(u: RealField, v: RealField) -> RealField:
     """T_u v = sum_{j=j0+1}^{j_max} S_{j-1}u Delta_j v, dealiased."""
-    _check_pair(u, v)
-    grid = u.grid
-    bank = make_filter_bank(grid)
-    u, v = dealias(u), dealias(v)
-    uhat, vhat = u.coeffs[0], v.coeffs[0]
-    acc = np.zeros(grid.spectral_shape, dtype=complex)
-    for j in range(grid.j0 + 1, grid.j_max + 1):
-        low = _inverse(grid, bank.chi[j - 1] * uhat)
-        blk = _inverse(grid, bank.phi[j] * vhat)
-        acc += _masked_product(grid, low, blk)
-    return RealField(grid, coeffs=acc[np.newaxis])
+    return RealField(u.grid, coeffs=_paraproduct(*_scalar_blocks(u, v))[np.newaxis])
 
 
 def remainder(u: RealField, v: RealField) -> RealField:
     """R(u, v) = sum_j Delta_j u (Delta_{j-1}+Delta_j+Delta_{j+1}) v over the
     available shell range, dealiased; symmetric in (u, v)."""
-    _check_pair(u, v)
-    grid = u.grid
-    bank = make_filter_bank(grid)
-    u, v = dealias(u), dealias(v)
-    uhat, vhat = u.coeffs[0], v.coeffs[0]
-    blocks_v = {j: _inverse(grid, bank.phi[j] * vhat) for j in grid.js}
-    acc = np.zeros(grid.spectral_shape, dtype=complex)
-    for j in grid.js:
-        tilde = sum(
-            blocks_v[j + d] for d in (-1, 0, 1) if grid.j0 <= j + d <= grid.j_max
-        )
-        blk_u = _inverse(grid, bank.phi[j] * uhat)
-        acc += _masked_product(grid, blk_u, tilde)
-    return RealField(grid, coeffs=acc[np.newaxis])
+    return RealField(u.grid, coeffs=_remainder(*_scalar_blocks(u, v))[np.newaxis])
 
 
 def bony_base_terms(u: RealField, v: RealField) -> RealField:
     """Mean-mode cross terms completing the Bony identity on the torus."""
-    _check_pair(u, v)
-    u, v = dealias(u), dealias(v)
-    p0u, p0v = low_pass(u, u.grid.j0), low_pass(v, v.grid.j0)
-    s1u, s1v = low_pass(u, u.grid.j0 + 1), low_pass(v, v.grid.j0 + 1)
-    return multiply(p0u, s1v) + multiply(s1u, p0v) - multiply(p0u, p0v)
+    return RealField(u.grid, coeffs=_base_terms(*_scalar_blocks(u, v))[np.newaxis])
 
 
 def bony_reconstruction(u: RealField, v: RealField) -> RealField:
     """T_u v + T_v u + R(u, v) + base terms; equals the dealiased product."""
-    return paraproduct(u, v) + paraproduct(v, u) + remainder(u, v) + bony_base_terms(u, v)
+    a, b = _scalar_blocks(u, v)
+    total = _paraproduct(a, b) + _paraproduct(b, a) + _remainder(a, b) + _base_terms(a, b)
+    return RealField(u.grid, coeffs=total[np.newaxis])
 
 
 # ---------------------------------------------------------------------------
@@ -152,116 +221,23 @@ def _validate_advector(f: RealField):
         )
 
 
-def _block_values(grid, coeffs: np.ndarray):
-    """Physical values of a spectral block, or None when its coefficients are
-    identically zero.  Such a block's values and every product with it are
-    exact zeros, so skipping them leaves every sum unchanged bit for bit."""
-    return _inverse(grid, coeffs) if coeffs.any() else None
-
-
-def _add_product(acc: np.ndarray, grid, a, b):
-    """acc += P_K(a * b), skipped when either factor is an empty block."""
-    if a is not None and b is not None:
-        acc += _masked_product(grid, a, b)
-
-
 class _CommutatorWorkspace:
-    """Shared per-(f, g-component) precomputations for the commutator family.
-
-    Everything is keyed by shell index so assembling all k reuses the same
-    physical-space factors.  A block factor whose spectrum is identically
-    zero (band-limited data leave the high shells empty) is held as None and
-    is never transformed or multiplied.
-    """
+    """Shared per-(f, g-component) precomputations for the commutator family:
+    the blocks of every f_i and every d_i g, so assembling all k reuses the
+    same physical-space factors and never transforms an empty block."""
 
     def __init__(self, f: RealField, g_coeffs: np.ndarray):
-        self.grid = f.grid
-        self.bank = make_filter_bank(f.grid)
-        self.d = f.grid.dimension
-        freqs = frequencies(f.grid)
-        self.ghat_d = [1j * freqs[i] * g_coeffs for i in range(self.d)]
+        grid = f.grid
+        self.grid = grid
+        self.bank = make_filter_bank(grid)
+        self.d = grid.dimension
+        freqs = frequencies(grid)
+        self.f = [_Blocks(grid, f.coeffs[i]) for i in range(self.d)]
+        self.dg = [_Blocks(grid, 1j * freqs[i] * g_coeffs) for i in range(self.d)]
         self.f_phys = [f.values[i] for i in range(self.d)]
-        self.fhat = [f.coeffs[i] for i in range(self.d)]
-        self._f_block = {}
-        self._f_low = {}
-        self._dg_block = {}
-        self._dg_low = {}
-        self._p1 = {}
-        self._q = {}
-        self._p2 = {}
 
     def _zeros(self):
         return np.zeros(self.grid.spectral_shape, dtype=complex)
-
-    # -- cached factors (None: identically zero) -----------------------------
-
-    def f_block(self, k, i):
-        key = (k, i)
-        if key not in self._f_block:
-            self._f_block[key] = _block_values(self.grid, self.bank.phi[k] * self.fhat[i])
-        return self._f_block[key]
-
-    def f_low(self, j, i):
-        key = (j, i)
-        if key not in self._f_low:
-            self._f_low[key] = _block_values(self.grid, self.bank.chi[j] * self.fhat[i])
-        return self._f_low[key]
-
-    def dg_block(self, k, i):
-        key = (k, i)
-        if key not in self._dg_block:
-            self._dg_block[key] = _block_values(
-                self.grid, self.bank.phi[k] * self.ghat_d[i]
-            )
-        return self._dg_block[key]
-
-    def dg_low(self, j, i):
-        key = (j, i)
-        if key not in self._dg_low:
-            self._dg_low[key] = _block_values(self.grid, self.bank.chi[j] * self.ghat_d[i])
-        return self._dg_low[key]
-
-    # -- k-independent product sums ------------------------------------------
-
-    def p1(self, kp):
-        """sum_i P_K( S_{kp-1} f_i * d_i Delta_{kp} g )"""
-        if kp not in self._p1:
-            acc = self._zeros()
-            for i in range(self.d):
-                _add_product(acc, self.grid, self.f_low(kp - 1, i), self.dg_block(kp, i))
-            self._p1[kp] = acc
-        return self._p1[kp]
-
-    def q(self, kp):
-        """sum_i P_K( S_{kp-1} d_i g * Delta_{kp} f_i )"""
-        if kp not in self._q:
-            acc = self._zeros()
-            for i in range(self.d):
-                _add_product(acc, self.grid, self.dg_low(kp - 1, i), self.f_block(kp, i))
-            self._q[kp] = acc
-        return self._q[kp]
-
-    def p2(self, kp):
-        """sum_i P_K( Delta_{kp} f_i * d_i Delta~_{kp} g )"""
-        if kp not in self._p2:
-            grid = self.grid
-            acc = self._zeros()
-            for i in range(self.d):
-                blk = self.f_block(kp, i)
-                if blk is None:
-                    continue
-                near = (
-                    self.dg_block(kp + d, i)
-                    for d in (-1, 0, 1)
-                    if grid.j0 <= kp + d <= grid.j_max
-                )
-                tilde = [t for t in near if t is not None]
-                if tilde:
-                    acc += _masked_product(grid, blk, sum(tilde))
-            self._p2[kp] = acc
-        return self._p2[kp]
-
-    # -- assembly -------------------------------------------------------------
 
     def direct_family(self):
         """f . grad Delta_k g - Delta_k (f . grad g) for every shell k,
@@ -270,19 +246,35 @@ class _CommutatorWorkspace:
         whole = self._zeros()
         for i in range(self.d):
             _add_product(
-                whole, grid, self.f_phys[i], _block_values(grid, self.ghat_d[i])
+                whole, grid, self.f_phys[i], _block_values(grid, self.dg[i].coeffs)
             )
         out = {}
         for k in grid.js:
             acc = self._zeros()
             for i in range(self.d):
-                _add_product(acc, grid, self.f_phys[i], self.dg_block(k, i))
+                _add_product(acc, grid, self.f_phys[i], self.dg[i].block(k))
             acc -= self.bank.phi[k] * whole
             out[k] = acc
         return out
 
-    def split(self, k):
-        """Return coefficient arrays (I, II, III, IV) for shell k."""
+    def split_family(self):
+        """Coefficient arrays (I, II, III, IV) for every shell k.
+
+        The k-independent product sums are built once per shell k':
+        p1 = sum_i P_K(S_{k'-1} f_i * d_i Delta_{k'} g),
+        q  = sum_i P_K(S_{k'-1} d_i g * Delta_{k'} f_i) and
+        p2 = sum_i P_K(Delta_{k'} f_i * d_i Delta~_{k'} g).
+        """
+        grid = self.grid
+        fg = list(zip(self.f, self.dg))
+        gf = list(zip(self.dg, self.f))
+        highs = range(grid.j0 + 1, grid.j_max + 1)
+        p1 = {kp: _sum_pieces(grid, _paraproduct_piece, fg, [kp]) for kp in highs}
+        q = {kp: _sum_pieces(grid, _paraproduct_piece, gf, [kp]) for kp in highs}
+        p2 = {kp: _sum_pieces(grid, _remainder_piece, fg, [kp]) for kp in grid.js}
+        return {k: self._split(k, p1, q, p2) for k in grid.js}
+
+    def _split(self, k, p1, q, p2):
         grid, bank, d = self.grid, self.bank, self.d
         j0, j_max = grid.j0, grid.j_max
 
@@ -291,12 +283,13 @@ class _CommutatorWorkspace:
         term_i = self._zeros()
         for kp in range(max(j0 + 1, k - 1), min(j_max, k + 1) + 1):
             for i in range(d):
-                if self.f_low(kp - 1, i) is None:
+                low = self.f[i].low(kp - 1)
+                if low is None:
                     continue
-                blk = _block_values(grid, bank.phi[k] * bank.phi[kp] * self.ghat_d[i])
-                _add_product(term_i, grid, self.f_low(kp - 1, i), blk)
+                blk = _block_values(grid, bank.phi[k] * bank.phi[kp] * self.dg[i].coeffs)
+                _add_product(term_i, grid, low, blk)
         for kp in range(max(j0 + 1, k - 4), min(j_max, k + 4) + 1):
-            term_i -= bank.phi[k] * self.p1(kp)
+            term_i -= bank.phi[k] * p1[kp]
 
         # II: sum_{k'>=k-2} S_{k'+2}(Delta_k d_i g) Delta_{k'} f_i; for
         # k' >= k the low-pass factor is the identity on the block's support,
@@ -304,26 +297,28 @@ class _CommutatorWorkspace:
         term_ii = self._zeros()
         for kp in range(max(j0, k - 2), min(j_max, k - 1) + 1):
             for i in range(d):
-                if self.f_block(kp, i) is None:
+                blk = self.f[i].block(kp)
+                if blk is None:
                     continue
-                low = _block_values(grid, bank.chi[kp + 2] * bank.phi[k] * self.ghat_d[i])
-                _add_product(term_ii, grid, low, self.f_block(kp, i))
+                low = _block_values(grid, bank.chi[kp + 2] * bank.phi[k] * self.dg[i].coeffs)
+                _add_product(term_ii, grid, low, blk)
         for i in range(d):
-            if self.dg_block(k, i) is None:
+            dg_k = self.dg[i].block(k)
+            if dg_k is None:
                 continue
-            low = self.f_low(k, i)
+            low = self.f[i].low(k)
             high = self.f_phys[i] if low is None else self.f_phys[i] - low
-            term_ii += _masked_product(grid, self.dg_block(k, i), high)
+            term_ii += _masked_product(grid, dg_k, high)
 
         # III: -Delta_k sum_{k'~k} S_{k'-1}(d_i g) Delta_{k'} f_i
         term_iii = self._zeros()
         for kp in range(max(j0 + 1, k - 4), min(j_max, k + 4) + 1):
-            term_iii -= bank.phi[k] * self.q(kp)
+            term_iii -= bank.phi[k] * q[kp]
 
         # IV: -Delta_k sum_{k'>=k-3} Delta_{k'} f_i d_i Delta~_{k'} g
         term_iv = self._zeros()
         for kp in range(max(j0, k - 3), j_max + 1):
-            term_iv -= bank.phi[k] * self.p2(kp)
+            term_iv -= bank.phi[k] * p2[kp]
 
         return term_i, term_ii, term_iii, term_iv
 
@@ -355,9 +350,10 @@ def commutator_split_family(f: RealField, g: RealField) -> dict:
     """The four-term split for every shell k with shared precomputation;
     ``[k].total`` reconstructs ``commutator_family(f, g)[k]`` exactly."""
     spaces = _workspaces(f, g)
+    families = [ws.split_family() for ws in spaces]
     out = {}
     for k in f.grid.js:
-        parts = [ws.split(k) for ws in spaces]
+        parts = [fam.pop(k) for fam in families]
         fields = [
             RealField(f.grid, coeffs=np.stack([p[t] for p in parts]))
             for t in range(4)

@@ -198,6 +198,13 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "CFL" in err and "0.5*h/max|z|" in err
 
+    def test_step_count_validated_before_output(self, tmp_path, capsys):
+        text = SIM_TEMPLATE.format(out=tmp_path / "run", kind="orszag-tang", amp=1.0)
+        text = text.replace("t_final: 0.01", "t_final: 0.0105")
+        assert main(["simulate", "--config", write(tmp_path / "m.yaml", text)]) == 2
+        assert "integer multiple of dt" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_snapshots_written(self, tmp_path):
         text = SIM_TEMPLATE.format(out=tmp_path / "run", kind="orszag-tang", amp=1.0)
         text += "snapshots: {times: [0.01]}\n"
@@ -300,6 +307,14 @@ picard: {{s: 2.5, p: 2, q: 2, n_max: {n_max}}}
         cfg = self._config(tmp_path, 9)
         assert main(["picard", "--config", cfg]) == 2
         assert "n_max" in capsys.readouterr().err
+
+    def test_step_count_validated_before_output(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, 2)
+        with open(cfg) as fh:
+            text = fh.read().replace("t_final: 0.01", "t_final: 0.0105")
+        assert main(["picard", "--config", write(tmp_path / "m.yaml", text)]) == 2
+        assert "integer multiple of dt" in capsys.readouterr().err
+        assert not (tmp_path / "prun").exists()
 
 
 class TestVerifyCli:

@@ -21,6 +21,55 @@ def rel_l2(a, b):
     return np.linalg.norm(a - b) / (denom if denom > 0 else 1.0)
 
 
+# Reference Bony operators: one transform loop per operator, every block
+# transformed whether empty or not, nothing shared between operators.
+
+
+def paraproduct_oracle(u, v):
+    grid = u.grid
+    bank = sp.make_filter_bank(grid)
+    u, v = sp.dealias(u), sp.dealias(v)
+    uhat, vhat = u.coeffs[0], v.coeffs[0]
+    acc = np.zeros(grid.spectral_shape, dtype=complex)
+    for j in range(grid.j0 + 1, grid.j_max + 1):
+        low = sp._inverse(grid, bank.chi[j - 1] * uhat)
+        blk = sp._inverse(grid, bank.phi[j] * vhat)
+        acc += sp._masked_product(grid, low, blk)
+    return sp.RealField(grid, coeffs=acc[np.newaxis])
+
+
+def remainder_oracle(u, v):
+    grid = u.grid
+    bank = sp.make_filter_bank(grid)
+    u, v = sp.dealias(u), sp.dealias(v)
+    uhat, vhat = u.coeffs[0], v.coeffs[0]
+    blocks_v = {j: sp._inverse(grid, bank.phi[j] * vhat) for j in grid.js}
+    acc = np.zeros(grid.spectral_shape, dtype=complex)
+    for j in grid.js:
+        tilde = sum(
+            blocks_v[j + d] for d in (-1, 0, 1) if grid.j0 <= j + d <= grid.j_max
+        )
+        blk_u = sp._inverse(grid, bank.phi[j] * uhat)
+        acc += sp._masked_product(grid, blk_u, tilde)
+    return sp.RealField(grid, coeffs=acc[np.newaxis])
+
+
+def bony_base_terms_oracle(u, v):
+    u, v = sp.dealias(u), sp.dealias(v)
+    p0u, p0v = sp.low_pass(u, u.grid.j0), sp.low_pass(v, v.grid.j0)
+    s1u, s1v = sp.low_pass(u, u.grid.j0 + 1), sp.low_pass(v, v.grid.j0 + 1)
+    return sp.multiply(p0u, s1v) + sp.multiply(s1u, p0v) - sp.multiply(p0u, p0v)
+
+
+def bony_reconstruction_oracle(u, v):
+    return (
+        paraproduct_oracle(u, v)
+        + paraproduct_oracle(v, u)
+        + remainder_oracle(u, v)
+        + bony_base_terms_oracle(u, v)
+    )
+
+
 class TestParaproduct:
     def test_constant_advector_telescopes(self):
         # T_c v = c (v - S_{j0+1} v): the sum starts at j0+1, so the base
@@ -104,6 +153,37 @@ class TestBonyIdentity:
         rec = bony_reconstruction(u, v)
         prod = sp.multiply(sp.dealias(u), sp.dealias(v))
         assert rel_l2(rec.values, prod.values) <= 1e-10
+
+    # kmax = 3 leaves the high shells empty; "means" adds constants, so the
+    # mean-mode base terms are nonzero
+    @pytest.mark.parametrize("grid", [sp.Grid(2, 64), sp.Grid(2, 128), sp.Grid(3, 16)])
+    @pytest.mark.parametrize("case", ["full", "kmax3", "means"])
+    def test_matches_oracle(self, grid, case):
+        kw = {"kmax": 3} if case == "kmax3" else {}
+        u = sp.random_band_limited(grid, seed=50, decay=2.0, **kw)
+        v = sp.random_band_limited(grid, seed=51, decay=2.0, **kw)
+        if case == "means":
+            one = sp.from_values(grid, np.ones(grid.shape))
+            u, v = u + 1.7 * one, v - 0.4 * one
+        for fn, oracle in (
+            (paraproduct, paraproduct_oracle),
+            (remainder, remainder_oracle),
+            (bony_base_terms, bony_base_terms_oracle),
+            (bony_reconstruction, bony_reconstruction_oracle),
+        ):
+            for a, b in ((u, v), (v, u)):
+                assert np.array_equal(fn(a, b).coeffs, oracle(a, b).coeffs), fn.__name__
+
+    def test_reconstruction_transform_count(self, count_transforms):
+        # one block cache per argument, shared by T_u v, T_v u, R(u, v) and
+        # the base terms, and empty blocks (here both means) never
+        # transformed: 43 transforms, against 73 for the reference operators
+        grid = sp.Grid(2, 128)
+        u = sp.random_band_limited(grid, seed=1, decay=2.0)
+        v = sp.random_band_limited(grid, seed=2, decay=2.0)
+        counts = count_transforms()
+        bony_reconstruction(u, v)
+        assert sum(counts) == 43
 
 
 class TestCommutator:
