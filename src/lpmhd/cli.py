@@ -17,7 +17,13 @@ from datetime import datetime, timezone
 
 from . import diagnostics as diag
 from . import lab, mhd
-from .config import ConfigError, RunConfig, _parse_pq, load_config
+from .config import (
+    ConfigError,
+    RunConfig,
+    _check_verify_ids,
+    _parse_pq,
+    load_config,
+)
 from .spaces import NormSpec, norm_record, tl_norm
 from .spectral import (
     SpectralError,
@@ -166,44 +172,46 @@ def _cmd_verify(args) -> int:
     ids = cfg.verify_ids
     if getattr(args, "ids", None):
         ids = tuple(part.strip() for part in args.ids.split(",") if part.strip())
+        _check_verify_ids(ids, "--ids")
     if not ids:
         raise ConfigError("nothing to verify: the inequality id list is empty")
-    for iid in ids:
-        if iid not in lab.INEQUALITY_IDS:
-            raise ConfigError(
-                f"unknown inequality id '{iid}'; known: {', '.join(lab.INEQUALITY_IDS)}"
-            )
-    outdir = _prepare_outdir(cfg)
-    report_dir = os.path.join(outdir, "reports")
-    os.makedirs(report_dir, exist_ok=True)
 
+    # every id runs before anything is written, so a rejected hypothesis
+    # leaves no output directory behind
     params_by_id = {iid: dict(cfg.verify_params.get(iid, {})) for iid in ids}
-    ok = True
-    summary_entries = []
-    if len(cfg.verify_resolutions) >= 2:
-        sweeps = lab.stability_sweeps(
+    sweep = len(cfg.verify_resolutions) >= 2
+    if sweep:
+        results = lab.stability_sweeps(
             ids, params_by_id, cfg.verify_resolutions, cfg.verify_trials, cfg.seed
         )
-        for iid, sweep in zip(ids, sweeps):
-            payload = sweep.to_dict()
-            payload["reports"] = [r.to_dict() for r in sweep.reports]
-            with open(os.path.join(report_dir, f"{iid}.json"), "w") as fh:
-                json.dump(payload, fh, indent=1, sort_keys=True)
-                fh.write("\n")
-            summary_entries.append(sweep.reports[-1])
-            ok = ok and all(r.finite for r in sweep.reports)
-            ok = ok and sweep.max_growth <= cfg.verify_growth_threshold
     else:
         # a single listed resolution is the one run; none means grid.points
         n = cfg.verify_resolutions[0] if cfg.verify_resolutions else cfg.grid_points
         for params in params_by_id.values():
             params.setdefault("n", n)
             params.setdefault("d", cfg.grid_dimension)
-        reports = lab.run_inequalities(ids, params_by_id, cfg.verify_trials, cfg.seed)
-        for iid, report in zip(ids, reports):
-            lab.write_report_json(report, os.path.join(report_dir, f"{iid}.json"))
-            summary_entries.append(report)
-            ok = ok and report.finite
+        results = lab.run_inequalities(ids, params_by_id, cfg.verify_trials, cfg.seed)
+
+    outdir = _prepare_outdir(cfg)
+    report_dir = os.path.join(outdir, "reports")
+    os.makedirs(report_dir, exist_ok=True)
+    ok = True
+    summary_entries = []
+    for iid, result in zip(ids, results):
+        path = os.path.join(report_dir, f"{iid}.json")
+        if sweep:
+            payload = result.to_dict()
+            payload["reports"] = [r.to_dict() for r in result.reports]
+            with open(path, "w") as fh:
+                json.dump(payload, fh, indent=1, sort_keys=True)
+                fh.write("\n")
+            summary_entries.append(result.reports[-1])
+            ok = ok and all(r.finite for r in result.reports)
+            ok = ok and result.max_growth <= cfg.verify_growth_threshold
+        else:
+            lab.write_report_json(result, path)
+            summary_entries.append(result)
+            ok = ok and result.finite
     with open(os.path.join(outdir, "summary.csv"), "w") as fh:
         fh.write("\n".join(lab.summary_csv_lines(summary_entries)) + "\n")
     return 0 if ok else 1

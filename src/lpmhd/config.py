@@ -85,6 +85,17 @@ def _parse_pq(value, key, where, text=False) -> float:
     return float(value)
 
 
+def _check_verify_ids(ids, where):
+    """Every id must be a known inequality id, and none may repeat."""
+    for iid in ids:
+        if iid not in INEQUALITY_IDS:
+            raise ConfigError(
+                f"unknown inequality id '{iid}'; known: {', '.join(INEQUALITY_IDS)}"
+            )
+    if len(set(ids)) < len(ids):
+        raise ConfigError(f"{where} {list(ids)} repeat an inequality id")
+
+
 def _parse_norm_spec(entry, where) -> NormSpec:
     entry = _require_mapping(entry, where)
     _check_keys(entry, ("s", "p", "q", "homogeneous"), where)
@@ -93,10 +104,10 @@ def _parse_norm_spec(entry, where) -> NormSpec:
             raise ConfigError(f"missing key '{key}' in {where}")
     try:
         return NormSpec(
-            s=float(entry["s"]),
+            s=_get(entry, "s", float, where),
             p=_parse_pq(entry["p"], "p", where),
             q=_parse_pq(entry["q"], "q", where),
-            homogeneous=bool(entry.get("homogeneous", True)),
+            homogeneous=_get(entry, "homogeneous", bool, where, default=True),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid norm spec in {where}: {exc}") from exc
@@ -296,11 +307,7 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         if not isinstance(ids, list):
             raise ConfigError("verify.ids must be a list")
         cfg.verify_ids = tuple(str(i) for i in ids)
-        for iid in cfg.verify_ids:
-            if iid not in INEQUALITY_IDS:
-                raise ConfigError(
-                    f"unknown inequality id '{iid}'; known: {', '.join(INEQUALITY_IDS)}"
-                )
+        _check_verify_ids(cfg.verify_ids, "verify.ids")
         cfg.verify_trials = _get(vmap, "trials", int, "section 'verify'", default=200)
         if cfg.verify_trials < 1:
             raise ConfigError(f"verify.trials = {cfg.verify_trials} must be >= 1")

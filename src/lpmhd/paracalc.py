@@ -28,14 +28,17 @@ and `commutator_split_family` return dicts keyed by k, built from one shared
 set of factor transforms.  A single shell is a lookup,
 ``commutator_family(f, g)[k]``.
 
-Both halves read their factors from one dyadic-block cache per scalar
-spectrum (`_Blocks`): the values of Delta_j a and S_j a, each
-inverse-transformed on first use, and None for a block whose coefficients
-are all zero, which is then never transformed or multiplied.  The paraproduct
-piece P_K(S_{j-1}a Delta_j b) and the remainder piece P_K(Delta_j a
-Delta~_j b) are summed over j by `paraproduct` and `remainder`, and over the
-components i of (f_i, d_i g) by the commutator split for terms I, III and IV.
-`bony_reconstruction` shares one cache per argument across all its terms.
+Both halves read their factors from one dyadic-block cache per spectrum
+(`_Blocks`): the values of Delta_j a and S_j a, each inverse-transformed on
+first use, and None for a block whose coefficients are all zero, which is
+then never transformed or multiplied.  Leading axes of a spectrum are batch
+axes.  The paraproduct piece P_K(S_{j-1}a Delta_j b) and the remainder piece
+P_K(Delta_j a Delta~_j b) are summed over j by `paraproduct` and
+`remainder`, and over the components i of (f_i, d_i g) by the commutator
+split for terms I, III and IV.  `bony_reconstruction` shares one cache per
+argument across all its terms; the commutator builds one workspace per
+(f, g), with g's components on the batch axis, so every f_i block is
+transformed once and shared by all components of g.
 """
 
 from __future__ import annotations
@@ -73,10 +76,10 @@ def _add_product(acc: np.ndarray, grid, a, b):
 
 
 class _Blocks:
-    """The dyadic blocks of one scalar spectrum a: ``block(j)`` gives the
-    values of Delta_j a and ``low(j)`` those of S_j a.  Each is
-    inverse-transformed on first use and held as None when its coefficients
-    are identically zero."""
+    """The dyadic blocks of one spectrum a, batched over its leading axes:
+    ``block(j)`` gives the values of Delta_j a and ``low(j)`` those of S_j a.
+    Each is inverse-transformed on first use and held as None when its
+    coefficients are identically zero."""
 
     def __init__(self, grid, coeffs: np.ndarray):
         bank = make_filter_bank(grid)
@@ -108,10 +111,11 @@ def _remainder_piece(a: _Blocks, b: _Blocks, j: int):
     return _masked_product(grid, blk, sum(tilde))
 
 
-def _sum_pieces(grid, piece, pairs, js) -> np.ndarray:
+def _sum_pieces(piece, pairs, js) -> np.ndarray:
     """Sum of piece(a, b, j) over j in js and (a, b) in pairs, in that
-    order, skipping empty pieces."""
-    acc = np.zeros(grid.spectral_shape, dtype=complex)
+    order, skipping empty pieces; shaped like the factors' broadcast."""
+    shape = np.broadcast_shapes(*(x.coeffs.shape for pair in pairs for x in pair))
+    acc = np.zeros(shape, dtype=complex)
     for j in js:
         for a, b in pairs:
             p = piece(a, b, j)
@@ -131,11 +135,11 @@ def _scalar_blocks(u: RealField, v: RealField):
 
 def _paraproduct(a: _Blocks, b: _Blocks) -> np.ndarray:
     grid = a.grid
-    return _sum_pieces(grid, _paraproduct_piece, [(a, b)], range(grid.j0 + 1, grid.j_max + 1))
+    return _sum_pieces(_paraproduct_piece, [(a, b)], range(grid.j0 + 1, grid.j_max + 1))
 
 
 def _remainder(a: _Blocks, b: _Blocks) -> np.ndarray:
-    return _sum_pieces(a.grid, _remainder_piece, [(a, b)], a.grid.js)
+    return _sum_pieces(_remainder_piece, [(a, b)], a.grid.js)
 
 
 def _base_terms(a: _Blocks, b: _Blocks) -> np.ndarray:
@@ -222,22 +226,29 @@ def _validate_advector(f: RealField):
 
 
 class _CommutatorWorkspace:
-    """Shared per-(f, g-component) precomputations for the commutator family:
-    the blocks of every f_i and every d_i g, so assembling all k reuses the
-    same physical-space factors and never transforms an empty block."""
+    """Shared per-(f, g) precomputations for the commutator family: the
+    blocks of every f_i and of every d_i g, so assembling all k reuses the
+    same physical-space factors and never transforms an empty block.  The
+    components of g ride a leading batch axis, so f's blocks are transformed
+    once whatever g's component count."""
 
-    def __init__(self, f: RealField, g_coeffs: np.ndarray):
+    def __init__(self, f: RealField, g: RealField):
+        _validate_advector(f)
+        if f.grid != g.grid:
+            raise SpectralError("grid mismatch between f and g")
+        f, g = dealias(f), dealias(g)
         grid = f.grid
         self.grid = grid
+        self.shape = (g.ncomp,) + grid.spectral_shape
         self.bank = make_filter_bank(grid)
         self.d = grid.dimension
         freqs = frequencies(grid)
         self.f = [_Blocks(grid, f.coeffs[i]) for i in range(self.d)]
-        self.dg = [_Blocks(grid, 1j * freqs[i] * g_coeffs) for i in range(self.d)]
+        self.dg = [_Blocks(grid, 1j * freqs[i] * g.coeffs) for i in range(self.d)]
         self.f_phys = [f.values[i] for i in range(self.d)]
 
     def _zeros(self):
-        return np.zeros(self.grid.spectral_shape, dtype=complex)
+        return np.zeros(self.shape, dtype=complex)
 
     def direct_family(self):
         """f . grad Delta_k g - Delta_k (f . grad g) for every shell k,
@@ -269,9 +280,9 @@ class _CommutatorWorkspace:
         fg = list(zip(self.f, self.dg))
         gf = list(zip(self.dg, self.f))
         highs = range(grid.j0 + 1, grid.j_max + 1)
-        p1 = {kp: _sum_pieces(grid, _paraproduct_piece, fg, [kp]) for kp in highs}
-        q = {kp: _sum_pieces(grid, _paraproduct_piece, gf, [kp]) for kp in highs}
-        p2 = {kp: _sum_pieces(grid, _remainder_piece, fg, [kp]) for kp in grid.js}
+        p1 = {kp: _sum_pieces(_paraproduct_piece, fg, [kp]) for kp in highs}
+        q = {kp: _sum_pieces(_paraproduct_piece, gf, [kp]) for kp in highs}
+        p2 = {kp: _sum_pieces(_remainder_piece, fg, [kp]) for kp in grid.js}
         return {k: self._split(k, p1, q, p2) for k in grid.js}
 
     def _split(self, k, p1, q, p2):
@@ -323,40 +334,19 @@ class _CommutatorWorkspace:
         return term_i, term_ii, term_iii, term_iv
 
 
-def _workspaces(f: RealField, g: RealField):
-    _validate_advector(f)
-    if f.grid != g.grid:
-        raise SpectralError("grid mismatch between f and g")
-    f = dealias(f)
-    g = dealias(g)
-    return [
-        _CommutatorWorkspace(f, g.coeffs[c]) for c in range(g.ncomp)
-    ]
-
-
 def commutator_family(f: RealField, g: RealField) -> dict:
     """Direct commutators f . grad Delta_k g - Delta_k (f . grad g) for every
     shell k, sharing factor transforms; the reference values for the split.
     One shell is ``commutator_family(f, g)[k]``."""
-    spaces = _workspaces(f, g)
-    families = [ws.direct_family() for ws in spaces]
-    return {
-        k: RealField(f.grid, coeffs=np.stack([fam[k] for fam in families]))
-        for k in f.grid.js
-    }
+    family = _CommutatorWorkspace(f, g).direct_family()
+    return {k: RealField(f.grid, coeffs=acc) for k, acc in family.items()}
 
 
 def commutator_split_family(f: RealField, g: RealField) -> dict:
     """The four-term split for every shell k with shared precomputation;
     ``[k].total`` reconstructs ``commutator_family(f, g)[k]`` exactly."""
-    spaces = _workspaces(f, g)
-    families = [ws.split_family() for ws in spaces]
-    out = {}
-    for k in f.grid.js:
-        parts = [fam.pop(k) for fam in families]
-        fields = [
-            RealField(f.grid, coeffs=np.stack([p[t] for p in parts]))
-            for t in range(4)
-        ]
-        out[k] = CommutatorSplit(k, *fields)
-    return out
+    family = _CommutatorWorkspace(f, g).split_family()
+    return {
+        k: CommutatorSplit(k, *(RealField(f.grid, coeffs=t) for t in terms))
+        for k, terms in family.items()
+    }

@@ -134,6 +134,37 @@ verify: {ids: [bernstein], resolutions: [64, 64]}
         with pytest.raises(ConfigError, match="verify.resolutions"):
             parse_config(text, "verify")
 
+    def test_repeated_id(self):
+        text = """
+output: x
+grid: {dimension: 2, points: 64}
+verify: {ids: [term-I, term-I]}
+"""
+        with pytest.raises(ConfigError, match="verify.ids .* repeat"):
+            parse_config(text, "verify")
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ("{s: 2.5, p: 2, q: 2, homogeneous: 'false'}", "homogeneous"),
+            ("{s: 2.5, p: 2, q: 2, homogeneous: 'no'}", "homogeneous"),
+            ("{s: 2.5, p: 2, q: 2, homogeneous: 1}", "homogeneous"),
+            ("{s: true, p: 2, q: 2}", "s"),
+            ("{s: '1.5', p: 2, q: 2}", "s"),
+        ],
+        ids=["hom-str-false", "hom-str-no", "hom-int", "s-bool", "s-str"],
+    )
+    def test_mistyped_norm_spec(self, tmp_path, capsys, spec, key):
+        text = SIM_TEMPLATE.split("norms:")[0].format(
+            out=tmp_path / "run", kind="random", amp=1.0
+        )
+        text += f"norms: [{spec}]\n"
+        with pytest.raises(ConfigError, match=f"key '{key}' in norms\\[0\\]"):
+            parse_config(text, "simulate")
+        assert main(["simulate", "--config", write(tmp_path / "c.yaml", text)]) == 2
+        assert f"key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_picard_n_max_constraint(self):
         text = """
 output: x
@@ -347,6 +378,21 @@ verify: {{ids: {ids}, trials: 5{extra}}}
         cfg = self._config(tmp_path, ids="[]")
         assert main(["verify", "--config", cfg]) == 2
         assert "nothing to verify" in capsys.readouterr().err
+
+    def test_repeated_cli_ids_exit_2(self, tmp_path, capsys):
+        cfg = self._config(tmp_path)
+        args = ["verify", "--config", cfg, "--ids", "term-I,bernstein,term-I"]
+        assert main(args) == 2
+        assert "--ids ['term-I', 'bernstein', 'term-I'] repeat" in capsys.readouterr().err
+        assert not (tmp_path / "vrun").exists()
+
+    def test_hypothesis_error_writes_nothing(self, tmp_path, capsys):
+        cfg = self._config(
+            tmp_path, ids="[bernstein, term-II]", extra=", params: {term-II: {s: 0.0}}"
+        )
+        assert main(["verify", "--config", cfg]) == 2
+        assert "term-II" in capsys.readouterr().err
+        assert not (tmp_path / "vrun").exists()
 
     def test_sweep_mode(self, tmp_path):
         cfg = self._config(tmp_path, extra=", resolutions: [64, 128]")

@@ -234,6 +234,24 @@ class TestCommutator:
         assert direct.ncomp == 2
         assert rel_l2(split.total.values, direct.values) <= 1e-10
 
+    @pytest.mark.parametrize("kmax", [None, 3], ids=["full", "kmax3"])
+    @pytest.mark.parametrize("grid", [sp.Grid(2, 64), sp.Grid(3, 16)])
+    def test_vector_argument_matches_components(self, grid, kmax):
+        # g's components ride one batch axis: component c must equal the
+        # family of the scalar g_c bit for bit
+        band = {} if kmax is None else {"kmax": kmax}
+        f = sp.random_solenoidal(grid, seed=24, decay=2.0, **band)
+        g = sp.random_band_limited(grid, seed=25, ncomp=grid.dimension, decay=2.0, **band)
+        direct = commutator_family(f, g)
+        split = commutator_split_family(f, g)
+        for c in range(g.ncomp):
+            direct_c = commutator_family(f, g.component(c))
+            split_c = commutator_split_family(f, g.component(c))
+            for k in grid.js:
+                assert np.array_equal(direct[k].coeffs[c], direct_c[k].coeffs[0])
+                for name, term in split[k].terms.items():
+                    assert np.array_equal(term.coeffs[c], split_c[k].terms[name].coeffs[0])
+
     def test_block_range_bookkeeping(self):
         # f carrying only blocks below k-5 makes II and IV vanish and the
         # commutator reduce to I + III
@@ -265,12 +283,17 @@ class TestEmptyBlocks:
     # kmax = 10 leaves shells j >= 4 empty (|xi| <= 10*sqrt(2) < 16): their
     # blocks are never transformed and their products never formed
     @pytest.mark.parametrize(
-        "n, direct_xf, split_xf", [(64, 26, 134), (128, 26, 138)]
+        "n, ncomp, direct_xf, split_xf",
+        [
+            pytest.param(64, 1, 26, 134, id="64-26-134"),
+            pytest.param(128, 1, 26, 138, id="128-26-138"),
+            pytest.param(128, 2, 50, 252, id="128-vector-50-252"),
+        ],
     )
-    def test_transform_count(self, count_transforms, n, direct_xf, split_xf):
+    def test_transform_count(self, count_transforms, n, ncomp, direct_xf, split_xf):
         grid = sp.Grid(2, n)
         f = sp.random_solenoidal(grid, seed=40, kmax=10)
-        g = sp.random_band_limited(grid, seed=41, kmax=10)
+        g = sp.random_band_limited(grid, seed=41, kmax=10, ncomp=ncomp)
         counts = count_transforms()
         commutator_family(f, g)
         assert sum(counts) == direct_xf
