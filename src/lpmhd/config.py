@@ -272,10 +272,11 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         times = snaps.get("times", [])
         if not isinstance(times, list):
             raise ConfigError("snapshots.times must be a list")
-        try:
-            cfg.snapshot_times = tuple(float(t) for t in times)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"snapshots.times must be numbers: {exc}") from exc
+        for t in times:
+            numeric = isinstance(t, (int, float)) and not isinstance(t, bool)
+            if not (numeric and math.isfinite(t)):
+                raise ConfigError(f"snapshots.times must be finite numbers, got {t!r}")
+        cfg.snapshot_times = tuple(float(t) for t in times)
 
     if subcommand == "picard":
         pmap = _require_mapping(data["picard"], "section 'picard'")
@@ -314,10 +315,14 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         res = vmap.get("resolutions", [])
         if not isinstance(res, list):
             raise ConfigError("verify.resolutions must be a list")
-        try:
-            cfg.verify_resolutions = tuple(int(n) for n in res)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"verify.resolutions must be integers: {exc}") from exc
+        for n in res:
+            if isinstance(n, bool) or not isinstance(n, int):
+                raise ConfigError(f"verify.resolutions must be integers, got {n!r}")
+            try:
+                Grid(dimension, n)
+            except ValueError as exc:
+                raise ConfigError(f"invalid verify.resolutions entry {n}: {exc}") from exc
+        cfg.verify_resolutions = tuple(res)
         if len(set(cfg.verify_resolutions)) < len(cfg.verify_resolutions):
             raise ConfigError(
                 f"verify.resolutions {list(cfg.verify_resolutions)} repeat a resolution"
@@ -325,6 +330,11 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         cfg.verify_growth_threshold = _get(
             vmap, "growth_threshold", float, "section 'verify'", default=1.2
         )
+        threshold = cfg.verify_growth_threshold
+        if not (math.isfinite(threshold) and threshold > 0):
+            raise ConfigError(
+                f"verify.growth_threshold = {threshold} must be a finite positive number"
+            )
         params = vmap.get("params", {})
         params = _require_mapping(params, "verify.params")
         _check_keys(params, cfg.verify_ids, "verify.params")

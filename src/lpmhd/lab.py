@@ -13,8 +13,10 @@ continuum fields are measured on finer lattices).
 evaluate each trial once per group of ids that share its work: the
 commutator ids (A2, A3, term-I..IV) with equal merged params draw one
 (f, g) pair per trial, build the direct and the split commutator family at
-most once each, and compute each right-hand-side factor once.  Nothing is
-kept between trials or calls.  Reports are reproducible bit-for-bit from
+most once each, and compute each right-hand-side factor once.  At
+p = q = 2 a commutator norm is sqrt(sum_k 2^{2ks} ||C_k||_2^2), taken by
+Plancherel from the family's coefficients, so no commutator field is
+inverse-transformed.  Nothing is kept between trials or calls.  Reports are reproducible bit-for-bit from
 (id, params, seed), whichever ids are evaluated beside them;
 `run_inequality` and `stability_sweep` are the one-id forms.
 """
@@ -49,6 +51,7 @@ from .spectral import (
     random_band_limited,
     random_solenoidal,
     riesz,
+    shell_energies,
     spectral_derivative,
 )
 
@@ -226,6 +229,13 @@ def _solenoidal_pair(p, grid, kmax, seed, trial):
 
 
 def _commutator_lhs(fields_by_k, grid, s, pp, qq):
+    """|| 2^{ks} |C_k(x)| ||_{L^p(l^q)} of a commutator family {k: C_k}.  At
+    p = q = 2 it is sqrt(sum_k 2^{2ks} ||C_k||_2^2), by Plancherel from the
+    coefficients with no transform; other (p, q) reduce the magnitudes."""
+    if pp == qq == 2.0:
+        energies = [shell_energies(fields_by_k[k])[1] for k in grid.js]
+        weights = 2.0 ** (2.0 * s * np.asarray(grid.js, dtype=float))
+        return math.sqrt(float(weights @ energies))
     stack = np.stack([fields_by_k[k].magnitude() for k in grid.js])
     return shell_lp_lq(stack, grid.js, s, pp, qq)
 

@@ -39,6 +39,14 @@ split for terms I, III and IV.  `bony_reconstruction` shares one cache per
 argument across all its terms; the commutator builds one workspace per
 (f, g), with g's components on the batch axis, so every f_i block is
 transformed once and shared by all components of g.
+
+P_K and the transform are linear, so the commutator adds up in physical
+space the products that feed one output and forward-transforms each sum
+once: f . grad g, each direct shell, each per-shell entry of the
+paraproduct and remainder sums, and the product parts of terms I and II at
+each k.  Terms I, III and IV subtract phi_k times the sum over their k'
+window.  The Bony operators pass one pair per piece, so they keep one
+transform per piece, with the bits of P_K(a * b).
 """
 
 from __future__ import annotations
@@ -51,9 +59,11 @@ import numpy as np
 from .spectral import (
     RealField,
     SpectralError,
+    _forward,
     _inverse,
     _masked_product,
     dealias,
+    dealias_mask,
     frequencies,
     make_filter_bank,
     solenoidal_residual,
@@ -69,10 +79,23 @@ def _block_values(grid, coeffs: np.ndarray):
     return _inverse(grid, coeffs) if coeffs.any() else None
 
 
-def _add_product(acc: np.ndarray, grid, a, b):
-    """acc += P_K(a * b), skipped when either factor is an empty block."""
-    if a is not None and b is not None:
-        acc += _masked_product(grid, a, b)
+def _add_products(acc: np.ndarray, grid, pairs):
+    """acc += P_K(sum of a * b over the pairs), skipping pairs with an empty
+    factor.  P_K and the transform are linear, so the products are added up
+    in physical space and the sum is forward-transformed once; a single
+    pair gives the bits of ``P_K(a * b)``."""
+    total = None
+    for a, b in pairs:
+        if a is None or b is None:
+            continue
+        if total is None:
+            total = a * b
+        else:
+            total += a * b
+    if total is not None:
+        piece = _forward(grid, total)
+        piece *= dealias_mask(grid)
+        acc += piece
 
 
 class _Blocks:
@@ -89,38 +112,33 @@ class _Blocks:
         self.low = cache(lambda j: _block_values(grid, bank.chi[j] * coeffs))
 
 
-def _paraproduct_piece(a: _Blocks, b: _Blocks, j: int):
-    """P_K(S_{j-1}a * Delta_j b), or None when either factor is empty."""
-    low, blk = a.low(j - 1), b.block(j)
-    if low is None or blk is None:
-        return None
-    return _masked_product(a.grid, low, blk)
+def _paraproduct_factors(a: _Blocks, b: _Blocks, j: int):
+    """The factors (S_{j-1}a, Delta_j b) of the paraproduct piece at j."""
+    return a.low(j - 1), b.block(j)
 
 
-def _remainder_piece(a: _Blocks, b: _Blocks, j: int):
-    """P_K(Delta_j a * Delta~_j b), Delta~_j b the sum of the nonempty blocks
-    j-1, j, j+1 of b; None when no product survives."""
+def _remainder_factors(a: _Blocks, b: _Blocks, j: int):
+    """The factors (Delta_j a, Delta~_j b) of the remainder piece at j,
+    Delta~_j b the sum of the nonempty blocks j-1, j, j+1 of b; b's blocks
+    are not transformed when Delta_j a is empty."""
     grid = a.grid
     blk = a.block(j)
     if blk is None:
-        return None
+        return None, None
     near = (b.block(j + d) for d in (-1, 0, 1) if grid.j0 <= j + d <= grid.j_max)
     tilde = [t for t in near if t is not None]
-    if not tilde:
-        return None
-    return _masked_product(grid, blk, sum(tilde))
+    return blk, (sum(tilde) if tilde else None)
 
 
-def _sum_pieces(piece, pairs, js) -> np.ndarray:
-    """Sum of piece(a, b, j) over j in js and (a, b) in pairs, in that
-    order, skipping empty pieces; shaped like the factors' broadcast."""
+def _sum_pieces(factors, pairs, js) -> np.ndarray:
+    """sum over j in js of P_K(sum over (a, b) in pairs of the product of
+    factors(a, b, j)): one forward transform per j, none for an empty
+    piece; shaped like the factors' broadcast."""
     shape = np.broadcast_shapes(*(x.coeffs.shape for pair in pairs for x in pair))
     acc = np.zeros(shape, dtype=complex)
+    grid = pairs[0][0].grid
     for j in js:
-        for a, b in pairs:
-            p = piece(a, b, j)
-            if p is not None:
-                acc += p
+        _add_products(acc, grid, (factors(a, b, j) for a, b in pairs))
     return acc
 
 
@@ -135,11 +153,11 @@ def _scalar_blocks(u: RealField, v: RealField):
 
 def _paraproduct(a: _Blocks, b: _Blocks) -> np.ndarray:
     grid = a.grid
-    return _sum_pieces(_paraproduct_piece, [(a, b)], range(grid.j0 + 1, grid.j_max + 1))
+    return _sum_pieces(_paraproduct_factors, [(a, b)], range(grid.j0 + 1, grid.j_max + 1))
 
 
 def _remainder(a: _Blocks, b: _Blocks) -> np.ndarray:
-    return _sum_pieces(_remainder_piece, [(a, b)], a.grid.js)
+    return _sum_pieces(_remainder_factors, [(a, b)], a.grid.js)
 
 
 def _base_terms(a: _Blocks, b: _Blocks) -> np.ndarray:
@@ -252,18 +270,18 @@ class _CommutatorWorkspace:
 
     def direct_family(self):
         """f . grad Delta_k g - Delta_k (f . grad g) for every shell k,
-        spectral coefficients keyed by k."""
-        grid = self.grid
+        spectral coefficients keyed by k: one forward transform for the
+        whole f . grad g and one per nonempty shell."""
+        grid, d = self.grid, self.d
         whole = self._zeros()
-        for i in range(self.d):
-            _add_product(
-                whole, grid, self.f_phys[i], _block_values(grid, self.dg[i].coeffs)
-            )
+        _add_products(
+            whole, grid,
+            ((self.f_phys[i], _block_values(grid, self.dg[i].coeffs)) for i in range(d)),
+        )
         out = {}
         for k in grid.js:
             acc = self._zeros()
-            for i in range(self.d):
-                _add_product(acc, grid, self.f_phys[i], self.dg[i].block(k))
+            _add_products(acc, grid, ((self.f_phys[i], self.dg[i].block(k)) for i in range(d)))
             acc -= self.bank.phi[k] * whole
             out[k] = acc
         return out
@@ -271,65 +289,69 @@ class _CommutatorWorkspace:
     def split_family(self):
         """Coefficient arrays (I, II, III, IV) for every shell k.
 
-        The k-independent product sums are built once per shell k':
-        p1 = sum_i P_K(S_{k'-1} f_i * d_i Delta_{k'} g),
-        q  = sum_i P_K(S_{k'-1} d_i g * Delta_{k'} f_i) and
-        p2 = sum_i P_K(Delta_{k'} f_i * d_i Delta~_{k'} g).
+        The k-independent product sums are built once per shell k', each
+        with one forward transform:
+        p1 = P_K sum_i S_{k'-1} f_i * d_i Delta_{k'} g,
+        q  = P_K sum_i S_{k'-1} d_i g * Delta_{k'} f_i and
+        p2 = P_K sum_i Delta_{k'} f_i * d_i Delta~_{k'} g.
         """
         grid = self.grid
         fg = list(zip(self.f, self.dg))
         gf = list(zip(self.dg, self.f))
         highs = range(grid.j0 + 1, grid.j_max + 1)
-        p1 = {kp: _sum_pieces(_paraproduct_piece, fg, [kp]) for kp in highs}
-        q = {kp: _sum_pieces(_paraproduct_piece, gf, [kp]) for kp in highs}
-        p2 = {kp: _sum_pieces(_remainder_piece, fg, [kp]) for kp in grid.js}
+        p1 = {kp: _sum_pieces(_paraproduct_factors, fg, [kp]) for kp in highs}
+        q = {kp: _sum_pieces(_paraproduct_factors, gf, [kp]) for kp in highs}
+        p2 = {kp: _sum_pieces(_remainder_factors, fg, [kp]) for kp in grid.js}
         return {k: self._split(k, p1, q, p2) for k in grid.js}
 
+    def _term_i_pairs(self, k):
+        """Factors of sum_{|k'-k|<=1} S_{k'-1} f_i * Delta_k d_i Delta_{k'} g;
+        the block is not transformed when the low pass is empty."""
+        grid, bank = self.grid, self.bank
+        for kp in range(max(grid.j0 + 1, k - 1), min(grid.j_max, k + 1) + 1):
+            for i in range(self.d):
+                low = self.f[i].low(kp - 1)
+                if low is not None:
+                    coeffs = bank.phi[k] * bank.phi[kp] * self.dg[i].coeffs
+                    yield low, _block_values(grid, coeffs)
+
+    def _term_ii_pairs(self, k):
+        """Factors of sum_{k'>=k-2} S_{k'+2}(Delta_k d_i g) Delta_{k'} f_i; for
+        k' >= k the low-pass factor is the identity on the block's support,
+        so those terms group into one high-pass product per i."""
+        grid, bank = self.grid, self.bank
+        for kp in range(max(grid.j0, k - 2), min(grid.j_max, k - 1) + 1):
+            for i in range(self.d):
+                blk = self.f[i].block(kp)
+                if blk is not None:
+                    coeffs = bank.chi[kp + 2] * bank.phi[k] * self.dg[i].coeffs
+                    yield _block_values(grid, coeffs), blk
+        for i in range(self.d):
+            dg_k = self.dg[i].block(k)
+            if dg_k is not None:
+                low = self.f[i].low(k)
+                yield dg_k, (self.f_phys[i] if low is None else self.f_phys[i] - low)
+
     def _split(self, k, p1, q, p2):
-        grid, bank, d = self.grid, self.bank, self.d
-        j0, j_max = grid.j0, grid.j_max
+        grid, phi_k = self.grid, self.bank.phi[k]
+        near = range(max(grid.j0 + 1, k - 4), min(grid.j_max, k + 4) + 1)
 
         # I: sum_{k'~k} [S_{k'-1} f_i, Delta_k] d_i Delta_{k'} g.  The first
         # (paraproduct-of-block) piece survives only for |k'-k| <= 1.
         term_i = self._zeros()
-        for kp in range(max(j0 + 1, k - 1), min(j_max, k + 1) + 1):
-            for i in range(d):
-                low = self.f[i].low(kp - 1)
-                if low is None:
-                    continue
-                blk = _block_values(grid, bank.phi[k] * bank.phi[kp] * self.dg[i].coeffs)
-                _add_product(term_i, grid, low, blk)
-        for kp in range(max(j0 + 1, k - 4), min(j_max, k + 4) + 1):
-            term_i -= bank.phi[k] * p1[kp]
+        _add_products(term_i, grid, self._term_i_pairs(k))
+        term_i -= phi_k * sum(p1[kp] for kp in near)
 
-        # II: sum_{k'>=k-2} S_{k'+2}(Delta_k d_i g) Delta_{k'} f_i; for
-        # k' >= k the low-pass factor is the identity on the block's support,
-        # so those terms group into one high-pass product.
+        # II: sum_{k'>=k-2} S_{k'+2}(Delta_k d_i g) Delta_{k'} f_i
         term_ii = self._zeros()
-        for kp in range(max(j0, k - 2), min(j_max, k - 1) + 1):
-            for i in range(d):
-                blk = self.f[i].block(kp)
-                if blk is None:
-                    continue
-                low = _block_values(grid, bank.chi[kp + 2] * bank.phi[k] * self.dg[i].coeffs)
-                _add_product(term_ii, grid, low, blk)
-        for i in range(d):
-            dg_k = self.dg[i].block(k)
-            if dg_k is None:
-                continue
-            low = self.f[i].low(k)
-            high = self.f_phys[i] if low is None else self.f_phys[i] - low
-            term_ii += _masked_product(grid, dg_k, high)
+        _add_products(term_ii, grid, self._term_ii_pairs(k))
 
         # III: -Delta_k sum_{k'~k} S_{k'-1}(d_i g) Delta_{k'} f_i
-        term_iii = self._zeros()
-        for kp in range(max(j0 + 1, k - 4), min(j_max, k + 4) + 1):
-            term_iii -= bank.phi[k] * q[kp]
+        term_iii = -phi_k * sum(q[kp] for kp in near)
 
         # IV: -Delta_k sum_{k'>=k-3} Delta_{k'} f_i d_i Delta~_{k'} g
-        term_iv = self._zeros()
-        for kp in range(max(j0, k - 3), j_max + 1):
-            term_iv -= bank.phi[k] * p2[kp]
+        above = range(max(grid.j0, k - 3), grid.j_max + 1)
+        term_iv = -phi_k * sum(p2[kp] for kp in above)
 
         return term_i, term_ii, term_iii, term_iv
 

@@ -125,6 +125,47 @@ verify: {ids: [bernstein], resolutions: [x, 64]}
         with pytest.raises(ConfigError, match="verify.resolutions"):
             parse_config(text, "verify")
 
+    @pytest.mark.parametrize(
+        "times", ["[true]", "['0.005']", "[0.005, '0.01']", "[.nan]", "[.inf]"],
+        ids=["bool", "str", "mixed-str", "nan", "inf"],
+    )
+    def test_mistyped_snapshot_time(self, times):
+        text = SIM_TEMPLATE.format(out="x", kind="random", amp=1.0)
+        with pytest.raises(ConfigError, match="snapshots.times"):
+            parse_config(text + f"snapshots: {{times: {times}}}\n", "simulate")
+
+    def test_snapshot_times_accept_ints_and_floats(self):
+        text = SIM_TEMPLATE.format(out="x", kind="random", amp=1.0)
+        cfg = parse_config(text + "snapshots: {times: [0, 0.005]}\n", "simulate")
+        assert cfg.snapshot_times == (0.0, 0.005)
+
+    @pytest.mark.parametrize(
+        "res",
+        ["[32.9, 64]", "[true, 64]", "['64', 128]", "[8, 64]", "[48, 64]", "[64, null]"],
+        ids=["float", "bool", "str", "too-small", "not-pow2", "null"],
+    )
+    def test_invalid_resolution(self, res):
+        text = f"""
+output: x
+grid: {{dimension: 2, points: 64}}
+verify: {{ids: [bernstein], resolutions: {res}}}
+"""
+        with pytest.raises(ConfigError, match="verify.resolutions"):
+            parse_config(text, "verify")
+
+    @pytest.mark.parametrize(
+        "threshold", ["-1", "0", ".nan", ".inf", "-.inf"],
+        ids=["negative", "zero", "nan", "inf", "minus-inf"],
+    )
+    def test_invalid_growth_threshold(self, threshold):
+        text = f"""
+output: x
+grid: {{dimension: 2, points: 64}}
+verify: {{ids: [bernstein], resolutions: [64, 128], growth_threshold: {threshold}}}
+"""
+        with pytest.raises(ConfigError, match="verify.growth_threshold"):
+            parse_config(text, "verify")
+
     def test_repeated_resolution(self):
         text = """
 output: x
@@ -455,6 +496,25 @@ verify:
             assert (out / "summary.csv").read_text().splitlines()[1] == summary[
                 1 + ids.index(iid)
             ]
+
+    @pytest.mark.parametrize(
+        "res", ["[32.9, 64]", "[true, '64']", "[64, 100]"],
+        ids=["float", "bool-str", "not-pow2"],
+    )
+    def test_invalid_resolution_exit_2(self, tmp_path, capsys, res):
+        cfg = self._config(tmp_path, extra=f", resolutions: {res}")
+        assert main(["verify", "--config", cfg]) == 2
+        assert "verify.resolutions" in capsys.readouterr().err
+        assert not (tmp_path / "vrun").exists()
+
+    @pytest.mark.parametrize("threshold", ["-1", ".nan"])
+    def test_invalid_growth_threshold_exit_2(self, tmp_path, capsys, threshold):
+        cfg = self._config(
+            tmp_path, extra=f", resolutions: [64, 128], growth_threshold: {threshold}"
+        )
+        assert main(["verify", "--config", cfg]) == 2
+        assert "verify.growth_threshold" in capsys.readouterr().err
+        assert not (tmp_path / "vrun").exists()
 
     def test_growth_threshold_failure_exit_1(self, tmp_path):
         # an impossible threshold makes an otherwise healthy sweep fail

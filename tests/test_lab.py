@@ -6,7 +6,8 @@ import pytest
 
 from lpmhd import lab
 from lpmhd import spectral as sp
-from lpmhd.spaces import NormSpec, lp_norm, tl_norm
+from lpmhd.paracalc import commutator_family, commutator_split_family
+from lpmhd.spaces import NormSpec, lp_norm, shell_lp_lq, tl_norm
 from lpmhd.spectral import multiply, spectral_derivative
 
 
@@ -249,3 +250,40 @@ class TestGrouping:
             )
             sizes.append(sum(counts))
         assert sizes[0] == sizes[1] > 0
+
+
+class TestCommutatorLhs:
+    """The p = q = 2 commutator norm comes from the coefficients."""
+
+    @pytest.mark.parametrize(
+        "grid",
+        [sp.Grid(2, 64), sp.Grid(2, 128), sp.Grid(3, 16), sp.Grid(3, 32)],
+        ids=["2d-64", "2d-128", "3d-16", "3d-32"],
+    )
+    @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+    def test_plancherel_matches_magnitudes(self, grid, vector):
+        f = sp.random_solenoidal(grid, seed=70, decay=2.0)
+        g = sp.random_band_limited(
+            grid, seed=71, decay=2.0, ncomp=grid.dimension if vector else 1
+        )
+        splits = commutator_split_family(f, g)
+        families = [commutator_family(f, g)] + [
+            {k: splits[k].terms[key] for k in grid.js} for key in ("I", "II", "III", "IV")
+        ]
+        for fields in families:
+            for s in (-0.5, 1.5):
+                got = lab._commutator_lhs(fields, grid, s, 2.0, 2.0)
+                stack = np.stack([fields[k].magnitude() for k in grid.js])
+                want = shell_lp_lq(stack, grid.js, s, 2.0, 2.0)
+                assert want > 0
+                assert abs(got - want) <= 1e-12 * want
+
+    def test_trial_transform_count(self, count_transforms):
+        # one trial of the six commutator ids at p = q = 2: the draw, the
+        # two families (20 + 92) and the right-hand-side factors; no
+        # commutator field is inverse-transformed for its norm
+        p = dict(lab._COMMUTATOR, n=64, kmax=10)
+        grid, kmax = lab._grid_and_kmax(p)
+        counts = count_transforms()
+        lab._commutator_ratios(COMMUTATOR_IDS, p, grid, kmax, 0, 0)
+        assert sum(counts) == 121

@@ -280,20 +280,26 @@ class TestCommutator:
 
 
 class TestEmptyBlocks:
-    # kmax = 10 leaves shells j >= 4 empty (|xi| <= 10*sqrt(2) < 16): their
-    # blocks are never transformed and their products never formed
+    # kmax = 10 leaves shells j >= 4 empty (|xi| <= 10*sqrt(2) < 16), and
+    # kmax = 6 in 3D leaves j >= 4 empty (|xi| <= 6*sqrt(3) < 16): their
+    # blocks are never transformed and their products never formed.  Each
+    # commutator sum (the whole f . grad g, a direct shell, a p1/q/p2 entry,
+    # the product parts of terms I and II) is forward-transformed once.
     @pytest.mark.parametrize(
-        "n, ncomp, direct_xf, split_xf",
+        "d, n, kmax, ncomp, direct_xf, split_xf",
         [
-            pytest.param(64, 1, 26, 134, id="64-26-134"),
-            pytest.param(128, 1, 26, 138, id="128-26-138"),
-            pytest.param(128, 2, 50, 252, id="128-vector-50-252"),
+            pytest.param(2, 64, 10, 1, 20, 92, id="64-20-92"),
+            pytest.param(2, 128, 10, 1, 20, 96, id="128-20-96"),
+            pytest.param(2, 128, 10, 2, 38, 168, id="128-vector-38-168"),
+            pytest.param(3, 32, 6, 1, 27, 122, id="3d-32-27-122"),
         ],
     )
-    def test_transform_count(self, count_transforms, n, ncomp, direct_xf, split_xf):
-        grid = sp.Grid(2, n)
-        f = sp.random_solenoidal(grid, seed=40, kmax=10)
-        g = sp.random_band_limited(grid, seed=41, kmax=10, ncomp=ncomp)
+    def test_transform_count(
+        self, count_transforms, d, n, kmax, ncomp, direct_xf, split_xf
+    ):
+        grid = sp.Grid(d, n)
+        f = sp.random_solenoidal(grid, seed=40, kmax=kmax)
+        g = sp.random_band_limited(grid, seed=41, kmax=kmax, ncomp=ncomp)
         counts = count_transforms()
         commutator_family(f, g)
         assert sum(counts) == direct_xf
