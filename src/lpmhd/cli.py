@@ -108,12 +108,10 @@ def _cmd_simulate(args) -> int:
     stream = diag.DiagnosticsStream(cfg.norm_specs)
     n_steps = round(cfg.t_final / cfg.dt)
 
-    # each requested snapshot time maps to its nearest step
+    # each requested snapshot time (in [0, t_final]) maps to its nearest step
     snap_steps = {}
     for t_snap in cfg.snapshot_times:
-        m = round(t_snap / cfg.dt)
-        if 0 <= m <= n_steps:
-            snap_steps.setdefault(m, t_snap)
+        snap_steps.setdefault(round(t_snap / cfg.dt), t_snap)
 
     def maybe_snapshot(s, m):
         if m in snap_steps:
@@ -140,11 +138,6 @@ def _cmd_simulate(args) -> int:
             if m % cfg.cadence == 0 or m == n_steps:
                 emit(state)
             maybe_snapshot(state, m)
-
-    diag.write_json(
-        stream.records, cfg.grid, os.path.join(outdir, "diagnostics.json"),
-        cfg.norm_specs,
-    )
     return 0
 
 
@@ -178,19 +171,19 @@ def _cmd_verify(args) -> int:
 
     # every id runs before anything is written, so a rejected hypothesis
     # leaves no output directory behind
-    params_by_id = {iid: dict(cfg.verify_params.get(iid, {})) for iid in ids}
+    jobs = [(iid, dict(cfg.verify_params.get(iid, {}))) for iid in ids]
     sweep = len(cfg.verify_resolutions) >= 2
     if sweep:
         results = lab.stability_sweeps(
-            ids, params_by_id, cfg.verify_resolutions, cfg.verify_trials, cfg.seed
+            jobs, cfg.verify_resolutions, cfg.verify_trials, cfg.seed
         )
     else:
         # a single listed resolution is the one run; none means grid.points
         n = cfg.verify_resolutions[0] if cfg.verify_resolutions else cfg.grid_points
-        for params in params_by_id.values():
+        for _, params in jobs:
             params.setdefault("n", n)
             params.setdefault("d", cfg.grid_dimension)
-        results = lab.run_inequalities(ids, params_by_id, cfg.verify_trials, cfg.seed)
+        results = lab.run_inequalities(jobs, cfg.verify_trials, cfg.seed)
 
     outdir = _prepare_outdir(cfg)
     report_dir = os.path.join(outdir, "reports")

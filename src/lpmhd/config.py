@@ -276,6 +276,10 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
             numeric = isinstance(t, (int, float)) and not isinstance(t, bool)
             if not (numeric and math.isfinite(t)):
                 raise ConfigError(f"snapshots.times must be finite numbers, got {t!r}")
+            if not 0 <= t <= cfg.t_final:
+                raise ConfigError(
+                    f"snapshots.times entry {t!r} lies outside [0, t_final = {cfg.t_final!r}]"
+                )
         cfg.snapshot_times = tuple(float(t) for t in times)
 
     if subcommand == "picard":

@@ -13,13 +13,11 @@ grid values, which the next RK4 step reuses.
 
 The blow-up monitor only reports; it never terminates a run.  CSV columns
 are emitted in the fixed order documented by `csv_columns`, one row per
-record (`csv_header` and `csv_line` let a run stream them as it goes), with
-a JSON mirror.
+record (`csv_header` and `csv_line` let a run stream them as it goes).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -194,7 +192,7 @@ def gronwall_check(records, norm_label: str):
 
 
 # ---------------------------------------------------------------------------
-# CSV / JSON emission
+# CSV emission
 # ---------------------------------------------------------------------------
 
 
@@ -249,10 +247,3 @@ def write_csv(records, grid, path, specs=(), timestamp: str | None = None) -> No
         fh.write(csv_header(grid, specs, timestamp))
         fh.writelines(csv_line(rec, specs) for rec in records)
 
-
-def write_json(records, grid, path, specs=()) -> None:
-    cols = csv_columns(grid, specs)
-    payload = [dict(zip(cols, map(float, record_row(r, specs)))) for r in records]
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")

@@ -9,22 +9,24 @@ acceptance is finiteness plus stability across resolution (stability_sweeps
 reruns identical seeds at each N, so for band-limited generators the same
 continuum fields are measured on finer lattices).
 
-`run_inequalities` and `stability_sweeps` take several ids at once and
-evaluate each trial once per group of ids that share its work: the
-commutator ids (A2, A3, term-I..IV) with equal merged params draw one
-(f, g) pair per trial, build the direct and the split commutator family at
-most once each, and compute each right-hand-side factor once.  At
-p = q = 2 a commutator norm is sqrt(sum_k 2^{2ks} ||C_k||_2^2), taken by
-Plancherel from the family's coefficients, so no commutator field is
-inverse-transformed.  Nothing is kept between trials or calls.  Reports are reproducible bit-for-bit from
-(id, params, seed), whichever ids are evaluated beside them;
-`run_inequality` and `stability_sweep` are the one-id forms.
+The unit of work is an (id, params) job, and one id may appear in several
+jobs.  `run_inequalities` and `stability_sweeps` group jobs by evaluator
+and `DRAW_KEYS`, and each trial of a group draws its fields once: the
+commutator jobs (A2, A3, term-I..IV) build the direct and the split family
+at most once per trial and reduce them once per NormSpec; the
+vector-maximal jobs maximize their family once per trial.  At p = q = 2 a
+commutator norm is sqrt(sum_k 2^{2ks} ||C_k||_2^2), taken by Plancherel
+from the family's coefficients.  Nothing is kept between trials or calls.
+Reports are reproducible bit-for-bit from (id, params, seed), whichever
+jobs run beside them; `run_inequality` and `stability_sweep` are the
+one-job forms.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations_with_replacement
@@ -99,28 +101,13 @@ class InequalityReport:
         }
 
 
-def _trial_seed(seed: int, trial: int, stream: int = 0):
-    return np.random.SeedSequence(entropy=seed, spawn_key=(trial, stream))
-
-
 def _draw(p, grid, kmax, seed, trial, stream=0, sampler=random_band_limited):
     """Stream `stream` of one trial's random fields, drawn by `sampler` with
     the id's decay and amplitude under the band limit kmax."""
     return sampler(
-        grid, _trial_seed(seed, trial, stream), decay=p["decay"], kmax=kmax,
-        amplitude=p["amplitude"],
+        grid, np.random.SeedSequence(entropy=seed, spawn_key=(trial, stream)),
+        decay=p["decay"], kmax=kmax, amplitude=p["amplitude"],
     )
-
-
-def _norm_params(params: dict, defaults: dict, inequality_id: str) -> dict:
-    merged = dict(defaults)
-    unknown = set(params) - set(defaults)
-    if unknown:
-        raise HypothesisError(
-            f"unknown parameter(s) {sorted(unknown)} for inequality '{inequality_id}'"
-        )
-    merged.update(params)
-    return merged
 
 
 def _require(cond: bool, inequality_id: str, hypothesis: str):
@@ -197,17 +184,22 @@ def _product(p, grid, kmax, seed, trial):
     return lhs / rhs
 
 
-def _vector_maximal(p, grid, kmax, seed, trial):
+def _vector_maximal(jobs, grid, kmax, seed, trial):
+    """Ratios of the vector-maximal jobs on one trial's family of fields:
+    the family is drawn and maximized once, and each job reduces both
+    stacks in its own (p, q)."""
     fields = [
-        _draw(p, grid, kmax, seed, trial, i)
-        for i in range(p["family"])
+        _draw(jobs[0][1], grid, kmax, seed, trial, i)
+        for i in range(jobs[0][1]["family"])
     ]
     raw = np.stack([np.abs(f.values[0]) for f in fields])
     maxed = np.stack([maximal_function(f).values[0] for f in fields])
     idx = range(len(fields))
-    lhs = shell_lp_lq(maxed, idx, 0.0, p["p"], p["q"])
-    rhs = shell_lp_lq(raw, idx, 0.0, p["p"], p["q"])
-    return lhs / rhs
+    return [
+        shell_lp_lq(maxed, idx, 0.0, p["p"], p["q"])
+        / shell_lp_lq(raw, idx, 0.0, p["p"], p["q"])
+        for _, p in jobs
+    ]
 
 
 def _majorant(p, grid, kmax, seed, trial):
@@ -220,12 +212,6 @@ def _majorant(p, grid, kmax, seed, trial):
         eps *= 2.0
     # A = integral of the Gaussian's radial majorant = 1
     return float(np.max(best / mf))
-
-
-def _solenoidal_pair(p, grid, kmax, seed, trial):
-    f = _draw(p, grid, kmax, seed, trial, sampler=random_solenoidal)
-    g = _draw(p, grid, kmax, seed, trial, 1)
-    return f, g
 
 
 def _commutator_lhs(fields_by_k, grid, s, pp, qq):
@@ -245,10 +231,12 @@ _TERM_OF = {"term-I": "I", "term-II": "II", "term-III": "III", "term-IV": "IV"}
 
 class _PairFactors:
     """The right-hand-side factors of one trial's (f, g), each evaluated on
-    first use only."""
+    first use only: the sup norms once, a Triebel-Lizorkin norm once per
+    NormSpec."""
 
-    def __init__(self, f, g, spec):
-        self.f, self.g, self.spec = f, g, spec
+    def __init__(self, f, g):
+        self.f, self.g = f, g
+        self._tl = {}
 
     @cached_property
     def jac_f(self):
@@ -259,43 +247,62 @@ class _PairFactors:
         return jacobian_sup_norm(self.g)
 
     @cached_property
-    def tl_f(self):
-        return tl_norm(self.f, self.spec)
+    def sup_g(self):
+        return lp_norm(self.g, INF)
 
     @cached_property
-    def tl_g(self):
-        return tl_norm(self.g, self.spec)
+    def grad_f(self):
+        return jacobian(self.f)
+
+    def tl(self, name, spec):
+        """tl_norm of the factor `name` ('f', 'g' or 'grad_f') in spec."""
+        if (name, spec) not in self._tl:
+            self._tl[name, spec] = tl_norm(getattr(self, name), spec)
+        return self._tl[name, spec]
 
 
-def _commutator_ratios(ids, p, grid, kmax, seed, trial):
-    """Ratios of the commutator ids (A2, A3, term-I..IV) on one trial's
-    (f, g): the direct family, the split family and each right-hand-side
-    factor are computed at most once, and nothing outlives the trial."""
-    f, g = _solenoidal_pair(p, grid, kmax, seed, trial)
-    s, pp, qq = p["s"], p["p"], p["q"]
-    spec = NormSpec(s, pp, qq)
-    rhs = _PairFactors(f, g, spec)
-    out = {}
-    if "commutator-A2" in ids or "commutator-A3" in ids:
-        lhs = _commutator_lhs(commutator_family(f, g), grid, s, pp, qq)
-        if "commutator-A2" in ids:
-            out["commutator-A2"] = lhs / (rhs.jac_f * rhs.tl_g + rhs.jac_g * rhs.tl_f)
-        if "commutator-A3" in ids:
-            out["commutator-A3"] = lhs / (
-                rhs.jac_f * rhs.tl_g + lp_norm(g, INF) * tl_norm(jacobian(f), spec)
-            )
-    terms = [iid for iid in dict.fromkeys(ids) if iid in _TERM_OF]
-    if terms:
+# the right-hand side of each commutator id from one trial's factors
+_COMMUTATOR_RHS = {
+    "commutator-A2": lambda r, spec: r.jac_f * r.tl("g", spec) + r.jac_g * r.tl("f", spec),
+    "commutator-A3": lambda r, spec: (
+        r.jac_f * r.tl("g", spec) + r.sup_g * r.tl("grad_f", spec)
+    ),
+    "term-I": lambda r, spec: r.jac_f * r.tl("g", spec),
+    "term-II": lambda r, spec: r.jac_g * r.tl("f", spec),
+    "term-III": lambda r, spec: r.jac_g * r.tl("f", spec),
+    "term-IV": lambda r, spec: r.jac_f * r.tl("g", spec),
+}
+
+
+def _commutator_ratios(jobs, grid, kmax, seed, trial):
+    """Ratios of the commutator jobs (A2, A3, term-I..IV) on one trial's
+    (f, g): the direct and the split family are built at most once each,
+    each left-hand side and right-hand-side factor is computed once per
+    NormSpec, and nothing outlives the trial."""
+    f = _draw(jobs[0][1], grid, kmax, seed, trial, sampler=random_solenoidal)
+    g = _draw(jobs[0][1], grid, kmax, seed, trial, 1)
+    families = [_TERM_OF.get(iid, "direct") for iid, _ in jobs]
+    specs = [NormSpec(p["s"], p["p"], p["q"]) for _, p in jobs]
+    lhs = {}
+
+    def reduce(name, fields_by_k):
+        for family, spec in zip(families, specs):
+            if family == name and (name, spec) not in lhs:
+                lhs[name, spec] = _commutator_lhs(
+                    fields_by_k, grid, spec.s, spec.p, spec.q
+                )
+
+    if "direct" in families:
+        reduce("direct", commutator_family(f, g))
+    if set(families) - {"direct"}:
         splits = commutator_split_family(f, g)
-        for iid in terms:
-            key = _TERM_OF[iid]
-            fields = {k: splits[k].terms[key] for k in grid.js}
-            lhs = _commutator_lhs(fields, grid, s, pp, qq)
-            if key in ("I", "IV"):
-                out[iid] = lhs / (rhs.jac_f * rhs.tl_g)
-            else:
-                out[iid] = lhs / (rhs.jac_g * rhs.tl_f)
-    return out
+        for key in _TERM_OF.values():
+            reduce(key, {k: splits[k].terms[key] for k in grid.js})
+    rhs = _PairFactors(f, g)
+    return [
+        lhs[family, spec] / _COMMUTATOR_RHS[iid](rhs, spec)
+        for (iid, _), family, spec in zip(jobs, families, specs)
+    ]
 
 
 def _riesz_bounded(p, grid, kmax, seed, trial):
@@ -319,11 +326,11 @@ def _pressure(p, grid, kmax, seed, trial):
 
 
 def _alone(fn):
-    """Evaluator of an id that shares no work with other ids: fn returns
-    the one ratio of a trial."""
+    """Evaluator of an id whose jobs share no work: fn returns one job's
+    ratio of a trial."""
 
-    def evaluate(ids, p, grid, kmax, seed, trial):
-        return {ids[0]: fn(p, grid, kmax, seed, trial)}
+    def evaluate(jobs, grid, kmax, seed, trial):
+        return [fn(p, grid, kmax, seed, trial) for _, p in jobs]
 
     return evaluate
 
@@ -331,8 +338,8 @@ def _alone(fn):
 @dataclass(frozen=True)
 class _Runner:
     """An id's default params, its hypothesis check, and its evaluator
-    ``(ids, p, grid, kmax, seed, trial) -> {id: ratio}``.  Ids with the same
-    evaluator share each trial's work when their params are equal."""
+    ``(jobs, grid, kmax, seed, trial) -> [ratio per job]``, where jobs are
+    (id, merged params) pairs with equal draw keys."""
 
     defaults: dict
     evaluate: object
@@ -359,7 +366,7 @@ _RUNNERS = {
         lambda p: _require(p["s"] > 0, "product", "s > 0"),
     ),
     "vector-maximal": _Runner(
-        {**_COMMON, "p": 2.0, "q": 2.0, "family": 8}, _alone(_vector_maximal)
+        {**_COMMON, "p": 2.0, "q": 2.0, "family": 8}, _vector_maximal
     ),
     "majorant": _Runner(dict(_COMMON), _alone(_majorant)),
     "commutator-A2": _Runner(
@@ -396,55 +403,51 @@ _RUNNERS = {
 
 INEQUALITY_IDS = tuple(sorted(_RUNNERS))
 
-
-def _check_trials(trials: int):
-    if trials < 1:
-        raise HypothesisError(f"trials = {trials}: at least one trial is required")
+# the params that a trial's drawn fields depend on; the others (s, p, q,
+# homogeneous, k, direction) enter only the reductions
+DRAW_KEYS = ("d", "n", "kmax", "decay", "amplitude", "family")
 
 
 def _job(inequality_id: str, params: dict | None):
-    """(runner, merged params) of one id, validated before any trial runs."""
+    """(runner, merged params) of one job, validated before any trial runs."""
     if inequality_id not in _RUNNERS:
         raise UnknownInequalityError(
             f"unknown inequality id '{inequality_id}'; known: {', '.join(INEQUALITY_IDS)}"
         )
     runner = _RUNNERS[inequality_id]
-    p = _norm_params(params or {}, runner.defaults, inequality_id)
+    unknown = set(params or {}) - set(runner.defaults)
+    if unknown:
+        raise HypothesisError(
+            f"unknown parameter(s) {sorted(unknown)} for inequality '{inequality_id}'"
+        )
+    p = {**runner.defaults, **(params or {})}
     if runner.validate is not None:
         runner.validate(p)
     return runner, p
 
 
-def run_inequalities(
-    ids, params_by_id: dict | None = None, trials: int = 200, seed: int = 0
-) -> list:
-    """Measure per-trial LHS/RHS ratios for several inequalities on seeded
-    random fields, one report per id in the order given; a report's max
-    ratio is the empirical constant.
-
-    Ids with the same evaluator and equal merged params form one group, and
-    each trial of a group is evaluated once for all its ids: the commutator
-    ids (A2, A3, term-I..IV) draw their (f, g) pair and build each
-    commutator family once per trial.  A report depends only on its own
-    (id, params, seed), so it is the same whichever ids run beside it."""
-    _check_trials(trials)
-    params_by_id = params_by_id or {}
-    jobs = [_job(iid, params_by_id.get(iid)) for iid in ids]
+def run_inequalities(jobs, trials: int = 200, seed: int = 0) -> list:
+    """Measure per-trial LHS/RHS ratios of several (id, params) jobs on
+    seeded random fields, one report per job in the order given; a report's
+    max ratio is the empirical constant, and params None means the id's
+    defaults.  Jobs with the same evaluator and equal `DRAW_KEYS` share
+    each trial's draw (see the module docstring)."""
+    if trials < 1:
+        raise HypothesisError(f"trials = {trials}: at least one trial is required")
+    merged = [(iid, *_job(iid, params)) for iid, params in jobs]
     groups = {}
-    for pos, (runner, p) in enumerate(jobs):
-        key = (runner.evaluate, repr(sorted(p.items())))
+    for pos, (_, runner, p) in enumerate(merged):
+        key = (runner.evaluate, repr([p.get(k) for k in DRAW_KEYS]))
         groups.setdefault(key, []).append(pos)
-    ratios = [[] for _ in jobs]
+    ratios = [[] for _ in merged]
     for (evaluate, _), members in groups.items():
-        p = jobs[members[0]][1]
-        grid, kmax = _grid_and_kmax(p)
-        group_ids = [ids[pos] for pos in members]
+        group = [(merged[pos][0], merged[pos][2]) for pos in members]
+        grid, kmax = _grid_and_kmax(group[0][1])
         for t in range(trials):
-            got = evaluate(group_ids, p, grid, kmax, seed, t)
-            for pos in members:
-                ratios[pos].append(got[ids[pos]])
+            for pos, ratio in zip(members, evaluate(group, grid, kmax, seed, t)):
+                ratios[pos].append(ratio)
     reports = []
-    for iid, (_, p), r in zip(ids, jobs, ratios):
+    for (iid, _, p), r in zip(merged, ratios):
         grid = Grid(p["d"], p["n"])
         reports.append(
             InequalityReport(
@@ -463,8 +466,8 @@ def run_inequalities(
 def run_inequality(
     inequality_id: str, params: dict | None = None, trials: int = 200, seed: int = 0
 ) -> InequalityReport:
-    """``run_inequalities`` for one id."""
-    return run_inequalities([inequality_id], {inequality_id: params}, trials, seed)[0]
+    """``run_inequalities`` for one job."""
+    return run_inequalities([(inequality_id, params)], trials, seed)[0]
 
 
 @dataclass
@@ -489,15 +492,11 @@ class SweepResult:
 
 
 def stability_sweeps(
-    ids,
-    params_by_id: dict | None = None,
-    resolutions=(64, 128),
-    trials: int = 200,
-    seed: int = 0,
+    jobs, resolutions=(64, 128), trials: int = 200, seed: int = 0
 ) -> list:
-    """Rerun several inequalities with identical seeds at each resolution,
-    one sweep per id in the order given; at each resolution the ids are
-    evaluated together as in ``run_inequalities``.
+    """Rerun several (id, params) jobs with identical seeds at each
+    resolution, one sweep per job in the order given; at each resolution
+    the jobs are evaluated together as in ``run_inequalities``.
 
     The generator band limit defaults to one sixth of the coarsest
     resolution, so even quadratic products of test fields are fully
@@ -505,6 +504,12 @@ def stability_sweeps(
     very same continuum quantities throughout, and the growth factor
     isolates genuine discretization drift.
     """
+    resolutions = list(resolutions)
+    for n in resolutions:
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise HypothesisError(
+                f"stability sweep resolutions must be integers, got {n!r}"
+            )
     resolutions = sorted(int(n) for n in resolutions)
     if len(resolutions) < 2:
         raise HypothesisError("stability sweep requires >= 2 resolutions")
@@ -512,22 +517,20 @@ def stability_sweeps(
         raise HypothesisError(
             f"stability sweep resolutions {resolutions} repeat a resolution"
         )
-    _check_trials(trials)
-    params_by_id = params_by_id or {}
-    base = {}
-    for iid in ids:
-        params = dict(params_by_id.get(iid) or {})
+    base = []
+    for iid, params in jobs:
+        params = dict(params or {})
         if params.get("kmax") is None:
             params["kmax"] = max(2, min(resolutions) // 6)
-        base[iid] = params
+        base.append((iid, params))
     per_n = [
         run_inequalities(
-            ids, {iid: {**params, "n": n} for iid, params in base.items()}, trials, seed
+            [(iid, {**params, "n": n}) for iid, params in base], trials, seed
         )
         for n in resolutions
     ]
     sweeps = []
-    for pos, iid in enumerate(ids):
+    for pos, (iid, _) in enumerate(base):
         reports = [reps[pos] for reps in per_n]
         growth = [
             b.max_ratio / a.max_ratio if a.max_ratio > 0 else math.inf
@@ -554,10 +557,8 @@ def stability_sweep(
     trials: int = 200,
     seed: int = 0,
 ) -> SweepResult:
-    """``stability_sweeps`` for one id."""
-    return stability_sweeps(
-        [inequality_id], {inequality_id: params}, resolutions, trials, seed
-    )[0]
+    """``stability_sweeps`` for one job."""
+    return stability_sweeps([(inequality_id, params)], resolutions, trials, seed)[0]
 
 
 def write_report_json(report: InequalityReport, path) -> None:

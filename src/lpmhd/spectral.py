@@ -709,9 +709,11 @@ def leray_project(v: RealField) -> RealField:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _half_lattice_modes(dimension: int, kmax: int):
     """Deterministically ordered representatives of the conjugate mode pairs
-    with 0 < |xi|_inf <= kmax (lexicographically positive half)."""
+    with 0 < |xi|_inf <= kmax (lexicographically positive half); cached and
+    read-only."""
     axes = [np.arange(-kmax, kmax + 1)] * dimension
     mesh = np.meshgrid(*axes, indexing="ij")
     flat = np.stack([m.ravel() for m in mesh], axis=1)
@@ -723,7 +725,9 @@ def _half_lattice_modes(dimension: int, kmax: int):
         keep |= higher_zero & (flat[:, a] > 0)
     modes = flat[keep]
     order = np.lexsort(tuple(modes[:, a] for a in reversed(range(dimension))))
-    return modes[order]
+    modes = modes[order]
+    modes.flags.writeable = False
+    return modes
 
 
 def random_band_limited(

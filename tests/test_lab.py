@@ -45,19 +45,29 @@ class TestValidation:
             lab.stability_sweep("bernstein", {}, resolutions=(64, 64), trials=1)
         with pytest.raises(lab.HypothesisError, match="repeat"):
             lab.stability_sweeps(
-                ["term-I", "term-II"], {}, resolutions=(32, 64, 32), trials=1
+                [("term-I", None), ("term-II", None)], resolutions=(32, 64, 32), trials=1
             )
+
+    @pytest.mark.parametrize("resolutions", [(32.9, 64), (True, 64)], ids=["float", "bool"])
+    def test_sweep_rejects_non_integer_resolutions(self, resolutions):
+        # 32.9 used to run (and be reported) as 32
+        with pytest.raises(lab.HypothesisError, match="must be integers"):
+            lab.stability_sweep("bernstein", {}, resolutions=resolutions, trials=1)
+        with pytest.raises(lab.HypothesisError, match="must be integers"):
+            lab.stability_sweeps([("term-I", None)], resolutions=resolutions, trials=1)
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_trials_must_be_positive(self, trials):
         with pytest.raises(lab.HypothesisError, match="at least one trial"):
             lab.run_inequality("bernstein", {}, trials=trials)
         with pytest.raises(lab.HypothesisError, match="at least one trial"):
-            lab.run_inequalities(["term-I", "commutator-A2"], {}, trials=trials)
+            lab.run_inequalities(
+                [("term-I", None), ("commutator-A2", None)], trials=trials
+            )
         with pytest.raises(lab.HypothesisError, match="at least one trial"):
             lab.stability_sweep("bernstein", {}, trials=trials)
         with pytest.raises(lab.HypothesisError, match="at least one trial"):
-            lab.stability_sweeps(["term-I"], {}, trials=trials)
+            lab.stability_sweeps([("term-I", {})], trials=trials)
 
 
 class TestBernstein:
@@ -183,62 +193,108 @@ COMMUTATOR_IDS = (
     "commutator-A2", "commutator-A3", "term-I", "term-II", "term-III", "term-IV"
 )
 
+# the 13 (id, params) jobs of acceptance criterion 5
+CRITERION_5_JOBS = (
+    [(iid, {"s": 1.5, "p": 2.0, "q": 2.0}) for iid in COMMUTATOR_IDS]
+    + [(iid, {"s": 2.5, "p": 4.0, "q": 2.0}) for iid in COMMUTATOR_IDS]
+    + [("commutator-A3", {"s": -0.5, "p": 2.0, "q": 2.0})]
+)
+
+
+def counted(calls, name, fn):
+    """fn, counting its calls in calls[name]."""
+
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return wrapper
+
 
 class TestGrouping:
-    """Ids evaluated together give the reports of separate calls."""
+    """Jobs evaluated together give the reports of separate calls."""
 
     @pytest.mark.parametrize(
         "spq, override",
         [
             ((1.5, 2.0, 2.0), {}),
-            # a per-id override starts its own group
+            # a per-id override of a draw key starts its own group
             ((2.5, 4.0, 2.0), {"term-II": {"kmax": 3}}),
         ],
     )
     def test_sweeps_match_single_sweeps(self, spq, override):
         s, p, q = spq
-        params = {
-            iid: {"s": s, "p": p, "q": q, **override.get(iid, {})}
+        jobs = [
+            (iid, {"s": s, "p": p, "q": q, **override.get(iid, {})})
             for iid in COMMUTATOR_IDS
-        }
-        together = lab.stability_sweeps(
-            COMMUTATOR_IDS, params, resolutions=(32, 64), trials=3, seed=17
-        )
+        ]
+        together = lab.stability_sweeps(jobs, resolutions=(32, 64), trials=3, seed=17)
         assert [sw.inequality_id for sw in together] == list(COMMUTATOR_IDS)
-        for iid, sweep in zip(COMMUTATOR_IDS, together):
+        for (iid, params), sweep in zip(jobs, together):
             alone = lab.stability_sweep(
-                iid, params[iid], resolutions=(32, 64), trials=3, seed=17
+                iid, params, resolutions=(32, 64), trials=3, seed=17
             )
             assert sweep.to_dict() == alone.to_dict()
             for a, b in zip(sweep.reports, alone.reports):
                 assert a.params == b.params
                 assert np.array_equal(a.ratios, b.ratios)
 
+    @pytest.mark.parametrize(
+        "iid, specs",
+        [
+            ("commutator-A3", [(1.5, 2.0, 2.0), (2.5, 4.0, 2.0), (-0.5, 2.0, 2.0)]),
+            ("vector-maximal", [(None, 2.0, 2.0), (None, 4.0, 2.0), (None, 2.0, math.inf)]),
+        ],
+    )
+    def test_one_id_at_three_specs(self, iid, specs):
+        # one call holds the id three times; each job's ratios are those of
+        # its own one-job run
+        jobs = [
+            (iid, {"n": 32, "kmax": 5, "p": p, "q": q, **({} if s is None else {"s": s})})
+            for s, p, q in specs
+        ]
+        together = lab.run_inequalities(jobs, trials=3, seed=18)
+        assert [rep.params["p"] for rep in together] == [p for _, p, _ in specs]
+        for (_, params), rep in zip(jobs, together):
+            alone = lab.run_inequality(iid, params, trials=3, seed=18)
+            assert rep.params == alone.params
+            assert np.array_equal(rep.ratios, alone.ratios)
+
     def test_one_evaluation_per_trial(self, monkeypatch):
         calls = {"direct": 0, "split": 0}
-
-        def counted(name, fn):
-            def wrapper(f, g):
-                calls[name] += 1
-                return fn(f, g)
-
-            return wrapper
-
         monkeypatch.setattr(
-            lab, "commutator_family", counted("direct", lab.commutator_family)
+            lab, "commutator_family", counted(calls, "direct", lab.commutator_family)
         )
         monkeypatch.setattr(
             lab, "commutator_split_family",
-            counted("split", lab.commutator_split_family),
+            counted(calls, "split", lab.commutator_split_family),
         )
-        lab.stability_sweeps(COMMUTATOR_IDS, {}, resolutions=(32, 64), trials=2, seed=3)
+        lab.stability_sweeps(
+            [(iid, None) for iid in COMMUTATOR_IDS], resolutions=(32, 64), trials=2, seed=3
+        )
         assert calls == {"direct": 4, "split": 4}
         calls.update(direct=0, split=0)
         params = {"n": 32}
-        lab.run_inequalities(
-            ["term-I", "term-IV"], {"term-I": params, "term-IV": params}, trials=2, seed=3
-        )
+        lab.run_inequalities([("term-I", params), ("term-IV", params)], trials=2, seed=3)
         assert calls == {"direct": 0, "split": 2}
+        # criterion 5's three (s, p, q) share one draw: still one direct and
+        # one split family per trial and resolution
+        calls.update(direct=0, split=0)
+        sweeps = lab.stability_sweeps(
+            CRITERION_5_JOBS, resolutions=(32, 64), trials=2, seed=42
+        )
+        assert len(sweeps) == 13
+        assert calls == {"direct": 4, "split": 4}
+
+    def test_vector_maximal_one_maximization_per_trial(self, monkeypatch):
+        calls = {"maximal": 0}
+        monkeypatch.setattr(
+            lab, "maximal_function", counted(calls, "maximal", lab.maximal_function)
+        )
+        jobs = [("vector-maximal", {"n": 32, "p": p, "q": q})
+                for p, q in ((2.0, 2.0), (4.0, 2.0), (2.0, math.inf))]
+        lab.run_inequalities(jobs, trials=2, seed=7)
+        assert calls == {"maximal": 2 * 8}
 
     def test_no_state_between_calls(self, count_transforms):
         counts = count_transforms()
@@ -246,7 +302,8 @@ class TestGrouping:
         for _ in range(2):
             counts.clear()
             lab.stability_sweeps(
-                COMMUTATOR_IDS, {}, resolutions=(32, 64), trials=1, seed=4
+                [(iid, None) for iid in COMMUTATOR_IDS], resolutions=(32, 64),
+                trials=1, seed=4,
             )
             sizes.append(sum(counts))
         assert sizes[0] == sizes[1] > 0
@@ -285,5 +342,8 @@ class TestCommutatorLhs:
         p = dict(lab._COMMUTATOR, n=64, kmax=10)
         grid, kmax = lab._grid_and_kmax(p)
         counts = count_transforms()
-        lab._commutator_ratios(COMMUTATOR_IDS, p, grid, kmax, 0, 0)
+        ratios = lab._commutator_ratios(
+            [(iid, p) for iid in COMMUTATOR_IDS], grid, kmax, 0, 0
+        )
+        assert len(ratios) == len(COMMUTATOR_IDS)
         assert sum(counts) == 121

@@ -314,6 +314,19 @@ class TestRandomFields:
         b = sp.random_band_limited(G64, seed=15)
         assert np.array_equal(a.values, b.values)
 
+    def test_mode_table_cached_read_only(self):
+        # the first draw builds the (d, kmax) mode table, the second reads
+        # the cached one and gives the same field
+        sp._half_lattice_modes.cache_clear()
+        a = sp.random_band_limited(G64, seed=15, kmax=12)
+        b = sp.random_band_limited(G64, seed=15, kmax=12)
+        assert np.array_equal(a.coeffs, b.coeffs)
+        assert sp._half_lattice_modes.cache_info().hits >= 1
+        table = sp._half_lattice_modes(2, 12)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+
     def test_cross_resolution_identity(self):
         # same seed + band limit describe the same function at every N
         coarse = sp.random_solenoidal(sp.Grid(2, 64), seed=16, kmax=20)
