@@ -3,12 +3,17 @@
 Subcommands: simulate, picard, verify (config-driven batch runs writing one
 self-contained output directory each) plus norm and decompose (direct
 snapshot utilities).  Exit codes: 0 success, 1 failed verification, 2
-validation error, 3 I/O failure.
+validation error, 3 I/O failure.  On glibc, ``main`` fixes the allocator's
+mmap and trim thresholds for its process (README, "Allocator"), so the
+multi-MB spectral temporaries of a run are reused instead of being returned
+to the OS and faulted back in; importing the package changes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import os
 import sys
@@ -33,6 +38,34 @@ from .spectral import (
     low_pass,
     save_snapshot,
 )
+
+
+# glibc's mallopt parameters, and the values main fixes: 32 MiB is the
+# ceiling of glibc's own dynamic mmap threshold on 64-bit, and the trim
+# threshold follows glibc's rule of twice the mmap threshold
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_BYTES = 32 << 20
+_TRIM_BYTES = 64 << 20
+
+
+@functools.cache
+def _pin_allocator() -> None:
+    """Fix glibc's mmap and trim thresholds for this process; a no-op where
+    glibc or its mallopt is absent."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # setting either threshold switches glibc's dynamic threshold off, and
+    # one alone faults more than the default: the trim threshold is set only
+    # once the mmap threshold has been accepted
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES):
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -171,7 +204,10 @@ def _cmd_verify(args) -> int:
 
     # every id runs before anything is written, so a rejected hypothesis
     # leaves no output directory behind
-    jobs = [(iid, dict(cfg.verify_params.get(iid, {}))) for iid in ids]
+    jobs = [
+        (iid, {"d": cfg.grid_dimension, **cfg.verify_params.get(iid, {})})
+        for iid in ids
+    ]
     sweep = len(cfg.verify_resolutions) >= 2
     if sweep:
         results = lab.stability_sweeps(
@@ -182,7 +218,6 @@ def _cmd_verify(args) -> int:
         n = cfg.verify_resolutions[0] if cfg.verify_resolutions else cfg.grid_points
         for _, params in jobs:
             params.setdefault("n", n)
-            params.setdefault("d", cfg.grid_dimension)
         results = lab.run_inequalities(jobs, cfg.verify_trials, cfg.seed)
 
     outdir = _prepare_outdir(cfg)
@@ -244,6 +279,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    _pin_allocator()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

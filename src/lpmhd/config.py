@@ -113,6 +113,30 @@ def _parse_norm_spec(entry, where) -> NormSpec:
         raise ConfigError(f"invalid norm spec in {where}: {exc}") from exc
 
 
+# the type of each lab parameter that verify.params may override, other
+# than p and q (read by _parse_pq) and the bernstein direction (checked by
+# the lab); kmax may also be null, the lab's band-limit default
+_LAB_PARAM_TYPES = {
+    "d": int, "n": int, "k": int, "family": int, "kmax": int,
+    "s": float, "decay": float, "amplitude": float, "homogeneous": bool,
+}
+
+
+def _parse_lab_params(entry, where) -> dict:
+    """One id's verify.params overrides, each value type-checked so that a
+    bad one exits 2 before any trial runs; the lab rejects unknown keys."""
+    entry = _require_mapping(entry, where)
+    out = {}
+    for key, value in entry.items():
+        if key in ("p", "q"):
+            out[key] = _parse_pq(value, key, where)
+        elif key in _LAB_PARAM_TYPES and not (key == "kmax" and value is None):
+            out[key] = _get(entry, key, _LAB_PARAM_TYPES[key], where)
+        else:
+            out[key] = value
+    return out
+
+
 @dataclass
 class RunConfig:
     subcommand: str
@@ -343,7 +367,7 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         params = _require_mapping(params, "verify.params")
         _check_keys(params, cfg.verify_ids, "verify.params")
         cfg.verify_params = {
-            key: _require_mapping(val, f"verify.params.{key}") for key, val in params.items()
+            key: _parse_lab_params(val, f"verify.params.{key}") for key, val in params.items()
         }
 
     return cfg

@@ -1,10 +1,16 @@
+import ctypes
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from lpmhd import cli
 from lpmhd import diagnostics as diag
 from lpmhd import mhd
 from lpmhd import spectral as sp
@@ -190,6 +196,54 @@ verify: {ids: [term-I, term-I]}
 """
         with pytest.raises(ConfigError, match="verify.ids .* repeat"):
             parse_config(text, "verify")
+
+    @pytest.mark.parametrize("value", ["inf", "Infinity", ".inf"])
+    def test_params_pq_accept_inf(self, value):
+        text = f"""
+output: x
+grid: {{dimension: 2, points: 32}}
+verify: {{ids: [vector-maximal], params: {{vector-maximal: {{p: 3, q: {value}}}}}}}
+"""
+        cfg = parse_config(text, "verify")
+        assert cfg.verify_params["vector-maximal"] == {"p": 3.0, "q": math.inf}
+        assert parse_config(cfg.to_yaml(), "verify") == cfg
+
+    @pytest.mark.parametrize(
+        "entry, key",
+        [
+            ("{q: '2'}", "q"),
+            ("{p: [2]}", "p"),
+            ("{s: high}", "s"),
+            ("{s: true}", "s"),
+            ("{decay: '2.0'}", "decay"),
+            ("{n: 64.5}", "n"),
+            ("{kmax: '4'}", "kmax"),
+            ("{family: 8.0}", "family"),
+        ],
+        ids=["q-str", "p-list", "s-str", "s-bool", "decay-str", "n-float",
+             "kmax-str", "family-float"],
+    )
+    def test_mistyped_params(self, tmp_path, capsys, entry, key):
+        text = f"""
+output: {tmp_path / 'vrun'}
+grid: {{dimension: 2, points: 32}}
+verify: {{ids: [vector-maximal], trials: 1, params: {{vector-maximal: {entry}}}}}
+"""
+        with pytest.raises(ConfigError, match=f"key '{key}' in verify.params.vector-maximal"):
+            parse_config(text, "verify")
+        assert main(["verify", "--config", write(tmp_path / "v.yaml", text)]) == 2
+        assert "verify.params.vector-maximal" in capsys.readouterr().err
+        assert not (tmp_path / "vrun").exists()
+
+    def test_params_kmax_null(self):
+        text = """
+output: x
+grid: {dimension: 2, points: 32}
+verify: {ids: [bernstein], params: {bernstein: {kmax: null, k: 2}}}
+"""
+        assert parse_config(text, "verify").verify_params == {
+            "bernstein": {"kmax": None, "k": 2}
+        }
 
     @pytest.mark.parametrize(
         "spec, key",
@@ -456,6 +510,36 @@ verify: {{ids: {ids}, trials: 5{extra}}}
         assert report["resolutions"] == [64, 128]
         assert report["max_growth"] <= 1.2
 
+    def test_sweep_runs_in_grid_dimension(self, tmp_path):
+        cfg = write(
+            tmp_path / "v3.yaml",
+            f"""
+output: {tmp_path / 'vrun'}
+grid: {{dimension: 3, points: 16}}
+verify: {{ids: [bernstein, commutator-A2], trials: 1, resolutions: [16, 32]}}
+""",
+        )
+        assert main(["verify", "--config", cfg]) == 0
+        for iid in ("bernstein", "commutator-A2"):
+            sweep = json.loads(
+                (tmp_path / "vrun" / "reports" / f"{iid}.json").read_text()
+            )
+            assert [r["dimension"] for r in sweep["reports"]] == [3, 3]
+            assert [r["points"] for r in sweep["reports"]] == [16, 32]
+        assert '"d": 3' in (tmp_path / "vrun" / "summary.csv").read_text()
+
+    def test_params_q_inf_runs(self, tmp_path):
+        cfg = self._config(
+            tmp_path, ids="[vector-maximal]",
+            extra=", params: {vector-maximal: {q: inf, family: 2}}",
+        )
+        assert main(["verify", "--config", cfg]) == 0
+        report = json.loads(
+            (tmp_path / "vrun" / "reports" / "vector-maximal.json").read_text()
+        )
+        assert report["params"]["q"] == math.inf
+        assert report["params"]["family"] == 2
+
     def test_single_resolution_is_run(self, tmp_path):
         cfg = self._config(
             tmp_path, ids="[bernstein, commutator-A2]", extra=", resolutions: [128]"
@@ -589,3 +673,64 @@ class TestSnapshotTools:
     def test_missing_snapshot_is_io_error(self, tmp_path):
         assert main(["norm", "--field", str(tmp_path / "missing.npz"),
                      "--s", "1", "--p", "2", "--q", "2"]) == 3
+
+
+def _glibc() -> bool:
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
+    except (AttributeError, ValueError):
+        return False
+
+
+# a fresh interpreter runs one cli.main op, then 20 cycles that allocate
+# and free five 4 MB arrays at once; glibc's default trim threshold (twice
+# the largest freed mmap chunk, 8 MB here) would hand the 20 MB back to the
+# OS on every cycle, about 5000 faults each
+_CYCLES = """
+import resource, sys
+import numpy as np
+from lpmhd.cli import main
+assert main(["verify", "--config", sys.argv[1]]) == 0
+arrays = [np.ones(500_000) for _ in range(5)]
+del arrays
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    arrays = [np.ones(500_000) for _ in range(5)]
+    del arrays
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestAllocator:
+    def _config(self, tmp_path):
+        return write(
+            tmp_path / "v.yaml",
+            f"""
+output: {tmp_path / 'vrun'}
+grid: {{dimension: 2, points: 16}}
+verify: {{ids: [bernstein], trials: 1}}
+""",
+        )
+
+    @pytest.mark.skipif(not _glibc(), reason="the thresholds are glibc's")
+    def test_alloc_free_cycles_do_not_fault(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        for key in ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_"):
+            env.pop(key, None)
+        out = subprocess.run(
+            [sys.executable, "-c", _CYCLES, self._config(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert int(out.stdout.split()[-1]) < 100
+
+    def test_missing_libc_is_skipped(self, tmp_path, monkeypatch):
+        def no_libc(*args, **kwargs):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        cli._pin_allocator.cache_clear()
+        rc = main(["verify", "--config", self._config(tmp_path)])
+        cli._pin_allocator.cache_clear()
+        assert rc == 0
+        assert (tmp_path / "vrun" / "summary.csv").exists()
