@@ -139,7 +139,7 @@ def _cmd_simulate(args) -> int:
         os.makedirs(snap_dir, exist_ok=True)
 
     stream = diag.DiagnosticsStream(cfg.norm_specs)
-    n_steps = round(cfg.t_final / cfg.dt)
+    n_steps = mhd._step_count(cfg.t_final, cfg.dt)
 
     # each requested snapshot time (in [0, t_final]) maps to its nearest step
     snap_steps = {}
@@ -226,18 +226,12 @@ def _cmd_verify(args) -> int:
     ok = True
     summary_entries = []
     for iid, result in zip(ids, results):
-        path = os.path.join(report_dir, f"{iid}.json")
+        lab.write_report_json(result, os.path.join(report_dir, f"{iid}.json"))
         if sweep:
-            payload = result.to_dict()
-            payload["reports"] = [r.to_dict() for r in result.reports]
-            with open(path, "w") as fh:
-                json.dump(payload, fh, indent=1, sort_keys=True)
-                fh.write("\n")
             summary_entries.append(result.reports[-1])
             ok = ok and all(r.finite for r in result.reports)
             ok = ok and result.max_growth <= cfg.verify_growth_threshold
         else:
-            lab.write_report_json(result, path)
             summary_entries.append(result)
             ok = ok and result.finite
     with open(os.path.join(outdir, "summary.csv"), "w") as fh:

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 import yaml
 
 from .lab import INEQUALITY_IDS
-from .mhd import INITIAL_DATA
+from .mhd import INITIAL_DATA, _step_count
 from .spaces import NormSpec
-from .spectral import Grid
+from .spectral import Grid, SpectralError
 
 
 class ConfigError(ValueError):
@@ -52,7 +52,9 @@ def _check_keys(mapping: dict, allowed, where: str):
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
-def _get(mapping, key, kind, where, default=None, required=False):
+def _get(mapping, key, kind, where, default=None, required=False, finite=True):
+    """mapping[key], checked to be of type `kind`; a float must also be
+    finite unless `finite` is False."""
     if key not in mapping:
         if required:
             raise ConfigError(f"missing key '{key}' in {where}")
@@ -64,6 +66,8 @@ def _get(mapping, key, kind, where, default=None, required=False):
         raise ConfigError(f"key '{key}' in {where} must be of type {kind.__name__}")
     if kind is not None and not isinstance(value, kind):
         raise ConfigError(f"key '{key}' in {where} must be of type {kind.__name__}")
+    if kind is float and finite and not math.isfinite(value):
+        raise ConfigError(f"key '{key}' in {where} must be a finite number, got {value}")
     return value
 
 
@@ -275,9 +279,10 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         cfg.dt = _get(tmap, "dt", float, "section 'time'", required=True)
         if cfg.t_final <= 0 or cfg.dt <= 0:
             raise ConfigError("t_final and dt must be positive")
-        n_steps = round(cfg.t_final / cfg.dt)
-        if abs(n_steps * cfg.dt - cfg.t_final) > 1e-9 * max(1.0, cfg.t_final):
-            raise ConfigError("t_final must be an integer multiple of dt")
+        try:
+            _step_count(cfg.t_final, cfg.dt)
+        except SpectralError as exc:
+            raise ConfigError("t_final must be an integer multiple of dt") from exc
         if subcommand == "simulate":
             cfg.cadence = _get(tmap, "cadence", int, "section 'time'", default=1)
             if cfg.cadence < 1:
@@ -356,7 +361,7 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
                 f"verify.resolutions {list(cfg.verify_resolutions)} repeat a resolution"
             )
         cfg.verify_growth_threshold = _get(
-            vmap, "growth_threshold", float, "section 'verify'", default=1.2
+            vmap, "growth_threshold", float, "section 'verify'", default=1.2, finite=False
         )
         threshold = cfg.verify_growth_threshold
         if not (math.isfinite(threshold) and threshold > 0):

@@ -561,17 +561,37 @@ def stability_sweep(
     return stability_sweeps([(inequality_id, params)], resolutions, trials, seed)[0]
 
 
-def write_report_json(report: InequalityReport, path) -> None:
+def _json_ready(obj):
+    """obj with every non-finite float spelled "inf", "-inf" or "nan" (as in
+    config.yaml), so that it dumps as strict JSON."""
+    if isinstance(obj, dict):
+        return {key: _json_ready(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(value) for value in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(float(obj))
+    return obj
+
+
+def _dumps(obj, **kwargs) -> str:
+    return json.dumps(_json_ready(obj), sort_keys=True, allow_nan=False, **kwargs)
+
+
+def write_report_json(report, path) -> None:
+    """Write an InequalityReport, or a SweepResult with the reports of every
+    resolution, as strict JSON."""
+    payload = report.to_dict()
+    if isinstance(report, SweepResult):
+        payload["reports"] = [r.to_dict() for r in report.reports]
     with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(_dumps(payload, indent=1) + "\n")
 
 
 def summary_csv_lines(entries) -> list:
     """(id, params, max ratio, growth factor) rows for a set of reports."""
     lines = ["inequality_id,params,max_ratio,growth_factor"]
     for rep in entries:
-        params = json.dumps(rep.params, sort_keys=True).replace(",", ";")
+        params = _dumps(rep.params).replace(",", ";")
         growth = "" if rep.growth_factor is None else repr(rep.growth_factor)
         lines.append(f"{rep.inequality_id},\"{params}\",{rep.max_ratio!r},{growth}")
     return lines

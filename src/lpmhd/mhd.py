@@ -27,15 +27,15 @@ from scipy import ndimage
 
 from .spaces import NormSpec, tl_norm
 from .spectral import (
+    SOLENOIDAL_TOL,
     Grid,
     RealField,
     SpectralError,
-    _forward,
     _inverse,
     _leray,
     _leray_denominators,
+    _masked_product,
     dealias,
-    dealias_mask,
     frequencies,
     from_function,
     jacobian,
@@ -44,8 +44,6 @@ from .spectral import (
     solenoidal_residual,
     zero_field,
 )
-
-SOLENOIDAL_TOL = 1e-10
 
 
 class CflWarning(UserWarning):
@@ -103,9 +101,7 @@ def _dyads(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dealiased products a_i b_j of stacked values a (m,) + shape and
     b (n,) + shape, as coefficients (m, n) + spectral_shape, in one batched
     forward transform."""
-    out = _forward(grid, a[:, np.newaxis] * b[np.newaxis, :])
-    out *= dealias_mask(grid)
-    return out
+    return _masked_product(grid, a[:, np.newaxis], b[np.newaxis, :])
 
 
 def _row_divergence(grid: Grid, m: np.ndarray) -> np.ndarray:
@@ -128,7 +124,7 @@ def pressure_gradient(state: ElsasserState) -> RealField:
     grid = state.grid
     d = grid.dimension
     freqs = frequencies(grid)
-    r2, safe = _leray_denominators(d, grid.points)
+    r2, safe = _leray_denominators(grid)
     m = _dyads(grid, state.z_minus.values, state.z_plus.values)
     quad = sum(freqs[i] * freqs[j] * m[i, j] for i in range(d) for j in range(d))
     pi_hat = np.where(r2 == 0.0, 0.0, -quad / safe)
@@ -171,16 +167,18 @@ def cfl_bound(state: ElsasserState) -> float:
     return 0.5 * state.grid.spacing / float(vmax)
 
 
-def _rk4(zp: np.ndarray, zm: np.ndarray, k1: np.ndarray, dt: float, rhs) -> np.ndarray:
-    """One classical RK4 step of y' = rhs(y) for the pair y = (zp, zm) of
-    coefficient arrays, without stacking y, given the first-stage tendency k1
-    (accumulated in place).  Returns the new y, shape (2, d) + spectral_shape."""
+def _rk4(y, k1: np.ndarray, dt: float, rhs) -> np.ndarray:
+    """One classical RK4 step of y' = rhs(y), given the first-stage tendency
+    k1 (accumulated in place).  y is read along k1's first axis, so it may be
+    one array shaped like k1 or a sequence of its slices, such as the
+    coefficient pair (z+, z-), which is then never stacked.  Returns the new
+    y as one array."""
 
     def ahead(c, k):
-        # y + c k for the stacked pair y, without a stacked copy of y
+        # y + c k, slice by slice, without a stacked copy of y
         out = c * k
-        out[0] += zp
-        out[1] += zm
+        for i, part in enumerate(y):
+            out[i] += part
         return out
 
     k = total = k1
@@ -225,7 +223,7 @@ def step(state: ElsasserState, dt: float) -> ElsasserState:
         return _elsasser_rhs(grid, *values)
 
     k1 = _elsasser_rhs(grid, zp.values, zm.values)
-    new = _rk4(zp.coeffs, zm.coeffs, k1, dt, rhs)
+    new = _rk4((zp.coeffs, zm.coeffs), k1, dt, rhs)
     return ElsasserState(
         RealField(grid, coeffs=new[0], solenoidal=zp.solenoidal),
         RealField(grid, coeffs=new[1], solenoidal=zm.solenoidal),
@@ -249,7 +247,11 @@ def run(state: ElsasserState, t_final: float, dt: float, callback=None) -> Elsas
 
 
 def _step_count(span: float, dt: float) -> int:
+    """The number of dt steps that make up `span`, which must be a whole
+    number of them (to 1e-9 relative)."""
     _require_dt(dt)
+    if not math.isfinite(span):
+        raise SpectralError(f"time span {span} is not finite")
     n = round(span / dt)
     if n < 1 or abs(n * dt - span) > 1e-9 * max(1.0, abs(span)):
         raise SpectralError(f"time span {span} is not an integer multiple of dt={dt}")
@@ -343,7 +345,7 @@ def picard_iterate(
             k *= -1.0
             return _leray(grid, k)
 
-        return _rk4(y[0], y[1], rhs(y), dt, rhs), stages
+        return _rk4(y, rhs(y), dt, rhs), stages
 
     # ys[n]: the stacked (2, d) + spectral_shape coefficients of iterate n
     ys = [None] + [np.stack([low_pass_saturating(z, n + 1).coeffs for z in (z0p, z0m)])
@@ -539,11 +541,9 @@ def trajectory_map(
     n_steps = _step_count(t_final, dt)
     for m in range(n_steps):
         t = m * dt
-        v1 = sampler(v_of_t(t), x)
-        v2 = sampler(v_of_t(t + 0.5 * dt), x + 0.5 * dt * v1)
-        v3 = sampler(v_of_t(t + 0.5 * dt), x + 0.5 * dt * v2)
-        v4 = sampler(v_of_t(t + dt), x + dt * v3)
-        x = x + (dt / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
+        stage_times = iter((t + 0.5 * dt, t + 0.5 * dt, t + dt))
+        x = _rk4(x, sampler(v_of_t(t), x), dt,
+                 lambda y: sampler(v_of_t(next(stage_times)), y))
     return TrajectoryMap(grid=grid, t=n_steps * dt, positions=x, labels=labels)
 
 

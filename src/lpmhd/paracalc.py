@@ -57,6 +57,7 @@ from functools import cache
 import numpy as np
 
 from .spectral import (
+    SOLENOIDAL_TOL,
     RealField,
     SpectralError,
     _forward,
@@ -68,8 +69,6 @@ from .spectral import (
     make_filter_bank,
     solenoidal_residual,
 )
-
-SOLENOIDAL_TOL = 1e-10
 
 
 def _block_values(grid, coeffs: np.ndarray):

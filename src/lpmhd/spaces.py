@@ -147,13 +147,12 @@ def maximal_radii(grid: Grid):
 
 
 @lru_cache(maxsize=None)
-def _ball_kernels(dimension: int, points: int):
+def _ball_kernels(grid: Grid):
     """rfft spectra of the normalized lattice-ball indicator kernels, one per
     ladder radius.  Averages over {y : dist(x, y) <= r} with uniform weights."""
-    grid = Grid(dimension, points)
-    x = np.arange(points) * grid.spacing
+    x = np.arange(grid.points) * grid.spacing
     wrapped = np.minimum(x, 2.0 * math.pi - x)
-    axes = np.meshgrid(*([wrapped] * dimension), indexing="ij")
+    axes = np.meshgrid(*([wrapped] * grid.dimension), indexing="ij")
     dist2 = sum(a**2 for a in axes)
     out = []
     for r in maximal_radii(grid):
@@ -169,7 +168,7 @@ def ball_average(f: RealField, radius_index: int) -> np.ndarray:
     """Discrete ball average of |f| at ladder radius `radius_index`."""
     if not f.is_scalar:
         raise SpectralError("ball averages expect a scalar field")
-    kernels = _ball_kernels(f.grid.dimension, f.grid.points)
+    kernels = _ball_kernels(f.grid)
     spec = _forward(f.grid, np.abs(f.values[0])) * kernels[radius_index]
     return _inverse(f.grid, spec)
 
@@ -180,7 +179,7 @@ def maximal_function(f: RealField) -> RealField:
     if not f.is_scalar:
         raise SpectralError("maximal function expects a scalar field")
     best = np.abs(f.values[0]).copy()
-    kernels = _ball_kernels(f.grid.dimension, f.grid.points)
+    kernels = _ball_kernels(f.grid)
     spec_abs = _forward(f.grid, best)
     for kern in kernels:
         avg = _inverse(f.grid, spec_abs * kern)

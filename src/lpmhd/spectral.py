@@ -46,7 +46,8 @@ class SpectralError(ValueError):
 @dataclass(frozen=True)
 class Grid:
     """Periodic grid: `dimension` in {2, 3}, `points` per axis (power of two,
-    >= 16), period 2pi per axis.
+    >= 16), period 2pi per axis.  Frozen and hashable, so every lattice table
+    (frequencies, masks, filter bank, ...) is cached per grid, read-only.
 
     Dyadic shell indices run over [j0, j_max] with j0 = -1 and
     j_max = log2(points/2); the low-pass ladder extends one step further to
@@ -100,14 +101,15 @@ class Grid:
 
 
 @lru_cache(maxsize=None)
-def _frequencies(dimension: int, points: int):
+def frequencies(grid: Grid):
     """Integer frequency arrays, each shaped to broadcast over spectral_shape."""
-    full = np.fft.fftfreq(points, 1.0 / points)
-    half = np.arange(points // 2 + 1, dtype=float)
+    d, n = grid.dimension, grid.points
+    full = np.fft.fftfreq(n, 1.0 / n)
+    half = np.arange(n // 2 + 1, dtype=float)
     out = []
-    for axis in range(dimension):
-        f = half if axis == dimension - 1 else full
-        shape = [1] * dimension
+    for axis in range(d):
+        f = half if axis == d - 1 else full
+        shape = [1] * d
         shape[axis] = f.size
         arr = f.reshape(shape).copy()
         arr.flags.writeable = False
@@ -115,52 +117,32 @@ def _frequencies(dimension: int, points: int):
     return tuple(out)
 
 
-def frequencies(grid: Grid):
-    return _frequencies(grid.dimension, grid.points)
-
-
 @lru_cache(maxsize=None)
-def _radius(dimension: int, points: int):
-    freqs = _frequencies(dimension, points)
-    r = np.sqrt(sum(f**2 for f in freqs))
+def radius(grid: Grid) -> np.ndarray:
+    """|xi| on the spectral lattice."""
+    r = np.sqrt(sum(f**2 for f in frequencies(grid)))
     r.flags.writeable = False
     return r
 
 
-def radius(grid: Grid) -> np.ndarray:
-    """|xi| on the spectral lattice."""
-    return _radius(grid.dimension, grid.points)
-
-
 @lru_cache(maxsize=None)
-def _dealias_mask(dimension: int, points: int):
-    freqs = _frequencies(dimension, points)
-    limit = points // 3
-    mask = np.ones((1,) * dimension, dtype=bool)
-    for f in freqs:
-        mask = mask & (np.abs(f) <= limit)
+def dealias_mask(grid: Grid) -> np.ndarray:
+    mask = np.ones((1,) * grid.dimension, dtype=bool)
+    for f in frequencies(grid):
+        mask = mask & (np.abs(f) <= grid.dealias_limit)
     mask.flags.writeable = False
     return mask
 
 
-def dealias_mask(grid: Grid) -> np.ndarray:
-    return _dealias_mask(grid.dimension, grid.points)
-
-
 @lru_cache(maxsize=None)
-def _spectral_weights(dimension: int, points: int):
+def spectral_weights(grid: Grid) -> np.ndarray:
     """Multiplicity of each rfft mode in the full spectrum (2 for interior
     last-axis modes, 1 for xi_d = 0 and the Nyquist plane)."""
-    shape = (points,) * (dimension - 1) + (points // 2 + 1,)
-    w = np.full(shape, 2.0)
+    w = np.full(grid.spectral_shape, 2.0)
     w[..., 0] = 1.0
     w[..., -1] = 1.0
     w.flags.writeable = False
     return w
-
-
-def spectral_weights(grid: Grid) -> np.ndarray:
-    return _spectral_weights(grid.dimension, grid.points)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +325,9 @@ def representation_defect(field: RealField) -> float:
     return float(np.max(np.abs(fresh - field._coeffs)) / denom)
 
 
+SOLENOIDAL_TOL = 1e-10  # residual below which a vector field counts as solenoidal
+
+
 def solenoidal_residual(field: RealField) -> float:
     """max_xi |xi . v_hat| / max_xi |v_hat| for a vector field."""
     if not field.is_vector:
@@ -452,8 +437,8 @@ class FilterBank:
 
 
 @lru_cache(maxsize=None)
-def _make_filter_bank(dimension: int, points: int) -> FilterBank:
-    grid = Grid(dimension, points)
+def make_filter_bank(grid: Grid) -> FilterBank:
+    """The filter bank of a grid, built once per grid."""
     r = radius(grid)
     phi = {}
     chi = {}
@@ -466,11 +451,6 @@ def _make_filter_bank(dimension: int, points: int) -> FilterBank:
         m.flags.writeable = False
         chi[j] = m
     return FilterBank(grid=grid, phi=phi, chi=chi)
-
-
-def make_filter_bank(grid: Grid) -> FilterBank:
-    """Build (or retrieve, banks are deterministic) the filter bank for a grid."""
-    return _make_filter_bank(grid.dimension, grid.points)
 
 
 def partition_defect(bank: FilterBank) -> float:
@@ -527,15 +507,14 @@ def block_magnitudes(f: RealField) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _plancherel_weights(dimension: int, points: int) -> np.ndarray:
+def _plancherel_weights(grid: Grid) -> np.ndarray:
     """Rows w * phi_j^2 for j in [j0, j_max], then w alone (w the rfft
     multiplicities), each flattened over the spectral lattice and divided by
     N^{2d}: shape (n_shells + 1, prod(spectral_shape))."""
-    bank = _make_filter_bank(dimension, points)
-    w = _spectral_weights(dimension, points)
-    rows = [w * bank.phi[j] ** 2 for j in bank.grid.js] + [w]
+    bank, w = make_filter_bank(grid), spectral_weights(grid)
+    rows = [w * bank.phi[j] ** 2 for j in grid.js] + [w]
     out = np.stack(rows).reshape(len(rows), -1)
-    out /= float(points) ** (2 * dimension)
+    out /= float(grid.points) ** (2 * grid.dimension)
     out.flags.writeable = False
     return out
 
@@ -565,9 +544,7 @@ def shell_energies(f: RealField):
     """Plancherel energies, with no transform once f has coefficients:
     (e, total) with e[j - j0] = ||Delta_j f||_2^2 for j in [j0, j_max] and
     total = ||f||_2^2, in the normalized measure."""
-    sums = _plancherel_weights(f.grid.dimension, f.grid.points) @ _realized_energy(
-        f.grid, f.coeffs
-    )
+    sums = _plancherel_weights(f.grid) @ _realized_energy(f.grid, f.coeffs)
     return sums[:-1], float(sums[-1])
 
 
@@ -671,9 +648,9 @@ def riesz(f: RealField, axis: int) -> RealField:
 
 
 @lru_cache(maxsize=None)
-def _leray_denominators(dimension: int, points: int):
+def _leray_denominators(grid: Grid):
     """|xi|^2 and the same with the mean mode set to 1 (safe to divide by)."""
-    r2 = _radius(dimension, points) ** 2
+    r2 = radius(grid) ** 2
     safe = np.where(r2 == 0.0, 1.0, r2)
     r2.flags.writeable = False
     safe.flags.writeable = False
@@ -686,7 +663,7 @@ def _leray(grid: Grid, c: np.ndarray) -> np.ndarray:
     spectral axes, and every axis before it is a batch axis."""
     d = grid.dimension
     freqs = frequencies(grid)
-    r2, safe = _leray_denominators(d, grid.points)
+    r2, safe = _leray_denominators(grid)
     index = [(..., a) + (slice(None),) * d for a in range(d)]
     xi_dot = sum(freqs[a] * c[index[a]] for a in range(d))
     out = np.empty_like(c)

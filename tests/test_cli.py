@@ -267,6 +267,48 @@ verify: {ids: [bernstein], params: {bernstein: {kmax: null, k: 2}}}
         assert f"key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "subcommand, old, new, key",
+        [
+            ("simulate", "t_final: 0.01", "t_final: .inf", "t_final"),
+            ("simulate", "t_final: 0.01", "t_final: .nan", "t_final"),
+            ("simulate", "dt: 0.001", "dt: .inf", "dt"),
+            ("simulate", "amplitude: 1.0", "amplitude: .nan", "amplitude"),
+            ("simulate", "amplitude: 1.0", "amplitude: 1.0, decay: .inf", "decay"),
+            ("simulate", "s: 2.5", "s: .nan", "s"),
+            ("picard", "s: 2.5", "s: -.inf", "s"),
+            ("verify", "{}", "{s: .nan}", "s"),
+            ("verify", "{}", "{decay: .inf}", "decay"),
+            ("verify", "{}", "{amplitude: .nan}", "amplitude"),
+        ],
+        ids=["t_final-inf", "t_final-nan", "dt-inf", "amplitude-nan", "decay-inf",
+             "norm-s-nan", "picard-s-inf", "params-s-nan", "params-decay-inf",
+             "params-amplitude-nan"],
+    )
+    def test_non_finite_float_exit_2(self, tmp_path, capsys, subcommand, old, new, key):
+        base = {
+            "simulate": SIM_TEMPLATE.format(out=tmp_path / "run", kind="random", amp=1.0),
+            "picard": f"""
+output: {tmp_path / 'run'}
+grid: {{dimension: 2, points: 16}}
+initial: {{kind: random, amplitude: 1.0}}
+time: {{t_final: 0.01, dt: 0.001}}
+picard: {{s: 2.5, p: 2, q: 2, n_max: 1}}
+""",
+            "verify": f"""
+output: {tmp_path / 'run'}
+grid: {{dimension: 2, points: 16}}
+verify: {{ids: [product], trials: 1, params: {{product: {{}}}}}}
+""",
+        }[subcommand]
+        assert old in base
+        text = base.replace(old, new, 1)
+        with pytest.raises(ConfigError, match=f"key '{key}' .* must be a finite number"):
+            parse_config(text, subcommand)
+        assert main([subcommand, "--config", write(tmp_path / "c.yaml", text)]) == 2
+        assert "must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_picard_n_max_constraint(self):
         text = """
 output: x
@@ -534,11 +576,19 @@ verify: {{ids: [bernstein, commutator-A2], trials: 1, resolutions: [16, 32]}}
             extra=", params: {vector-maximal: {q: inf, family: 2}}",
         )
         assert main(["verify", "--config", cfg]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        # strict JSON: q is spelled "inf", as in config.yaml, not Infinity
         report = json.loads(
-            (tmp_path / "vrun" / "reports" / "vector-maximal.json").read_text()
+            (tmp_path / "vrun" / "reports" / "vector-maximal.json").read_text(),
+            parse_constant=reject,
         )
-        assert report["params"]["q"] == math.inf
+        assert report["params"]["q"] == "inf"
         assert report["params"]["family"] == 2
+        summary = (tmp_path / "vrun" / "summary.csv").read_text()
+        assert '"q": "inf"' in summary and "Infinity" not in summary
 
     def test_single_resolution_is_run(self, tmp_path):
         cfg = self._config(

@@ -119,6 +119,26 @@ class TestReports:
         assert lines[0].startswith("inequality_id,")
         assert lines[1].startswith("majorant,")
 
+    def test_non_finite_values_are_strict_json(self, tmp_path):
+        # both report shapes spell inf/nan as strings, as config.yaml does
+        rep = lab.InequalityReport("vector-maximal", {"q": math.inf}, 2, 16, 1, 0,
+                                   np.array([math.nan]), growth_factor=-math.inf)
+        sweep = lab.SweepResult("vector-maximal", [16, 32], [rep], [math.inf])
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        for result in (rep, sweep):
+            path = tmp_path / "r.json"
+            lab.write_report_json(result, path)
+            data = json.loads(path.read_text(), parse_constant=reject)
+            single = data["reports"][0] if result is sweep else data
+            assert single["params"]["q"] == "inf"
+            assert single["ratios"] == ["nan"] and single["max_ratio"] == "nan"
+            assert single["growth_factor"] == "-inf"
+        assert data["growth_factors"] == ["inf"] and data["max_growth"] == "inf"
+        assert '"q": "inf"' in lab.summary_csv_lines([rep])[1]
+
 
 class TestSharpCases:
     def test_riesz_contraction(self):

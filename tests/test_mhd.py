@@ -318,6 +318,21 @@ class TestTimeGrid:
         with pytest.raises(sp.SpectralError, match="dt must be positive"):
             calls[call]()
 
+    @pytest.mark.parametrize("t_final", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("call", ["run", "picard_iterate", "trajectory_map"])
+    def test_rejects_non_finite_t_final(self, call, t_final):
+        grid = sp.Grid(2, 16)
+        zero = sp.zero_field(grid, 2)
+        calls = {
+            "run": lambda: mhd.run(mhd.ElsasserState(zero, zero), t_final=t_final, dt=0.1),
+            "picard_iterate": lambda: mhd.picard_iterate(
+                zero, zero, s=2.5, p=2, q=2, t_final=t_final, dt=0.1, n_max=2
+            ),
+            "trajectory_map": lambda: mhd.trajectory_map(zero, grid, t_final=t_final, dt=0.1),
+        }
+        with pytest.raises(sp.SpectralError, match="is not finite"):
+            calls[call]()
+
 
 def _picard_pair(grid, seed):
     return (
@@ -409,6 +424,8 @@ class TestPicard:
         mhd.picard_iterate(zp, zm, s=2.5, p=2, q=2, t_final=n_steps * 1e-3,
                            dt=1e-3, n_max=n_max)
         assert len(calls) == 1 + (n_max - 1) * n_steps
+        mhd.trajectory_map(zp, G, t_final=n_steps * 1e-3, dt=1e-3, labels=np.zeros((2, 3)))
+        assert len(calls) == 1 + n_max * n_steps
 
     def test_contraction_ratios(self):
         zp = sp.random_solenoidal(G, seed=14, decay=3.0, amplitude=0.05)

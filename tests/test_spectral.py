@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lpmhd
+from lpmhd import spaces
 from lpmhd import spectral as sp
 
 
@@ -33,6 +34,47 @@ class TestGrid:
     def test_dyadic_range(self):
         assert sp.Grid(2, 16).j_max == 3  # j_max >= j0 + 2
         assert list(sp.Grid(2, 64).js) == [-1, 0, 1, 2, 3, 4, 5]
+
+
+# every lattice table cached per Grid
+GRID_TABLES = {
+    "frequencies": sp.frequencies,
+    "radius": sp.radius,
+    "dealias_mask": sp.dealias_mask,
+    "spectral_weights": sp.spectral_weights,
+    "make_filter_bank": sp.make_filter_bank,
+    "plancherel_weights": sp._plancherel_weights,
+    "leray_denominators": sp._leray_denominators,
+    "ball_kernels": spaces._ball_kernels,
+}
+
+
+def _table_arrays(table):
+    if isinstance(table, sp.FilterBank):
+        return list(table.phi.values()) + list(table.chi.values())
+    if isinstance(table, tuple):
+        return list(table)
+    return [table]
+
+
+@pytest.mark.parametrize("name", sorted(GRID_TABLES))
+class TestGridKeyedTables:
+    def test_equal_grids_share_one_entry(self, name):
+        a, b = sp.Grid(2, 64), sp.Grid(2, 64)
+        assert a is not b
+        assert GRID_TABLES[name](a) is GRID_TABLES[name](b)
+
+    def test_read_only(self, name):
+        for arr in _table_arrays(GRID_TABLES[name](sp.Grid(2, 64))):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0
+
+    def test_dimensions_never_share(self, name):
+        two, three = (GRID_TABLES[name](sp.Grid(d, 64)) for d in (2, 3))
+        assert two is not three
+        pairs = zip(_table_arrays(two), _table_arrays(three))
+        assert all(a.shape != b.shape for a, b in pairs)
 
 
 class TestProfiles:
