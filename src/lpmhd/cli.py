@@ -17,6 +17,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 from dataclasses import replace
 from datetime import datetime, timezone
 
@@ -153,24 +154,48 @@ def _cmd_simulate(args) -> int:
             save_snapshot(u, os.path.join(snap_dir, f"u_t{t_snap:.6f}.npz"), s.t)
             save_snapshot(b, os.path.join(snap_dir, f"b_t{t_snap:.6f}.npz"), s.t)
 
+    # a step whose dt breaks the CFL bound (possible after t = 0) warns once;
+    # the run reports all of them in one line, with the first step's start
+    # time, rather than one line per step
+    late_cfl = []
+    show = warnings.showwarning
+
+    def collect_cfl(message, category, *rest, **kwargs):
+        if issubclass(category, mhd.CflWarning):
+            late_cfl.append(state.t)
+        else:
+            show(message, category, *rest, **kwargs)
+
     # rows are written and flushed as they are recorded, so a run that
     # fails midway keeps its prefix and a long run can be tailed
     stamp = datetime.now(timezone.utc).isoformat()
-    with open(os.path.join(outdir, "diagnostics.csv"), "w") as csv_fh:
+    with (open(os.path.join(outdir, "diagnostics.csv"), "w") as csv_fh,
+          warnings.catch_warnings()):
+        warnings.simplefilter("always", mhd.CflWarning)
+        warnings.showwarning = collect_cfl
         csv_fh.write(diag.csv_header(cfg.grid, cfg.norm_specs, timestamp=stamp))
 
         def emit(s):
             csv_fh.write(diag.csv_line(stream.append(s), cfg.norm_specs))
             csv_fh.flush()
 
-        emit(state)
-        maybe_snapshot(state, 0)
-        for m in range(1, n_steps + 1):
-            # stamped m*dt: repeated addition would drift off the grid times
-            state = replace(mhd.step(state, cfg.dt), t=m * cfg.dt)
-            if m % cfg.cadence == 0 or m == n_steps:
-                emit(state)
-            maybe_snapshot(state, m)
+        try:
+            emit(state)
+            maybe_snapshot(state, 0)
+            for m in range(1, n_steps + 1):
+                # stamped m*dt: repeated addition would drift off the grid times
+                state = replace(mhd.step(state, cfg.dt), t=m * cfg.dt)
+                if m % cfg.cadence == 0 or m == n_steps:
+                    emit(state)
+                maybe_snapshot(state, m)
+        finally:
+            if late_cfl:
+                print(
+                    f"warning: dt = {cfg.dt:g} broke the advective CFL bound "
+                    f"0.5*h/max|z| on {len(late_cfl)} of {n_steps} steps, "
+                    f"first at t = {late_cfl[0]:g}",
+                    file=sys.stderr,
+                )
     return 0
 
 

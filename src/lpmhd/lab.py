@@ -24,6 +24,8 @@ one-job forms.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import numbers
@@ -588,10 +590,13 @@ def write_report_json(report, path) -> None:
 
 
 def summary_csv_lines(entries) -> list:
-    """(id, params, max ratio, growth factor) rows for a set of reports."""
-    lines = ["inequality_id,params,max_ratio,growth_factor"]
+    """(id, params, max ratio, growth factor) rows for a set of reports, as
+    CSV lines; params is one field holding the strict JSON of the report's
+    parameters."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["inequality_id", "params", "max_ratio", "growth_factor"])
     for rep in entries:
-        params = _dumps(rep.params).replace(",", ";")
         growth = "" if rep.growth_factor is None else repr(rep.growth_factor)
-        lines.append(f"{rep.inequality_id},\"{params}\",{rep.max_ratio!r},{growth}")
-    return lines
+        writer.writerow([rep.inequality_id, _dumps(rep.params), repr(rep.max_ratio), growth])
+    return buf.getvalue().splitlines()

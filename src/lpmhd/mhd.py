@@ -32,9 +32,10 @@ from .spectral import (
     RealField,
     SpectralError,
     _inverse,
+    _inverse_radius_squared,
     _leray,
-    _leray_denominators,
     _masked_product,
+    _minus_i_frequencies,
     dealias,
     frequencies,
     from_function,
@@ -124,10 +125,9 @@ def pressure_gradient(state: ElsasserState) -> RealField:
     grid = state.grid
     d = grid.dimension
     freqs = frequencies(grid)
-    r2, safe = _leray_denominators(grid)
     m = _dyads(grid, state.z_minus.values, state.z_plus.values)
     quad = sum(freqs[i] * freqs[j] * m[i, j] for i in range(d) for j in range(d))
-    pi_hat = np.where(r2 == 0.0, 0.0, -quad / safe)
+    pi_hat = -quad * _inverse_radius_squared(grid)
     out = np.stack([1j * freqs[a] * pi_hat for a in range(d)])
     return RealField(grid, coeffs=out)
 
@@ -135,17 +135,19 @@ def pressure_gradient(state: ElsasserState) -> RealField:
 def _elsasser_rhs(grid: Grid, zp: np.ndarray, zm: np.ndarray) -> np.ndarray:
     """Coefficients of (dz+/dt, dz-/dt), shape (2, d) + spectral_shape, from
     the values of z+ and z-.  Both equations read the same dyads
-    M_ij = z+_i z-_j; the Leray projection removes the pressure and scrubs
-    round-off divergence."""
-    # nested calls, so the d^2 dyad array is freed before the projection runs
-    return _leray(grid, _shared_divergences(grid, _dyads(grid, zp, zm)))
-
-
-def _shared_divergences(grid: Grid, m: np.ndarray) -> np.ndarray:
-    """Minus the divergences that advect z+ and z-: -(d_j M_ij, d_j M_ji)."""
-    out = np.stack([_row_divergence(grid, m), _row_divergence(grid, m.swapaxes(0, 1))])
-    out *= -1.0
-    return out
+    M_ij = z+_i z-_j: -d_j M_ij and -d_j M_ji are summed into the two halves
+    of one output array, which the Leray projection then overwrites, so the
+    pressure and any round-off divergence go without a second array."""
+    m = _dyads(grid, zp, zm)
+    minus_d = _minus_i_frequencies(grid)
+    out = np.empty((2,) + m.shape[1:], dtype=m.dtype)
+    term = np.empty_like(out[0])
+    for side, dyads in zip(out, (m, m.swapaxes(0, 1))):
+        np.multiply(minus_d[0], dyads[:, 0], out=side)
+        for j in range(1, grid.dimension):
+            side += np.multiply(minus_d[j], dyads[:, j], out=term)
+    del m, dyads, term  # freed before the projection's own temporaries
+    return _leray(grid, out)
 
 
 def mhd_tendency(state: ElsasserState):

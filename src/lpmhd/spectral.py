@@ -648,37 +648,47 @@ def riesz(f: RealField, axis: int) -> RealField:
 
 
 @lru_cache(maxsize=None)
-def _leray_denominators(grid: Grid):
-    """|xi|^2 and the same with the mean mode set to 1 (safe to divide by)."""
-    r2 = radius(grid) ** 2
-    safe = np.where(r2 == 0.0, 1.0, r2)
-    r2.flags.writeable = False
-    safe.flags.writeable = False
-    return r2, safe
+def _inverse_radius_squared(grid: Grid) -> np.ndarray:
+    """|xi|^-2 on the spectral lattice, 0 at the mean mode."""
+    r2 = sum(f * f for f in frequencies(grid))
+    out = np.divide(1.0, r2, out=np.zeros(grid.spectral_shape), where=r2 != 0.0)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _minus_i_frequencies(grid: Grid):
+    """The factors -i xi_j of -d_j, each shaped like `frequencies(grid)[j]`."""
+    out = tuple(-1j * f for f in frequencies(grid))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def _leray(grid: Grid, c: np.ndarray) -> np.ndarray:
-    """Leray projection of stacked vector coefficients, shape
-    (..., d) + spectral_shape: the component axis is the one just before the
-    spectral axes, and every axis before it is a batch axis."""
+    """Leray projection of stacked vector coefficients c, shape
+    (..., d) + spectral_shape, written over c and returned: the component
+    axis is the one just before the spectral axes, and every axis before it
+    is a batch axis.  Each component loses xi_a (xi . c) |xi|^-2; the mean
+    mode is left as it is."""
     d = grid.dimension
     freqs = frequencies(grid)
-    r2, safe = _leray_denominators(grid)
-    index = [(..., a) + (slice(None),) * d for a in range(d)]
-    xi_dot = sum(freqs[a] * c[index[a]] for a in range(d))
-    out = np.empty_like(c)
+    parts = [c[(..., a) + (slice(None),) * d] for a in range(d)]
+    dot = freqs[0] * parts[0]
+    term = np.empty_like(dot)
+    for a in range(1, d):
+        dot += np.multiply(freqs[a], parts[a], out=term)
+    dot *= _inverse_radius_squared(grid)
     for a in range(d):
-        np.subtract(
-            c[index[a]], np.where(r2 == 0.0, 0.0, freqs[a] * xi_dot / safe), out=out[index[a]]
-        )
-    return out
+        parts[a] -= np.multiply(freqs[a], dot, out=term)
+    return c
 
 
 def leray_project(v: RealField) -> RealField:
     """Divergence-free (Leray) projection; the mean mode is left untouched."""
     if not v.is_vector:
         raise SpectralError("leray projection expects a vector field")
-    return RealField(v.grid, coeffs=_leray(v.grid, v.coeffs), solenoidal=True)
+    return RealField(v.grid, coeffs=_leray(v.grid, v.coeffs.copy()), solenoidal=True)
 
 
 # ---------------------------------------------------------------------------

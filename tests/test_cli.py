@@ -1,3 +1,4 @@
+import csv
 import ctypes
 import json
 import math
@@ -370,6 +371,20 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "CFL" in err and "0.5*h/max|z|" in err
 
+    def test_late_cfl_violations_one_line(self, tmp_path, capsys):
+        # the bound is 0.0747 at t = 0, so the run starts; it then dips below
+        # dt on steps 3-10, which used to print one CflWarning each
+        text = SIM_TEMPLATE.format(out=tmp_path / "run", kind="orszag-tang", amp=1.0)
+        text = text.replace("points: 64", "points: 16").replace("dt: 0.001", "dt: 0.0735")
+        text = text.replace("t_final: 0.01", "t_final: 0.735")
+        assert main(["simulate", "--config", write(tmp_path / "c.yaml", text)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: dt = 0.0735 broke the advective CFL bound 0.5*h/max|z| "
+            "on 8 of 10 steps, first at t = 0.147"
+        ]
+        rows = (tmp_path / "run" / "diagnostics.csv").read_text().splitlines()
+        assert len(rows) == 2 + 6
+
     def test_step_count_validated_before_output(self, tmp_path, capsys):
         text = SIM_TEMPLATE.format(out=tmp_path / "run", kind="orszag-tang", amp=1.0)
         text = text.replace("t_final: 0.01", "t_final: 0.0105")
@@ -568,7 +583,8 @@ verify: {{ids: [bernstein, commutator-A2], trials: 1, resolutions: [16, 32]}}
             )
             assert [r["dimension"] for r in sweep["reports"]] == [3, 3]
             assert [r["points"] for r in sweep["reports"]] == [16, 32]
-        assert '"d": 3' in (tmp_path / "vrun" / "summary.csv").read_text()
+        rows = list(csv.reader((tmp_path / "vrun" / "summary.csv").open(newline="")))
+        assert [json.loads(row[1])["d"] for row in rows[1:]] == [3, 3]
 
     def test_params_q_inf_runs(self, tmp_path):
         cfg = self._config(
@@ -587,8 +603,10 @@ verify: {{ids: [bernstein, commutator-A2], trials: 1, resolutions: [16, 32]}}
         )
         assert report["params"]["q"] == "inf"
         assert report["params"]["family"] == 2
-        summary = (tmp_path / "vrun" / "summary.csv").read_text()
-        assert '"q": "inf"' in summary and "Infinity" not in summary
+        with (tmp_path / "vrun" / "summary.csv").open(newline="") as fh:
+            _, row = csv.reader(fh)
+        params = json.loads(row[1], parse_constant=reject)
+        assert params["q"] == "inf" and params["family"] == 2
 
     def test_single_resolution_is_run(self, tmp_path):
         cfg = self._config(

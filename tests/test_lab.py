@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -119,6 +120,19 @@ class TestReports:
         assert lines[0].startswith("inequality_id,")
         assert lines[1].startswith("majorant,")
 
+    def test_summary_csv_round_trip(self):
+        # the params field holds strict JSON, commas and quotes included
+        reps = [lab.run_inequality("vector-maximal", {"n": 32, "q": math.inf, "p": 3},
+                                   trials=2, seed=7),
+                lab.run_inequality("majorant", {"n": 32}, trials=2, seed=7)]
+        header, *rows = csv.reader(lab.summary_csv_lines(reps))
+        assert header == ["inequality_id", "params", "max_ratio", "growth_factor"]
+        for rep, row in zip(reps, rows, strict=True):
+            assert row[0] == rep.inequality_id
+            assert json.loads(row[1]) == lab._json_ready(rep.params)
+            assert float(row[2]) == rep.max_ratio
+            assert row[3] == ""
+
     def test_non_finite_values_are_strict_json(self, tmp_path):
         # both report shapes spell inf/nan as strings, as config.yaml does
         rep = lab.InequalityReport("vector-maximal", {"q": math.inf}, 2, 16, 1, 0,
@@ -137,7 +151,8 @@ class TestReports:
             assert single["ratios"] == ["nan"] and single["max_ratio"] == "nan"
             assert single["growth_factor"] == "-inf"
         assert data["growth_factors"] == ["inf"] and data["max_growth"] == "inf"
-        assert '"q": "inf"' in lab.summary_csv_lines([rep])[1]
+        _, row = csv.reader(lab.summary_csv_lines([rep]))
+        assert json.loads(row[1], parse_constant=reject)["q"] == "inf"
 
 
 class TestSharpCases:

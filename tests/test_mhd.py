@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +196,60 @@ class TestTendency:
             ):
                 scale = max(np.max(np.abs(oracle)), 1e-12)
                 assert np.max(np.abs(got.values - oracle)) <= 1e-10 * max(scale, 1.0)
+
+
+def divergence_form_oracle(state):
+    """(dz+/dt, dz-/dt) coefficients as -P(sum_j i xi_j M_ij) and
+    -P(sum_j i xi_j M_ji), from one dealiased product per pair
+    M_ij = z+_i z-_j and a projection that divides by |xi|^2."""
+    grid = state.grid
+    d = grid.dimension
+    freqs = sp.frequencies(grid)
+    r2 = sum(f**2 for f in freqs)
+    safe = np.where(r2 == 0.0, 1.0, r2)
+    m = [[sp.multiply(state.z_plus.component(i), state.z_minus.component(j)).coeffs[0]
+          for j in range(d)] for i in range(d)]
+    out = []
+    for dyads in (m, [list(col) for col in zip(*m)]):
+        div = [-sum(1j * freqs[j] * dyads[i][j] for j in range(d)) for i in range(d)]
+        dot = sum(freqs[a] * div[a] for a in range(d))
+        out.append([div[a] - np.where(r2 == 0.0, 0.0, freqs[a] * dot / safe)
+                    for a in range(d)])
+    return np.array(out)
+
+
+class TestOnePassTendency:
+    @pytest.mark.parametrize(
+        "grid", [sp.Grid(2, 64), sp.Grid(2, 128), sp.Grid(3, 16), sp.Grid(3, 32)],
+        ids=["2d-64", "2d-128", "3d-16", "3d-32"],
+    )
+    def test_matches_divergence_form(self, grid):
+        u, b = mhd.random_pair(grid, seed=23)
+        state = mhd.to_elsasser(u, b)
+        got = mhd._elsasser_rhs(grid, state.z_plus.values, state.z_minus.values)
+        expect = divergence_form_oracle(state)
+        assert got.shape == (2, grid.dimension) + grid.spectral_shape
+        assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+        mean = (slice(None), slice(None)) + (0,) * grid.dimension
+        assert np.all(got[mean] == 0.0)
+        for side in got:
+            field = sp.RealField(grid, coeffs=side)
+            assert sp.solenoidal_residual(field) <= sp.SOLENOIDAL_TOL
+
+    def test_step_peak_memory(self):
+        # traced peak of one 2D N=128 step, caches warm: 3.596-3.597 MB
+        # before the tendency was fused into one output array, 3.05 MB after;
+        # the bound is the former, rounded up to 3.60 MB
+        grid = sp.Grid(2, 128)
+        state = mhd.to_elsasser(*mhd.orszag_tang(grid))
+        mhd.step(state, 1e-3)
+        tracemalloc.start()
+        try:
+            mhd.step(state, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3_600_000
 
 
 class TestStep:

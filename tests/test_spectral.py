@@ -44,7 +44,8 @@ GRID_TABLES = {
     "spectral_weights": sp.spectral_weights,
     "make_filter_bank": sp.make_filter_bank,
     "plancherel_weights": sp._plancherel_weights,
-    "leray_denominators": sp._leray_denominators,
+    "inverse_radius_squared": sp._inverse_radius_squared,
+    "minus_i_frequencies": sp._minus_i_frequencies,
     "ball_kernels": spaces._ball_kernels,
 }
 
