@@ -3,7 +3,9 @@
 Subcommands: simulate, picard, verify (config-driven batch runs writing one
 self-contained output directory each) plus norm and decompose (direct
 snapshot utilities).  Exit codes: 0 success, 1 failed verification, 2
-validation error, 3 I/O failure.  On glibc, ``main`` fixes the allocator's
+validation error, 3 I/O failure, 4 non-finite state in a simulate run (the
+run stops at the first record whose energy or blow-up integrand is not
+finite, after writing that row).  On glibc, ``main`` fixes the allocator's
 mmap and trim thresholds for its process (README, "Allocator"), so the
 multi-MB spectral temporaries of a run are reused instead of being returned
 to the OS and faulted back in; importing the package changes nothing.
@@ -15,6 +17,7 @@ import argparse
 import ctypes
 import functools
 import json
+import math
 import os
 import sys
 import warnings
@@ -176,17 +179,28 @@ def _cmd_simulate(args) -> int:
         csv_fh.write(diag.csv_header(cfg.grid, cfg.norm_specs, timestamp=stamp))
 
         def emit(s):
-            csv_fh.write(diag.csv_line(stream.append(s), cfg.norm_specs))
+            # writes and flushes the row, then tells whether the state is
+            # finite: the energy sums every value of z+ and z- squared and
+            # the integrand is a max over the curls, so a non-finite value
+            # anywhere shows in one of the two, and no transform is spent
+            rec = stream.append(s)
+            csv_fh.write(diag.csv_line(rec, cfg.norm_specs))
             csv_fh.flush()
+            if math.isfinite(rec.energy) and math.isfinite(rec.blowup_integrand):
+                return True
+            print(f"error: non-finite state at t = {s.t:g}; the run stops "
+                  "after writing its row", file=sys.stderr)
+            return False
 
         try:
-            emit(state)
+            if not emit(state):
+                return 4
             maybe_snapshot(state, 0)
             for m in range(1, n_steps + 1):
                 # stamped m*dt: repeated addition would drift off the grid times
                 state = replace(mhd.step(state, cfg.dt), t=m * cfg.dt)
-                if m % cfg.cadence == 0 or m == n_steps:
-                    emit(state)
+                if (m % cfg.cadence == 0 or m == n_steps) and not emit(state):
+                    return 4
                 maybe_snapshot(state, m)
         finally:
             if late_cfl:

@@ -657,11 +657,25 @@ def _inverse_radius_squared(grid: Grid) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _minus_i_frequencies(grid: Grid):
-    """The factors -i xi_j of -d_j, each shaped like `frequencies(grid)[j]`."""
-    out = tuple(-1j * f for f in frequencies(grid))
-    for arr in out:
-        arr.flags.writeable = False
+def _masked_derivative_factors(grid: Grid) -> np.ndarray:
+    """The factors -i xi_j of -d_j times the 2/3 mask, stacked over j:
+    shape (d,) + spectral_shape.  The mask is 0/1, so multiplying an
+    unmasked product's coefficients by this table equals masking them first
+    and differentiating after, bit for bit up to the sign of zero."""
+    mask = dealias_mask(grid)
+    out = np.stack([-1j * f * mask for f in frequencies(grid)])
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _leray_factors(grid: Grid) -> np.ndarray:
+    """xi_a |xi|^-2 stacked over a, shape (d,) + spectral_shape, 0 at the
+    mean mode: the Leray projection of vector coefficients c is
+    c - _leray_factors(grid) * (xi . c)."""
+    inv = _inverse_radius_squared(grid)
+    out = np.stack([f * inv for f in frequencies(grid)])
+    out.flags.writeable = False
     return out
 
 

@@ -385,6 +385,33 @@ class TestSimulate:
         rows = (tmp_path / "run" / "diagnostics.csv").read_text().splitlines()
         assert len(rows) == 2 + 6
 
+    def test_non_finite_state_exit_4(self, tmp_path, monkeypatch, capsys):
+        # step 3 returns a NaN state: its row is written, then the run stops
+        grid = sp.Grid(2, 16)
+        nan = sp.RealField(grid, coeffs=np.full((2,) + grid.spectral_shape, np.nan),
+                           solenoidal=True)
+        steps = []
+        step = mhd.step
+
+        def failing_step(state, dt):
+            steps.append(state.t)
+            new = step(state, dt)
+            return mhd.ElsasserState(nan, nan, new.t) if len(steps) == 3 else new
+
+        monkeypatch.setattr(mhd, "step", failing_step)
+        text = SIM_TEMPLATE.format(out=tmp_path / "run", kind="orszag-tang", amp=1.0)
+        text = text.replace("points: 64", "points: 16").replace("cadence: 2", "cadence: 1")
+        assert main(["simulate", "--config", write(tmp_path / "n.yaml", text)]) == 4
+        assert len(steps) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: non-finite state at t = 0.003; the run stops after writing its row"
+        ]
+        lines = (tmp_path / "run" / "diagnostics.csv").read_text().splitlines()
+        rows = list(csv.reader(lines[2:]))
+        assert [float(row[0]) for row in rows] == [0.0, 0.001, 0.002, 0.003]
+        assert all(math.isfinite(float(x)) for row in rows[:-1] for x in row)
+        assert math.isnan(float(rows[-1][1]))
+
     def test_step_count_validated_before_output(self, tmp_path, capsys):
         text = SIM_TEMPLATE.format(out=tmp_path / "run", kind="orszag-tang", amp=1.0)
         text = text.replace("t_final: 0.01", "t_final: 0.0105")
@@ -802,3 +829,14 @@ verify: {{ids: [bernstein], trials: 1}}
         cli._pin_allocator.cache_clear()
         assert rc == 0
         assert (tmp_path / "vrun" / "summary.csv").exists()
+
+
+def test_cli_import_leaves_ndimage_unloaded():
+    # scipy.ndimage serves only the trajectory sampler, which imports it
+    # itself; every CLI start used to pay for it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, lpmhd.cli; print('scipy.ndimage' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["False"]

@@ -160,6 +160,23 @@ class TestPressure:
         assert sp.solenoidal_residual(total) <= 1e-10
 
 
+class TestAdvection:
+    @pytest.mark.parametrize("grid", [sp.Grid(2, 64), sp.Grid(3, 16)], ids=["2d-64", "3d-16"])
+    def test_matches_masked_product_form(self, grid):
+        # the 2/3 mask sits on the derivative table, not on the product's
+        # coefficients; the 0/1 mask makes the two orders agree bit for bit
+        w = sp.random_solenoidal(grid, seed=50)
+        z = sp.random_solenoidal(grid, seed=51)
+        freqs = sp.frequencies(grid)
+        d = grid.dimension
+        expect = np.stack([
+            sum(1j * freqs[j] * sp._masked_product(grid, z.values[i], w.values[j])
+                for j in range(d))
+            for i in range(d)
+        ])
+        assert np.array_equal(mhd.advection(w, z).coeffs, expect)
+
+
 class TestTendency:
     def test_alfven_steady(self):
         u, b = mhd.alfven_state(G, seed=9)

@@ -45,7 +45,8 @@ GRID_TABLES = {
     "make_filter_bank": sp.make_filter_bank,
     "plancherel_weights": sp._plancherel_weights,
     "inverse_radius_squared": sp._inverse_radius_squared,
-    "minus_i_frequencies": sp._minus_i_frequencies,
+    "masked_derivative_factors": sp._masked_derivative_factors,
+    "leray_factors": sp._leray_factors,
     "ball_kernels": spaces._ball_kernels,
 }
 
