@@ -3,12 +3,15 @@
 Subcommands: simulate, picard, verify (config-driven batch runs writing one
 self-contained output directory each) plus norm and decompose (direct
 snapshot utilities).  Exit codes: 0 success, 1 failed verification, 2
-validation error, 3 I/O failure, 4 non-finite state in a simulate run (the
-run stops at the first record whose energy or blow-up integrand is not
-finite, after writing that row).  On glibc, ``main`` fixes the allocator's
-mmap and trim thresholds for its process (README, "Allocator"), so the
-multi-MB spectral temporaries of a run are reused instead of being returned
-to the OS and faulted back in; importing the package changes nothing.
+validation error, 3 I/O failure, 4 non-finite state (simulate stops at the
+first record whose energy or blow-up integrand is not finite, after writing
+that row; picard writes every row, then checks each difference norm), 5 a
+simulate step broke the CFL bound after t = 0 (the run finishes and writes
+every output first; a non-finite state still exits 4).  On glibc, ``main``
+fixes the allocator's mmap and trim thresholds for its process (README,
+"Allocator"), so the multi-MB spectral temporaries of a run are reused
+instead of being returned to the OS and faulted back in; importing the
+package changes nothing.
 """
 
 from __future__ import annotations
@@ -210,7 +213,7 @@ def _cmd_simulate(args) -> int:
                     f"first at t = {late_cfl[0]:g}",
                     file=sys.stderr,
                 )
-    return 0
+    return 5 if late_cfl else 0
 
 
 def _cmd_picard(args) -> int:
@@ -229,6 +232,11 @@ def _cmd_picard(args) -> int:
         lines.append(f"{n},{norm!r},{'' if ratio is None else repr(ratio)}")
     with open(os.path.join(outdir, "picard.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
+    for n, norm, _ in rows:
+        if not math.isfinite(norm):
+            print(f"error: non-finite difference norm at Picard iterate n = {n}",
+                  file=sys.stderr)
+            return 4
     return 0
 
 

@@ -239,11 +239,3 @@ def csv_header(grid, specs=(), timestamp: str | None = None) -> str:
 def csv_line(rec: DiagnosticsRecord, specs=()) -> str:
     """One record as a newline-terminated CSV row (values as repr)."""
     return ",".join(repr(float(x)) for x in record_row(rec, specs)) + "\n"
-
-
-def write_csv(records, grid, path, specs=(), timestamp: str | None = None) -> None:
-    """One row per record in the documented column order."""
-    with open(path, "w") as fh:
-        fh.write(csv_header(grid, specs, timestamp))
-        fh.writelines(csv_line(rec, specs) for rec in records)
-

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -258,21 +258,6 @@ def step(state: ElsasserState, dt: float) -> ElsasserState:
         RealField(grid, coeffs=new[1], solenoidal=zm.solenoidal),
         state.t + dt,
     )
-
-
-def run(state: ElsasserState, t_final: float, dt: float, callback=None) -> ElsasserState:
-    """Step until t_final (an integer number of steps), calling
-    callback(state) after the initial state and after every step.  Step m
-    is stamped t0 + m*dt, so times do not accumulate round-off."""
-    t0 = state.t
-    n_steps = _step_count(t_final - t0, dt)
-    if callback is not None:
-        callback(state)
-    for m in range(1, n_steps + 1):
-        state = replace(step(state, dt), t=t0 + m * dt)
-        if callback is not None:
-            callback(state)
-    return state
 
 
 def _step_count(span: float, dt: float) -> int:

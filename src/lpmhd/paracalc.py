@@ -184,11 +184,6 @@ def remainder(u: RealField, v: RealField) -> RealField:
     return RealField(u.grid, coeffs=_remainder(*_scalar_blocks(u, v))[np.newaxis])
 
 
-def bony_base_terms(u: RealField, v: RealField) -> RealField:
-    """Mean-mode cross terms completing the Bony identity on the torus."""
-    return RealField(u.grid, coeffs=_base_terms(*_scalar_blocks(u, v))[np.newaxis])
-
-
 def bony_reconstruction(u: RealField, v: RealField) -> RealField:
     """T_u v + T_v u + R(u, v) + base terms; equals the dealiased product."""
     a, b = _scalar_blocks(u, v)

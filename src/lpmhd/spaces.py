@@ -72,10 +72,13 @@ def lp_norm(f: RealField, p: float) -> float:
     p = inf gives the grid maximum."""
     if not 1.0 <= p <= INF:
         raise NormDomainError(f"p = {p} outside [1, inf]")
-    mag = f.magnitude()
     if p == INF:
-        return float(mag.max())
-    return float(np.mean(mag**p) ** (1.0 / p))
+        if f.is_scalar:
+            return float(np.abs(f.values[0]).max())
+        # sqrt is monotone and correctly rounded, so the sqrt of the largest
+        # squared magnitude equals the largest magnitude exactly
+        return math.sqrt(np.square(f.values).sum(axis=0).max())
+    return float(np.mean(f.magnitude() ** p) ** (1.0 / p))
 
 
 def shell_lp_lq(mags: np.ndarray, j_indices, s: float, p: float, q: float) -> float:
@@ -162,15 +165,6 @@ def _ball_kernels(grid: Grid):
         spec.flags.writeable = False
         out.append(spec)
     return tuple(out)
-
-
-def ball_average(f: RealField, radius_index: int) -> np.ndarray:
-    """Discrete ball average of |f| at ladder radius `radius_index`."""
-    if not f.is_scalar:
-        raise SpectralError("ball averages expect a scalar field")
-    kernels = _ball_kernels(f.grid)
-    spec = _forward(f.grid, np.abs(f.values[0])) * kernels[radius_index]
-    return _inverse(f.grid, spec)
 
 
 def maximal_function(f: RealField) -> RealField:

@@ -314,17 +314,6 @@ def zero_field(grid: Grid, ncomp: int = 1) -> RealField:
     )
 
 
-def representation_defect(field: RealField) -> float:
-    """Relative disagreement between physical values and cached spectrum."""
-    if field._coeffs is None or field._values is None:
-        return 0.0
-    fresh = _forward(field.grid, field._values)
-    denom = np.max(np.abs(field._coeffs))
-    if denom == 0.0:
-        return float(np.max(np.abs(fresh)))
-    return float(np.max(np.abs(fresh - field._coeffs)) / denom)
-
-
 SOLENOIDAL_TOL = 1e-10  # residual below which a vector field counts as solenoidal
 
 
@@ -566,12 +555,6 @@ def spectral_derivative(f: RealField, multi_index) -> RealField:
         if order:
             mult = mult * (1j * freqs[a]) ** order
     return apply_multiplier(f, mult, solenoidal=False)
-
-
-def partial_derivative(f: RealField, axis: int) -> RealField:
-    alpha = [0] * f.grid.dimension
-    alpha[axis] = 1
-    return spectral_derivative(f, alpha)
 
 
 def gradient(f: RealField) -> RealField:

@@ -3,6 +3,7 @@ import ctypes
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -373,11 +374,12 @@ class TestSimulate:
 
     def test_late_cfl_violations_one_line(self, tmp_path, capsys):
         # the bound is 0.0747 at t = 0, so the run starts; it then dips below
-        # dt on steps 3-10, which used to print one CflWarning each
+        # dt on steps 3-10, which used to print one CflWarning each; the run
+        # finishes and writes every row, then exits 5
         text = SIM_TEMPLATE.format(out=tmp_path / "run", kind="orszag-tang", amp=1.0)
         text = text.replace("points: 64", "points: 16").replace("dt: 0.001", "dt: 0.0735")
         text = text.replace("t_final: 0.01", "t_final: 0.735")
-        assert main(["simulate", "--config", write(tmp_path / "c.yaml", text)]) == 0
+        assert main(["simulate", "--config", write(tmp_path / "c.yaml", text)]) == 5
         assert capsys.readouterr().err.splitlines() == [
             "warning: dt = 0.0735 broke the advective CFL bound 0.5*h/max|z| "
             "on 8 of 10 steps, first at t = 0.147"
@@ -411,6 +413,31 @@ class TestSimulate:
         assert [float(row[0]) for row in rows] == [0.0, 0.001, 0.002, 0.003]
         assert all(math.isfinite(float(x)) for row in rows[:-1] for x in row)
         assert math.isnan(float(rows[-1][1]))
+
+    def test_non_finite_state_after_late_cfl_exit_4(self, tmp_path, monkeypatch, capsys):
+        # the CFL bound breaks from step 3 on and step 10 returns a NaN state:
+        # both lines are printed, and the non-finite state decides the code
+        grid = sp.Grid(2, 16)
+        nan = sp.RealField(grid, coeffs=np.full((2,) + grid.spectral_shape, np.nan),
+                           solenoidal=True)
+        steps = []
+        step = mhd.step
+
+        def failing_step(state, dt):
+            steps.append(state.t)
+            new = step(state, dt)
+            return mhd.ElsasserState(nan, nan, new.t) if len(steps) == 10 else new
+
+        monkeypatch.setattr(mhd, "step", failing_step)
+        text = SIM_TEMPLATE.format(out=tmp_path / "run", kind="orszag-tang", amp=1.0)
+        text = text.replace("points: 64", "points: 16").replace("dt: 0.001", "dt: 0.0735")
+        text = text.replace("t_final: 0.01", "t_final: 0.735")
+        assert main(["simulate", "--config", write(tmp_path / "c.yaml", text)]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "error: non-finite state at t = 0.735; the run stops after writing its row",
+            "warning: dt = 0.0735 broke the advective CFL bound 0.5*h/max|z| "
+            "on 8 of 10 steps, first at t = 0.147",
+        ]
 
     def test_step_count_validated_before_output(self, tmp_path, capsys):
         text = SIM_TEMPLATE.format(out=tmp_path / "run", kind="orszag-tang", amp=1.0)
@@ -456,11 +483,12 @@ class TestSimulate:
         cfg_path = write(tmp_path / "o.yaml", text)
         assert main(["simulate", "--config", cfg_path]) == 0
         cfg = load_config(cfg_path, "simulate")
-        ref = tmp_path / "ref.csv"
-        diag.write_csv(streams[0].records, cfg.grid, ref, cfg.norm_specs, timestamp="T")
+        ref = diag.csv_header(cfg.grid, cfg.norm_specs, timestamp="T") + "".join(
+            diag.csv_line(rec, cfg.norm_specs) for rec in streams[0].records
+        )
         streamed = (tmp_path / "run" / "diagnostics.csv").read_text().splitlines()
         assert streamed[0].startswith("# created: ")
-        assert streamed[1:] == ref.read_text().splitlines()[1:]
+        assert streamed[1:] == ref.splitlines()[1:]
 
     def test_failed_run_keeps_recorded_rows(self, tmp_path, monkeypatch):
         full = SIM_TEMPLATE.format(out=tmp_path / "full", kind="orszag-tang", amp=1.0)
@@ -524,6 +552,25 @@ picard: {{s: 2.5, p: 2, q: 2, n_max: {n_max}}}
         assert len(lines) == 4
         ratios = [float(row.split(",")[2]) for row in lines[2:]]
         assert all(r < 1 for r in ratios)
+
+    def test_non_finite_diff_norm_exit_4(self, tmp_path, monkeypatch, capsys):
+        # picard.csv keeps every row; the first non-finite norm sets the code
+        real = mhd.picard_iterate
+
+        def nan_iterate(*args, **kwargs):
+            iterates = real(*args, **kwargs)
+            iterates[1].diff_norms[3] = math.nan
+            return iterates
+
+        monkeypatch.setattr(mhd, "picard_iterate", nan_iterate)
+        assert main(["picard", "--config", self._config(tmp_path, 3)]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "error: non-finite difference norm at Picard iterate n = 2"
+        ]
+        rows = list(csv.reader((tmp_path / "prun" / "picard.csv").read_text().splitlines()))
+        assert [row[0] for row in rows] == ["n", "1", "2", "3"]
+        assert math.isnan(float(rows[2][1]))
+        assert math.isfinite(float(rows[3][1]))
 
     def test_n_max_validation_exit(self, tmp_path, capsys):
         cfg = self._config(tmp_path, 9)
@@ -840,3 +887,17 @@ def test_cli_import_leaves_ndimage_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.split() == ["False"]
+
+
+def _exit_codes(text):
+    # the codes that lead the comma-separated items of the "Exit codes:"
+    # sentence, with parenthesized remarks dropped
+    sentence = re.sub(r"\([^()]*\)", "", text.split("Exit codes:", 1)[1])
+    return {int(code) for code in re.findall(r"(?:^|,)\s*(\d+)\s", sentence.split(".")[0])}
+
+
+def test_exit_codes_documented():
+    # the cli docstring and README list the same codes
+    readme = Path(cli.__file__).resolve().parents[2] / "README.md"
+    assert _exit_codes(cli.__doc__) == {0, 1, 2, 3, 4, 5}
+    assert _exit_codes(readme.read_text()) == {0, 1, 2, 3, 4, 5}

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpmhd import spaces
 from lpmhd import spectral as sp
 from lpmhd.spaces import (
     NormDomainError,
     NormSpec,
-    ball_average,
     gaussian_convolve,
     lp_norm,
     maximal_function,
@@ -67,6 +67,17 @@ class TestLpNorm:
     def test_sup(self):
         f = sp.from_function(G, lambda x, y: np.sin(3 * x))
         assert abs(lp_norm(f, INF) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("grid", [sp.Grid(2, 128), sp.Grid(3, 32)])
+    def test_vector_sup_is_max_magnitude(self, grid):
+        for seed in range(3):
+            v = sp.random_band_limited(grid, seed=seed, ncomp=grid.dimension)
+            assert lp_norm(v, INF) == float(v.magnitude().max())
+
+    def test_vector_sup_nan(self):
+        values = sp.random_band_limited(G, seed=4, ncomp=2).values.copy()
+        values[1, 5, 7] = math.nan
+        assert math.isnan(lp_norm(sp.RealField(G, values=values), INF))
 
     def test_range(self):
         with pytest.raises(NormDomainError):
@@ -300,9 +311,11 @@ class TestVectorMaximalQuick:
 
 
 def test_ball_average_normalized():
-    f = sp.from_function(G, lambda x, y: np.full_like(x, 2.0))
-    avg = ball_average(f, 3)
-    assert np.max(np.abs(avg - 2.0)) <= 1e-12
+    # every ball kernel has unit mass, so averaging keeps constants
+    kernels = spaces._ball_kernels(G)
+    assert len(kernels) == len(maximal_radii(G))
+    for spec in kernels:
+        assert abs(spec[(0,) * G.dimension] - 1.0) <= 1e-12
 
 
 def test_norm_record_shape():
