@@ -121,12 +121,9 @@ def _initial_state(cfg: RunConfig) -> mhd.ElsasserState:
 
 
 def _check_cfl(state: mhd.ElsasserState, dt: float):
-    bound = mhd.cfl_bound(state)
-    if dt > bound:
-        raise ConfigError(
-            f"dt = {dt:g} violates the advective CFL bound "
-            f"0.5*h/max|z| = {bound:.6g}"
-        )
+    message = mhd._cfl_violation(state, dt)
+    if message:
+        raise ConfigError(message)
 
 
 def _prepare_outdir(cfg: RunConfig) -> str:

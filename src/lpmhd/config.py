@@ -22,8 +22,6 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
 
 
-SUBCOMMANDS = ("simulate", "picard", "verify", "norm", "decompose")
-
 _SECTIONS = {
     "simulate": {
         "required": ("grid", "initial", "time", "output"),

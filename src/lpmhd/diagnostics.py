@@ -196,16 +196,20 @@ def gronwall_check(records, norm_label: str):
 # ---------------------------------------------------------------------------
 
 
+# the scalar DiagnosticsRecord fields, in column order
+_SCALARS = (
+    "t",
+    "energy",
+    "cross_helicity",
+    "grad_sup_z_plus",
+    "grad_sup_z_minus",
+    "blowup_integrand",
+    "blowup_integral",
+)
+
+
 def csv_columns(grid, specs=()) -> list:
-    cols = [
-        "t",
-        "energy",
-        "cross_helicity",
-        "grad_sup_z_plus",
-        "grad_sup_z_minus",
-        "blowup_integrand",
-        "blowup_integral",
-    ]
+    cols = list(_SCALARS)
     cols += [f"norm_{spec.label}" for spec in specs]
     cols += [f"block_sup_curl_u_j{j}" for j in grid.js]
     cols += [f"block_sup_curl_b_j{j}" for j in grid.js]
@@ -213,15 +217,7 @@ def csv_columns(grid, specs=()) -> list:
 
 
 def record_row(rec: DiagnosticsRecord, specs=()) -> list:
-    row = [
-        rec.t,
-        rec.energy,
-        rec.cross_helicity,
-        rec.grad_sup_z_plus,
-        rec.grad_sup_z_minus,
-        rec.blowup_integrand,
-        rec.blowup_integral,
-    ]
+    row = [getattr(rec, name) for name in _SCALARS]
     row += [rec.norms[spec.label] for spec in specs]
     row += list(rec.block_sup_curl_u)
     row += list(rec.block_sup_curl_b)

@@ -9,7 +9,8 @@ products M_ij = z+_i z-_j: dz+_i/dt = -d_j M_ij - d_i pi and
 dz-_i/dt = -d_j M_ji - d_i pi.  One total pressure pi serves both, because
 d_i d_j M_ij is unchanged by M -> M^T: grad pi is the gradient part of
 either rate -d_j M_ij or -d_j M_ji, the part the Leray projection removes,
-so it is formed once per tendency and subtracted from both halves.
+so it is formed once per tendency, by the same kernel as `leray_project`
+(`spectral._leray_complement`), and subtracted from both halves.
 The 2/3 mask is folded into the cached derivative table -i xi_j (0/1, so
 exact), which dealiases the products as it differentiates them.
 `pressure_gradient` returns the same grad pi as a field for the lab's
@@ -28,37 +29,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import NormSpec, tl_norm
+from .spaces import NormSpec, lp_norm, tl_norm
 from .spectral import (
-    SOLENOIDAL_TOL,
     Grid,
     RealField,
     SpectralError,
     _forward,
     _inverse,
     _leray,
-    _leray_factors,
+    _leray_complement,
     _masked_derivative_factors,
+    _require_solenoidal,
     dealias,
-    frequencies,
     from_function,
     jacobian,
     low_pass_saturating,
     random_solenoidal,
-    solenoidal_residual,
     zero_field,
 )
 
 
 class CflWarning(UserWarning):
     """Advective CFL bound dt <= 0.5 h / max|z| violated."""
-
-
-def _require_solenoidal(v: RealField, name: str):
-    if not v.is_vector:
-        raise SpectralError(f"{name} must be a vector field")
-    if not v.solenoidal and solenoidal_residual(v) > SOLENOIDAL_TOL:
-        raise SpectralError(f"{name} is not solenoidal")
 
 
 @dataclass(frozen=True)
@@ -123,18 +115,6 @@ def _masked_divergence(grid: Grid, m: np.ndarray, out: np.ndarray) -> np.ndarray
     return out
 
 
-def _pressure_gradient(grid: Grid, rate: np.ndarray) -> np.ndarray:
-    """Coefficients of grad pi, (d,) + spectral_shape, for the unprojected
-    rate of change `rate` (d,) + spectral_shape: xi_a |xi|^-2 (xi . rate),
-    the part of `rate` that the Leray projection removes."""
-    freqs = frequencies(grid)
-    dot = freqs[0] * rate[0]
-    term = np.empty_like(dot)
-    for a in range(1, grid.dimension):
-        dot += np.multiply(freqs[a], rate[a], out=term)
-    return np.multiply(_leray_factors(grid), dot)
-
-
 def advection(w: RealField, z: RealField) -> RealField:
     """(w . grad) z, computed in divergence form sum_j d_j (z_i w_j) with
     dealiased products.  Equal to the advective form only when w is
@@ -153,7 +133,7 @@ def pressure_gradient(state: ElsasserState) -> RealField:
     grid = state.grid
     rate = np.empty((grid.dimension,) + grid.spectral_shape, dtype=complex)
     _masked_divergence(grid, _dyads(grid, state.z_plus.values, state.z_minus.values), rate)
-    return RealField(grid, coeffs=_pressure_gradient(grid, rate))
+    return RealField(grid, coeffs=_leray_complement(grid, rate))
 
 
 def _elsasser_rhs(grid: Grid, zp: np.ndarray, zm: np.ndarray) -> np.ndarray:
@@ -170,7 +150,7 @@ def _elsasser_rhs(grid: Grid, zp: np.ndarray, zm: np.ndarray) -> np.ndarray:
     for side, dyads in zip(out, (m, m.swapaxes(0, 1))):
         _masked_divergence(grid, dyads, side)
     del m, dyads  # freed before the pressure's own temporaries
-    out -= _pressure_gradient(grid, out[0])
+    out -= _leray_complement(grid, out[0])
     return out
 
 
@@ -187,13 +167,10 @@ def mhd_tendency(state: ElsasserState):
 
 def cfl_bound(state: ElsasserState) -> float:
     """Advective bound 0.5 h / max(|z+|, |z-|); inf for the zero state."""
-    # sqrt is monotone and correctly rounded, so the sqrt of the largest
-    # squared magnitude equals the largest magnitude exactly
-    vmax2 = max(np.square(z.values).sum(axis=0).max()
-                for z in (state.z_plus, state.z_minus))
-    if vmax2 == 0.0:
+    vmax = max(lp_norm(z, math.inf) for z in (state.z_plus, state.z_minus))
+    if vmax == 0.0:
         return math.inf
-    return 0.5 * state.grid.spacing / math.sqrt(vmax2)
+    return 0.5 * state.grid.spacing / vmax
 
 
 def _rk4(y, k1: np.ndarray, dt: float, rhs) -> np.ndarray:
@@ -222,14 +199,18 @@ def _require_dt(dt: float):
         raise SpectralError("dt must be positive")
 
 
-def _warn_cfl(state: ElsasserState, dt: float, name: str):
+def _cfl_violation(state: ElsasserState, dt: float, name: str = "z"):
+    """The message for a dt above cfl_bound(state), or None."""
     bound = cfl_bound(state)
     if dt > bound:
-        warnings.warn(
-            f"dt = {dt:g} violates the advective CFL bound 0.5*h/max|{name}| = {bound:g}",
-            CflWarning,
-            stacklevel=3,
-        )
+        return f"dt = {dt:g} violates the advective CFL bound 0.5*h/max|{name}| = {bound:g}"
+    return None
+
+
+def _warn_cfl(state: ElsasserState, dt: float, name: str):
+    message = _cfl_violation(state, dt, name)
+    if message:
+        warnings.warn(message, CflWarning, stacklevel=3)
 
 
 def step(state: ElsasserState, dt: float) -> ElsasserState:

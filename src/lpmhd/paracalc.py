@@ -57,17 +57,16 @@ from functools import cache
 import numpy as np
 
 from .spectral import (
-    SOLENOIDAL_TOL,
     RealField,
     SpectralError,
     _forward,
     _inverse,
     _masked_product,
+    _require_solenoidal,
     dealias,
     dealias_mask,
     frequencies,
     make_filter_bank,
-    solenoidal_residual,
 )
 
 
@@ -227,16 +226,6 @@ class CommutatorSplit:
         }
 
 
-def _validate_advector(f: RealField):
-    if not f.is_vector:
-        raise SpectralError("advecting field f must be a vector field")
-    if not f.solenoidal and solenoidal_residual(f) > SOLENOIDAL_TOL:
-        raise SpectralError(
-            "commutator estimates require a solenoidal advecting field "
-            f"(Leray residual {solenoidal_residual(f):.2e} > {SOLENOIDAL_TOL})"
-        )
-
-
 class _CommutatorWorkspace:
     """Shared per-(f, g) precomputations for the commutator family: the
     blocks of every f_i and of every d_i g, so assembling all k reuses the
@@ -245,7 +234,7 @@ class _CommutatorWorkspace:
     once whatever g's component count."""
 
     def __init__(self, f: RealField, g: RealField):
-        _validate_advector(f)
+        _require_solenoidal(f, "advecting field f")
         if f.grid != g.grid:
             raise SpectralError("grid mismatch between f and g")
         f, g = dealias(f), dealias(g)

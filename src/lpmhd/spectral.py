@@ -19,6 +19,9 @@ package: every other module transforms through them, so the layout (rfft
 over the trailing d axes, every leading axis a batch axis) is decided in one
 place.  They reach scipy.fft as module attributes (`sfft.rfftn`) at call
 time, which is what lets a transform counter patch those attributes.
+
+`_leray_complement` is the one Leray kernel: `leray_project` subtracts it,
+and the MHD pressure gradient grad pi is it.
 """
 
 from __future__ import annotations
@@ -321,13 +324,24 @@ def solenoidal_residual(field: RealField) -> float:
     """max_xi |xi . v_hat| / max_xi |v_hat| for a vector field."""
     if not field.is_vector:
         raise SpectralError("solenoidal residual requires a vector field")
-    freqs = frequencies(field.grid)
-    c = field.coeffs
-    div = sum(1j * freqs[a] * c[a] for a in range(field.grid.dimension))
-    denom = max(np.max(np.abs(comp)) for comp in c)
+    denom = max(np.max(np.abs(comp)) for comp in field.coeffs)
     if denom == 0.0:
         return 0.0
-    return float(np.max(np.abs(div)) / denom)
+    return float(np.max(np.abs(divergence(field).coeffs)) / denom)
+
+
+def _require_solenoidal(v: RealField, name: str):
+    """Raise unless v is a vector field flagged solenoidal or within
+    SOLENOIDAL_TOL of one; the message names the argument."""
+    if not v.is_vector:
+        raise SpectralError(f"{name} must be a vector field")
+    if not v.solenoidal:
+        residual = solenoidal_residual(v)
+        if residual > SOLENOIDAL_TOL:
+            raise SpectralError(
+                f"{name} is not solenoidal "
+                f"(Leray residual {residual:.2e} > {SOLENOIDAL_TOL})"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -561,10 +575,7 @@ def gradient(f: RealField) -> RealField:
     """Gradient of a scalar field as a d-component vector field."""
     if not f.is_scalar:
         raise SpectralError("gradient expects a scalar field")
-    freqs = frequencies(f.grid)
-    c = f.coeffs[0]
-    out = np.stack([1j * freqs[a] * c for a in range(f.grid.dimension)])
-    return RealField(f.grid, coeffs=out)
+    return jacobian(f)
 
 
 def divergence(v: RealField) -> RealField:
@@ -631,15 +642,6 @@ def riesz(f: RealField, axis: int) -> RealField:
 
 
 @lru_cache(maxsize=None)
-def _inverse_radius_squared(grid: Grid) -> np.ndarray:
-    """|xi|^-2 on the spectral lattice, 0 at the mean mode."""
-    r2 = sum(f * f for f in frequencies(grid))
-    out = np.divide(1.0, r2, out=np.zeros(grid.spectral_shape), where=r2 != 0.0)
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=None)
 def _masked_derivative_factors(grid: Grid) -> np.ndarray:
     """The factors -i xi_j of -d_j times the 2/3 mask, stacked over j:
     shape (d,) + spectral_shape.  The mask is 0/1, so multiplying an
@@ -654,20 +656,19 @@ def _masked_derivative_factors(grid: Grid) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _leray_factors(grid: Grid) -> np.ndarray:
     """xi_a |xi|^-2 stacked over a, shape (d,) + spectral_shape, 0 at the
-    mean mode: the Leray projection of vector coefficients c is
-    c - _leray_factors(grid) * (xi . c)."""
-    inv = _inverse_radius_squared(grid)
+    mean mode."""
+    r2 = sum(f * f for f in frequencies(grid))
+    inv = np.divide(1.0, r2, out=np.zeros(grid.spectral_shape), where=r2 != 0.0)
     out = np.stack([f * inv for f in frequencies(grid)])
     out.flags.writeable = False
     return out
 
 
-def _leray(grid: Grid, c: np.ndarray) -> np.ndarray:
-    """Leray projection of stacked vector coefficients c, shape
-    (..., d) + spectral_shape, written over c and returned: the component
-    axis is the one just before the spectral axes, and every axis before it
-    is a batch axis.  Each component loses xi_a (xi . c) |xi|^-2; the mean
-    mode is left as it is."""
+def _leray_complement(grid: Grid, c: np.ndarray) -> np.ndarray:
+    """The gradient part xi_a |xi|^-2 (xi . c), 0 at the mean mode, of
+    stacked vector coefficients c, shape (..., d) + spectral_shape, as a new
+    array of that shape: the component axis is the one just before the
+    spectral axes, and every axis before it is a batch axis."""
     d = grid.dimension
     freqs = frequencies(grid)
     parts = [c[(..., a) + (slice(None),) * d] for a in range(d)]
@@ -675,9 +676,14 @@ def _leray(grid: Grid, c: np.ndarray) -> np.ndarray:
     term = np.empty_like(dot)
     for a in range(1, d):
         dot += np.multiply(freqs[a], parts[a], out=term)
-    dot *= _inverse_radius_squared(grid)
-    for a in range(d):
-        parts[a] -= np.multiply(freqs[a], dot, out=term)
+    return np.multiply(_leray_factors(grid), np.expand_dims(dot, -d - 1))
+
+
+def _leray(grid: Grid, c: np.ndarray) -> np.ndarray:
+    """Leray projection of stacked vector coefficients c (laid out as for
+    `_leray_complement`), written over c and returned: c loses its gradient
+    part; the mean mode is left as it is."""
+    c -= _leray_complement(grid, c)
     return c
 
 

@@ -121,6 +121,24 @@ class TestElsasser:
         with pytest.raises(sp.SpectralError):
             mhd.to_elsasser(u, u)
 
+    @pytest.mark.parametrize(
+        "name,call",
+        [
+            ("z_plus", lambda bad, good: mhd.ElsasserState(bad, good)),
+            ("z_minus", lambda bad, good: mhd.ElsasserState(good, bad)),
+            ("u", lambda bad, good: mhd.to_elsasser(bad, good)),
+            ("b", lambda bad, good: mhd.to_elsasser(good, bad)),
+            ("z0_plus", lambda bad, good: mhd.picard_iterate(bad, good, 2.5, 2, 2, 0.01, 0.01, 2)),
+            ("z0_minus", lambda bad, good: mhd.picard_iterate(good, bad, 2.5, 2, 2, 0.01, 0.01, 2)),
+        ],
+        ids=["z_plus", "z_minus", "u", "b", "z0_plus", "z0_minus"],
+    )
+    def test_non_solenoidal_message_names_argument(self, name, call):
+        bad = sp.random_band_limited(G, seed=5, ncomp=2)
+        good = sp.random_solenoidal(G, seed=6)
+        with pytest.raises(sp.SpectralError, match=rf"^{name} is not solenoidal \(Leray residual"):
+            call(bad, good)
+
 
 class TestPressure:
     def test_constant_minus_field(self):

@@ -1,4 +1,6 @@
 import ast
+import inspect
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +46,6 @@ GRID_TABLES = {
     "spectral_weights": sp.spectral_weights,
     "make_filter_bank": sp.make_filter_bank,
     "plancherel_weights": sp._plancherel_weights,
-    "inverse_radius_squared": sp._inverse_radius_squared,
     "masked_derivative_factors": sp._masked_derivative_factors,
     "leray_factors": sp._leray_factors,
     "ball_kernels": spaces._ball_kernels,
@@ -57,6 +58,22 @@ def _table_arrays(table):
     if isinstance(table, tuple):
         return list(table)
     return [table]
+
+
+def test_grid_tables_lists_every_grid_keyed_cache():
+    """GRID_TABLES is every lru_cache function of spectral and spaces whose
+    first parameter is a Grid; _half_lattice_modes, keyed by (dimension,
+    kmax), is the one other cache there."""
+    keyed, other = set(), set()
+    for module in (sp, spaces):
+        for fn in vars(module).values():
+            if not (callable(fn) and hasattr(fn, "cache_info")):
+                continue
+            first = next(iter(inspect.signature(fn).parameters))
+            hint = typing.get_type_hints(fn.__wrapped__).get(first)
+            (keyed if hint is sp.Grid else other).add(fn.__name__)
+    assert keyed == {fn.__name__ for fn in GRID_TABLES.values()}
+    assert other == {"_half_lattice_modes"}
 
 
 @pytest.mark.parametrize("name", sorted(GRID_TABLES))
@@ -313,6 +330,18 @@ class TestLeray:
     def test_residual_flagging(self):
         v = sp.leray_project(sp.random_band_limited(G64, seed=11, ncomp=2))
         assert sp.solenoidal_residual(v) <= 1e-10
+
+    @pytest.mark.parametrize("grid", [sp.Grid(2, 64), sp.Grid(3, 16)], ids=["2d-64", "3d-16"])
+    def test_projection_subtracts_the_one_complement(self, grid):
+        rng = np.random.default_rng(12)
+        d = grid.dimension
+        for batch in ((), (2,)):
+            shape = batch + (d,) + grid.spectral_shape
+            c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            projected = sp._leray(grid, c.copy())
+            assert np.array_equal(projected, c - sp._leray_complement(grid, c))
+        halves = [sp._leray(grid, half.copy()) for half in c]
+        assert np.array_equal(projected, np.stack(halves))
 
 
 class TestRealField:
