@@ -12,7 +12,6 @@ from .spectral import (
     divergence,
     dyadic_block,
     from_function,
-    from_values,
     gradient,
     jacobian,
     jacobian_sup_norm,

@@ -3,9 +3,10 @@
 Subcommands: simulate, picard, verify (config-driven batch runs writing one
 self-contained output directory each) plus norm and decompose (direct
 snapshot utilities).  Exit codes: 0 success, 1 failed verification, 2
-validation error, 3 I/O failure, 4 non-finite state (simulate stops at the
-first record whose energy or blow-up integrand is not finite, after writing
-that row; picard writes every row, then checks each difference norm), 5 a
+validation error, 3 I/O failure, 4 non-finite state or norm (simulate stops
+at the first record whose energy or blow-up integrand is not finite, after
+writing that row; picard writes every row, then checks each difference norm;
+norm prints its strict-JSON record, then exits 4 on a non-finite value), 5 a
 simulate step broke the CFL bound after t = 0 (the run finishes and writes
 every output first; a non-finite state still exits 4).  On glibc, ``main``
 fixes the allocator's mmap and trim thresholds for its process (README,
@@ -19,7 +20,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import functools
-import json
 import math
 import os
 import sys
@@ -139,23 +139,10 @@ def _cmd_simulate(args) -> int:
     _check_cfl(state, cfg.dt)
     outdir = _prepare_outdir(cfg)
     snap_dir = os.path.join(outdir, "snapshots")
-    if cfg.snapshot_times:
+    snap_steps = cfg.snapshot_steps
+    if snap_steps:
         os.makedirs(snap_dir, exist_ok=True)
-
-    stream = diag.DiagnosticsStream(cfg.norm_specs)
     n_steps = mhd._step_count(cfg.t_final, cfg.dt)
-
-    # each requested snapshot time (in [0, t_final]) maps to its nearest step
-    snap_steps = {}
-    for t_snap in cfg.snapshot_times:
-        snap_steps.setdefault(round(t_snap / cfg.dt), t_snap)
-
-    def maybe_snapshot(s, m):
-        if m in snap_steps:
-            t_snap = snap_steps[m]
-            u, b = mhd.from_elsasser(s)
-            save_snapshot(u, os.path.join(snap_dir, f"u_t{t_snap:.6f}.npz"), s.t)
-            save_snapshot(b, os.path.join(snap_dir, f"b_t{t_snap:.6f}.npz"), s.t)
 
     # a step whose dt breaks the CFL bound (possible after t = 0) warns once;
     # the run reports all of them in one line, with the first step's start
@@ -170,38 +157,39 @@ def _cmd_simulate(args) -> int:
             show(message, category, *rest, **kwargs)
 
     # rows are written and flushed as they are recorded, so a run that
-    # fails midway keeps its prefix and a long run can be tailed
+    # fails midway keeps its prefix and a long run can be tailed; the
+    # blow-up integral's trapezoid rule needs only the last record
     stamp = datetime.now(timezone.utc).isoformat()
+    rec = None
+    finite = True
     with (open(os.path.join(outdir, "diagnostics.csv"), "w") as csv_fh,
           warnings.catch_warnings()):
         warnings.simplefilter("always", mhd.CflWarning)
         warnings.showwarning = collect_cfl
         csv_fh.write(diag.csv_header(cfg.grid, cfg.norm_specs, timestamp=stamp))
-
-        def emit(s):
-            # writes and flushes the row, then tells whether the state is
-            # finite: the energy sums every value of z+ and z- squared and
-            # the integrand is a max over the curls, so a non-finite value
-            # anywhere shows in one of the two, and no transform is spent
-            rec = stream.append(s)
-            csv_fh.write(diag.csv_line(rec, cfg.norm_specs))
-            csv_fh.flush()
-            if math.isfinite(rec.energy) and math.isfinite(rec.blowup_integrand):
-                return True
-            print(f"error: non-finite state at t = {s.t:g}; the run stops "
-                  "after writing its row", file=sys.stderr)
-            return False
-
         try:
-            if not emit(state):
-                return 4
-            maybe_snapshot(state, 0)
-            for m in range(1, n_steps + 1):
-                # stamped m*dt: repeated addition would drift off the grid times
-                state = replace(mhd.step(state, cfg.dt), t=m * cfg.dt)
-                if (m % cfg.cadence == 0 or m == n_steps) and not emit(state):
-                    return 4
-                maybe_snapshot(state, m)
+            for m in range(n_steps + 1):
+                if m:
+                    # stamped m*dt: repeated addition would drift off the grid times
+                    state = replace(mhd.step(state, cfg.dt), t=m * cfg.dt)
+                if m % cfg.cadence == 0 or m == n_steps:
+                    rec = diag.record(state, cfg.norm_specs, rec)
+                    csv_fh.write(diag.csv_line(rec, cfg.norm_specs))
+                    csv_fh.flush()
+                    # the energy sums every value of z+ and z- squared and the
+                    # integrand is a max over the curls, so a non-finite value
+                    # anywhere shows in one of the two, at no transform
+                    finite = (math.isfinite(rec.energy)
+                              and math.isfinite(rec.blowup_integrand))
+                    if not finite:
+                        print(f"error: non-finite state at t = {state.t:g}; the run "
+                              "stops after writing its row", file=sys.stderr)
+                        break
+                if m in snap_steps:
+                    u, b = mhd.from_elsasser(state)
+                    name = f"t{snap_steps[m]:.6f}.npz"
+                    save_snapshot(u, os.path.join(snap_dir, "u_" + name), state.t)
+                    save_snapshot(b, os.path.join(snap_dir, "b_" + name), state.t)
         finally:
             if late_cfl:
                 print(
@@ -210,7 +198,7 @@ def _cmd_simulate(args) -> int:
                     f"first at t = {late_cfl[0]:g}",
                     file=sys.stderr,
                 )
-    return 5 if late_cfl else 0
+    return 4 if not finite else 5 if late_cfl else 0
 
 
 def _cmd_picard(args) -> int:
@@ -292,7 +280,11 @@ def _cmd_norm(args) -> int:
     )
     field_id = os.path.splitext(os.path.basename(args.field))[0]
     value = tl_norm(field, spec)
-    print(json.dumps(norm_record(field_id, spec, value), sort_keys=True))
+    print(lab._dumps(norm_record(field_id, spec, value)))
+    if not math.isfinite(value):
+        print(f"error: the norm of field {field_id} ({args.field}) is not finite",
+              file=sys.stderr)
+        return 4
     return 0
 
 

@@ -168,6 +168,18 @@ class RunConfig:
     def grid(self) -> Grid:
         return Grid(self.grid_dimension, self.grid_points)
 
+    @property
+    def snapshot_steps(self) -> dict:
+        """Nearest step -> snapshot time; two times on one step are an error."""
+        steps = {}
+        for t in self.snapshot_times:
+            m = round(t / self.dt)
+            if m in steps:
+                raise ConfigError(f"snapshots.times entries {steps[m]!r} and {t!r} "
+                                  f"both fall on step {m} (dt = {self.dt!r})")
+            steps[m] = t
+        return steps
+
     def normalized(self) -> dict:
         """Fully resolved nested mapping; parsing its YAML dump reproduces
         this config exactly."""
@@ -308,6 +320,7 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
                     f"snapshots.times entry {t!r} lies outside [0, t_final = {cfg.t_final!r}]"
                 )
         cfg.snapshot_times = tuple(float(t) for t in times)
+        cfg.snapshot_steps  # raises on two times that fall on one step
 
     if subcommand == "picard":
         pmap = _require_mapping(data["picard"], "section 'picard'")

@@ -72,13 +72,13 @@ class ElsasserState:
         return self.z_plus.grid
 
 
-def to_elsasser(u: RealField, b: RealField, t: float = 0.0) -> ElsasserState:
+def to_elsasser(u: RealField, b: RealField) -> ElsasserState:
     """(u, b) -> (z+, z-) = (u + b, u - b)."""
     if u.grid != b.grid:
         raise SpectralError("u and b must share a grid")
     _require_solenoidal(u, "u")
     _require_solenoidal(b, "b")
-    return ElsasserState(u + b, u - b, t)
+    return ElsasserState(u + b, u - b)
 
 
 def from_elsasser(state: ElsasserState):
@@ -267,7 +267,6 @@ class PicardIterate:
     times: np.ndarray
     diff_norms: np.ndarray
     final_state: ElsasserState
-    trajectory: list | None = None
 
     @property
     def sup_diff_norm(self) -> float:
@@ -283,7 +282,6 @@ def picard_iterate(
     t_final: float,
     dt: float,
     n_max: int,
-    keep_trajectories: bool = False,
 ) -> list[PicardIterate]:
     """Run the linearized approximation scheme.
 
@@ -352,25 +350,17 @@ def picard_iterate(
     diffs[1] = pair_norm(ys[1])
     for n in range(2, n_max + 1):
         diffs[n, 0] = pair_norm(ys[n] - ys[n - 1])
-    # pairs at times[:-1]: a stage-1 pair is the iterate at the step's start
-    trajectories = [None, [first] * n_steps] + [[] for _ in range(2, n_max + 1)]
     for m in range(n_steps):
         stages = [first] * 4
         for n in range(2, n_max + 1):
             ys[n], stages = transport_step(ys[n], stages)
             diffs[n, m + 1] = pair_norm(ys[n] - ys[n - 1])
-            if keep_trajectories:
-                trajectories[n].append(stages[0])
 
     out = []
     for n in range(1, n_max + 1):
         final = first if n == 1 else pair(ys[n])
-        traj = None
-        if keep_trajectories:
-            traj = [ElsasserState(*zs, float(tm))
-                    for zs, tm in zip(trajectories[n] + [final], times)]
         out.append(PicardIterate(n, times, diffs[n].copy(),
-                                 ElsasserState(*final, float(times[-1])), traj))
+                                 ElsasserState(*final, float(times[-1]))))
     return out
 
 
@@ -524,20 +514,18 @@ def trajectory_map(
     grid: Grid,
     t_final: float,
     dt: float,
-    labels: np.ndarray | None = None,
 ) -> TrajectoryMap:
     """Integrate dX/dt = v(X, t) with RK4 from X(alpha, 0) = alpha.
 
     `velocity` may be a steady RealField, a callable t -> RealField, or a
     sequence of (t, RealField) snapshots (linearly interpolated in time at
-    RK4 stage instants).  Labels default to the full lattice, which is what
+    RK4 stage instants).  The labels are the full lattice, which is what
     the spectral Jacobian determinant requires.
     """
     v_of_t = _as_velocity_fn(velocity)
-    if labels is None:
-        labels = np.stack(grid.coordinates())
+    labels = np.stack(grid.coordinates())
     sampler = _VelocitySampler(grid)
-    x = labels.astype(float).copy()
+    x = labels.copy()
     n_steps = _step_count(t_final, dt)
     for m in range(n_steps):
         t = m * dt

@@ -297,10 +297,6 @@ class RealField:
         return f"RealField({kind}, d={self.grid.dimension}, N={self.grid.points})"
 
 
-def from_values(grid: Grid, values, solenoidal=False) -> RealField:
-    return RealField(grid, values=values, solenoidal=solenoidal)
-
-
 def from_function(grid: Grid, *component_functions) -> RealField:
     """Sample callables f(x1, .., xd) on the lattice, one per component."""
     coords = grid.coordinates()

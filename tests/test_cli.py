@@ -1,11 +1,13 @@
 import csv
 import ctypes
+import importlib.util
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +148,12 @@ verify: {ids: [bernstein], resolutions: [x, 64]}
         text = SIM_TEMPLATE.format(out="x", kind="random", amp=1.0)
         cfg = parse_config(text + "snapshots: {times: [0, 0.005, 0.01]}\n", "simulate")
         assert cfg.snapshot_times == (0.0, 0.005, 0.01)
+
+    def test_snapshot_steps_are_nearest(self):
+        # dt = 0.001: each time is taken at its nearest step
+        text = SIM_TEMPLATE.format(out="x", kind="random", amp=1.0)
+        cfg = parse_config(text + "snapshots: {times: [0.0051, 0.0072]}\n", "simulate")
+        assert cfg.snapshot_steps == {5: 0.0051, 7: 0.0072}
 
     @pytest.mark.parametrize("t", ["5.0", "-1.0", "0.0100001"])
     def test_snapshot_time_outside_run(self, t):
@@ -465,30 +473,62 @@ class TestSimulate:
         assert "snapshots.times entry 5.0" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_snapshot_times_on_one_step_exit_2(self, tmp_path, capsys):
+        # at dt = 0.001 the three times all fall on step 5
+        text = SIM_TEMPLATE.format(out=tmp_path / "run", kind="orszag-tang", amp=1.0)
+        text += "snapshots: {times: [0.0051, 0.0054, 0.0049]}\n"
+        assert main(["simulate", "--config", write(tmp_path / "s.yaml", text)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: snapshots.times entries 0.0051 and 0.0054 both fall on step 5 "
+            "(dt = 0.001)"
+        ]
+        assert not (tmp_path / "run").exists()
+
     def test_io_failure(self, tmp_path):
         text = SIM_TEMPLATE.format(out="/dev/null/nope", kind="orszag-tang", amp=1.0)
         cfg = write(tmp_path / "bad.yaml", text)
         assert main(["simulate", "--config", cfg]) == 3
 
     def test_streamed_csv_matches_write_csv(self, tmp_path, monkeypatch):
-        streams = []
+        records = []
+        record = diag.record
 
-        class Capturing(diag.DiagnosticsStream):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                streams.append(self)
+        def capture(*args, **kwargs):
+            records.append(record(*args, **kwargs))
+            return records[-1]
 
-        monkeypatch.setattr(diag, "DiagnosticsStream", Capturing)
+        monkeypatch.setattr(diag, "record", capture)
         text = SIM_TEMPLATE.format(out=tmp_path / "run", kind="orszag-tang", amp=1.0)
         cfg_path = write(tmp_path / "o.yaml", text)
         assert main(["simulate", "--config", cfg_path]) == 0
         cfg = load_config(cfg_path, "simulate")
         ref = diag.csv_header(cfg.grid, cfg.norm_specs, timestamp="T") + "".join(
-            diag.csv_line(rec, cfg.norm_specs) for rec in streams[0].records
+            diag.csv_line(rec, cfg.norm_specs) for rec in records
         )
         streamed = (tmp_path / "run" / "diagnostics.csv").read_text().splitlines()
         assert streamed[0].startswith("# created: ")
         assert streamed[1:] == ref.splitlines()[1:]
+
+    def test_holds_one_record(self, tmp_path, monkeypatch):
+        # the trapezoid rule of the blow-up integral reads only the previous
+        # record, so a run keeps no other: each call leaves at most that one
+        # and the new one alive
+        refs, alive = [], []
+        record = diag.record
+
+        def spy(*args, **kwargs):
+            rec = record(*args, **kwargs)
+            refs.append(weakref.ref(rec))
+            alive.append(sum(ref() is not None for ref in refs))
+            return rec
+
+        monkeypatch.setattr(diag, "record", spy)
+        text = SIM_TEMPLATE.format(out=tmp_path / "run", kind="orszag-tang", amp=1.0)
+        text = text.replace("points: 64", "points: 16").replace("cadence: 2", "cadence: 1")
+        text = text.replace("t_final: 0.01", "t_final: 0.02")
+        assert main(["simulate", "--config", write(tmp_path / "h.yaml", text)]) == 0
+        assert len(alive) == 21
+        assert max(alive) <= 2
 
     def test_failed_run_keeps_recorded_rows(self, tmp_path, monkeypatch):
         full = SIM_TEMPLATE.format(out=tmp_path / "full", kind="orszag-tang", amp=1.0)
@@ -787,6 +827,27 @@ class TestSnapshotTools:
         out = json.loads(capsys.readouterr().out)
         assert out["p"] is None and out["q"] is None
 
+    @pytest.mark.parametrize("pq", ["2", "inf"])
+    def test_norm_non_finite_exit_4(self, tmp_path, capsys, pq):
+        # one NaN value: the record is still strict JSON, spelling it "nan"
+        grid = sp.Grid(2, 16)
+        values = sp.random_band_limited(grid, seed=1).values.copy()
+        values[0, 3, 5] = np.nan
+        path = tmp_path / "bad.npz"
+        sp.save_snapshot(sp.RealField(grid, values=values), path)
+        assert main(["norm", "--field", str(path), "--s", "0",
+                     "--p", pq, "--q", pq, "--homogeneous"]) == 4
+        captured = capsys.readouterr()
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        out = json.loads(captured.out, parse_constant=reject)
+        assert out["field-id"] == "bad" and out["value"] == "nan"
+        assert captured.err.splitlines() == [
+            f"error: the norm of field bad ({path}) is not finite"
+        ]
+
     def test_decompose_reconstructs(self, tmp_path):
         grid, f, path = self._snapshot(tmp_path)
         outdir = tmp_path / "blocks"
@@ -887,6 +948,34 @@ def test_cli_import_leaves_ndimage_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.split() == ["False"]
+
+
+def _load_perfbench(name, monkeypatch):
+    path = Path(cli.__file__).resolve().parents[2] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_hot_calls_reached(tmp_path, monkeypatch):
+    # each benchmark workload times its hot calls through the tracer; a run
+    # that no longer reaches one of them would leave its call_ms.* empty
+    spans = _load_perfbench("spans", monkeypatch)
+    workloads = _load_perfbench("workloads", monkeypatch)
+    for name, workload in workloads.WORKLOADS.items():
+        cfg = workload.config(0, str(tmp_path / name), warmup=True)
+        path = write(tmp_path / f"{name}.yaml", workloads.config_yaml(cfg))
+        tracer = spans.Tracer(workload.hot, detail=False)
+        tracer.install()
+        try:
+            assert main([workload.subcommand, "--config", path]) == 0, name
+        finally:
+            tracer.uninstall()
+        assert tracer.missing == [], name
+        seen = {tracer.names[span[0]] for span in tracer.spans}
+        assert seen == set(workload.hot), name
 
 
 def _exit_codes(text):

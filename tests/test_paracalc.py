@@ -162,7 +162,7 @@ class TestBonyIdentity:
         u = sp.random_band_limited(grid, seed=50, decay=2.0, **kw)
         v = sp.random_band_limited(grid, seed=51, decay=2.0, **kw)
         if case == "means":
-            one = sp.from_values(grid, np.ones(grid.shape))
+            one = sp.RealField(grid, values=np.ones(grid.shape))
             u, v = u + 1.7 * one, v - 0.4 * one
         for fn, oracle in (
             (paraproduct, paraproduct_oracle),
