@@ -3,16 +3,17 @@
 Subcommands: simulate, picard, verify (config-driven batch runs writing one
 self-contained output directory each) plus norm and decompose (direct
 snapshot utilities).  Exit codes: 0 success, 1 failed verification, 2
-validation error, 3 I/O failure, 4 non-finite state or norm (simulate stops
-at the first record whose energy or blow-up integrand is not finite, after
-writing that row; picard writes every row, then checks each difference norm;
-norm prints its strict-JSON record, then exits 4 on a non-finite value), 5 a
-simulate step broke the CFL bound after t = 0 (the run finishes and writes
-every output first; a non-finite state still exits 4).  On glibc, ``main``
-fixes the allocator's mmap and trim thresholds for its process (README,
-"Allocator"), so the multi-MB spectral temporaries of a run are reused
-instead of being returned to the OS and faulted back in; importing the
-package changes nothing.
+validation error, 3 I/O failure, 4 non-finite state, norm or snapshot
+(simulate stops at the first record whose energy or blow-up integrand is not
+finite, after writing that row; picard writes every row, then checks each
+difference norm; norm prints its strict-JSON record, then exits 4 on a
+non-finite value; decompose writes nothing for a snapshot with a non-finite
+value), 5 a simulate step broke the CFL bound after t = 0 (the run finishes
+and writes every output first; a non-finite state still exits 4).  On glibc,
+``main`` fixes the allocator's mmap and trim thresholds for its process
+(README, "Allocator"), so the multi-MB spectral temporaries of a run are
+reused instead of being returned to the OS and faulted back in; importing
+the package changes nothing.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import sys
 import warnings
 from dataclasses import replace
 from datetime import datetime, timezone
+
+import numpy as np
 
 from . import diagnostics as diag
 from . import lab, mhd
@@ -227,10 +230,14 @@ def _cmd_picard(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = load_config(args.config, "verify")
-    ids = cfg.verify_ids
     if getattr(args, "ids", None):
         ids = tuple(part.strip() for part in args.ids.split(",") if part.strip())
         _check_verify_ids(ids, "--ids")
+        # config.yaml lists the ids that ran, with only their params, so it
+        # parses again and reruns this run
+        cfg = replace(cfg, verify_ids=ids, verify_params={
+            iid: p for iid, p in cfg.verify_params.items() if iid in ids})
+    ids = cfg.verify_ids
     if not ids:
         raise ConfigError("nothing to verify: the inequality id list is empty")
 
@@ -249,7 +256,7 @@ def _cmd_verify(args) -> int:
         # a single listed resolution is the one run; none means grid.points
         n = cfg.verify_resolutions[0] if cfg.verify_resolutions else cfg.grid_points
         for _, params in jobs:
-            params.setdefault("n", n)
+            params["n"] = n
         results = lab.run_inequalities(jobs, cfg.verify_trials, cfg.seed)
 
     outdir = _prepare_outdir(cfg)
@@ -290,6 +297,10 @@ def _cmd_norm(args) -> int:
 
 def _cmd_decompose(args) -> int:
     field, t = load_snapshot(args.field)
+    if not np.isfinite(field.values).all():
+        print(f"error: snapshot {args.field} holds a non-finite value; no block "
+              "is written", file=sys.stderr)
+        return 4
     os.makedirs(args.out, exist_ok=True)
     base = low_pass(field, field.grid.j0)
     save_snapshot(base, os.path.join(args.out, "lowpass.npz"), t)

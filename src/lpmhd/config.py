@@ -117,9 +117,10 @@ def _parse_norm_spec(entry, where) -> NormSpec:
 
 # the type of each lab parameter that verify.params may override, other
 # than p and q (read by _parse_pq) and the bernstein direction (checked by
-# the lab); kmax may also be null, the lab's band-limit default
+# the lab); kmax may also be null, the lab's band-limit default.  The
+# resolution n is not one: verify.resolutions or grid.points sets it
 _LAB_PARAM_TYPES = {
-    "d": int, "n": int, "k": int, "family": int, "kmax": int,
+    "d": int, "k": int, "family": int, "kmax": int,
     "s": float, "decay": float, "amplitude": float, "homogeneous": bool,
 }
 
@@ -130,6 +131,9 @@ def _parse_lab_params(entry, where) -> dict:
     entry = _require_mapping(entry, where)
     out = {}
     for key, value in entry.items():
+        if key == "n":
+            raise ConfigError(f"key 'n' in {where} is not allowed: verify.resolutions, "
+                              "or grid.points when it is empty, sets the resolution")
         if key in ("p", "q"):
             out[key] = _parse_pq(value, key, where)
         elif key in _LAB_PARAM_TYPES and not (key == "kmax" and value is None):

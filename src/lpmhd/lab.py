@@ -30,7 +30,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -110,13 +110,6 @@ def _draw(p, grid, kmax, seed, trial, stream=0, sampler=random_band_limited):
         grid, np.random.SeedSequence(entropy=seed, spawn_key=(trial, stream)),
         decay=p["decay"], kmax=kmax, amplitude=p["amplitude"],
     )
-
-
-def _require(cond: bool, inequality_id: str, hypothesis: str):
-    if not cond:
-        raise HypothesisError(
-            f"inequality '{inequality_id}' requires {hypothesis}"
-        )
 
 
 _COMMON = {"d": 2, "n": 64, "decay": 2.0, "kmax": None, "amplitude": 1.0}
@@ -231,56 +224,24 @@ def _commutator_lhs(fields_by_k, grid, s, pp, qq):
 _TERM_OF = {"term-I": "I", "term-II": "II", "term-III": "III", "term-IV": "IV"}
 
 
-class _PairFactors:
-    """The right-hand-side factors of one trial's (f, g), each evaluated on
-    first use only: the sup norms once, a Triebel-Lizorkin norm once per
-    NormSpec."""
-
-    def __init__(self, f, g):
-        self.f, self.g = f, g
-        self._tl = {}
-
-    @cached_property
-    def jac_f(self):
-        return jacobian_sup_norm(self.f)
-
-    @cached_property
-    def jac_g(self):
-        return jacobian_sup_norm(self.g)
-
-    @cached_property
-    def sup_g(self):
-        return lp_norm(self.g, INF)
-
-    @cached_property
-    def grad_f(self):
-        return jacobian(self.f)
-
-    def tl(self, name, spec):
-        """tl_norm of the factor `name` ('f', 'g' or 'grad_f') in spec."""
-        if (name, spec) not in self._tl:
-            self._tl[name, spec] = tl_norm(getattr(self, name), spec)
-        return self._tl[name, spec]
-
-
-# the right-hand side of each commutator id from one trial's factors
+# the right-hand side of each commutator id, a sum of products of a sup
+# norm ("grad f": ||grad f||_inf, "grad g": ||grad g||_inf, "g": ||g||_inf)
+# and a Triebel-Lizorkin norm (of "f", "g" or "grad f")
 _COMMUTATOR_RHS = {
-    "commutator-A2": lambda r, spec: r.jac_f * r.tl("g", spec) + r.jac_g * r.tl("f", spec),
-    "commutator-A3": lambda r, spec: (
-        r.jac_f * r.tl("g", spec) + r.sup_g * r.tl("grad_f", spec)
-    ),
-    "term-I": lambda r, spec: r.jac_f * r.tl("g", spec),
-    "term-II": lambda r, spec: r.jac_g * r.tl("f", spec),
-    "term-III": lambda r, spec: r.jac_g * r.tl("f", spec),
-    "term-IV": lambda r, spec: r.jac_f * r.tl("g", spec),
+    "commutator-A2": (("grad f", "g"), ("grad g", "f")),
+    "commutator-A3": (("grad f", "g"), ("g", "grad f")),
+    "term-I": (("grad f", "g"),),
+    "term-II": (("grad g", "f"),),
+    "term-III": (("grad g", "f"),),
+    "term-IV": (("grad f", "g"),),
 }
 
 
 def _commutator_ratios(jobs, grid, kmax, seed, trial):
     """Ratios of the commutator jobs (A2, A3, term-I..IV) on one trial's
     (f, g): the direct and the split family are built at most once each,
-    each left-hand side and right-hand-side factor is computed once per
-    NormSpec, and nothing outlives the trial."""
+    each left-hand side and Triebel-Lizorkin factor is computed once per
+    NormSpec and each sup factor once, and nothing outlives the trial."""
     f = _draw(jobs[0][1], grid, kmax, seed, trial, sampler=random_solenoidal)
     g = _draw(jobs[0][1], grid, kmax, seed, trial, 1)
     families = [_TERM_OF.get(iid, "direct") for iid, _ in jobs]
@@ -300,9 +261,20 @@ def _commutator_ratios(jobs, grid, kmax, seed, trial):
         splits = commutator_split_family(f, g)
         for key in _TERM_OF.values():
             reduce(key, {k: splits[k].terms[key] for k in grid.js})
-    rhs = _PairFactors(f, g)
+
+    @cache
+    def sup(name):
+        if name == "g":
+            return lp_norm(g, INF)
+        return jacobian_sup_norm(f if name == "grad f" else g)
+
+    @cache
+    def tl(name, spec):
+        return tl_norm(jacobian(f) if name == "grad f" else f if name == "f" else g, spec)
+
+    # sum starts at 0, and 0 + x == x exactly
     return [
-        lhs[family, spec] / _COMMUTATOR_RHS[iid](rhs, spec)
+        lhs[family, spec] / sum(sup(a) * tl(b, spec) for a, b in _COMMUTATOR_RHS[iid])
         for (iid, _), family, spec in zip(jobs, families, specs)
     ]
 
@@ -337,73 +309,36 @@ def _alone(fn):
     return evaluate
 
 
-@dataclass(frozen=True)
-class _Runner:
-    """An id's default params, its hypothesis check, and its evaluator
-    ``(jobs, grid, kmax, seed, trial) -> [ratio per job]``, where jobs are
-    (id, merged params) pairs with equal draw keys."""
-
-    defaults: dict
-    evaluate: object
-    validate: object = None
-
-
 _COMMUTATOR = {**_COMMON, "s": 1.5, "p": 2.0, "q": 2.0}
 
-_RUNNERS = {
-    "bernstein": _Runner(
-        {**_COMMON, "k": 1, "p": 2.0, "direction": "forward"},
-        _alone(_bernstein),
-        lambda p: _require(
-            p["direction"] in ("forward", "reverse"), "bernstein",
-            "direction in {forward, reverse}",
-        ),
+# each id's default params and its evaluator
+# ``(jobs, grid, kmax, seed, trial) -> [ratio per job]``, where jobs are
+# (id, merged params) pairs with equal draw keys
+_EVALUATORS = {
+    "bernstein": ({**_COMMON, "k": 1, "p": 2.0, "direction": "forward"}, _alone(_bernstein)),
+    "deriv-equiv": ({**_COMMON, "s": 1.5, "p": 2.0, "q": 2.0}, _alone(_deriv_equiv)),
+    "product": (
+        {**_COMMON, "s": 1.5, "p": 2.0, "q": 2.0, "homogeneous": True}, _alone(_product)
     ),
-    "deriv-equiv": _Runner(
-        {**_COMMON, "s": 1.5, "p": 2.0, "q": 2.0}, _alone(_deriv_equiv)
-    ),
-    "product": _Runner(
-        {**_COMMON, "s": 1.5, "p": 2.0, "q": 2.0, "homogeneous": True},
-        _alone(_product),
-        lambda p: _require(p["s"] > 0, "product", "s > 0"),
-    ),
-    "vector-maximal": _Runner(
-        {**_COMMON, "p": 2.0, "q": 2.0, "family": 8}, _vector_maximal
-    ),
-    "majorant": _Runner(dict(_COMMON), _alone(_majorant)),
-    "commutator-A2": _Runner(
-        _COMMUTATOR,
-        _commutator_ratios,
-        lambda p: _require(p["s"] > 0, "commutator-A2", "s > 0"),
-    ),
-    "commutator-A3": _Runner(
-        _COMMUTATOR,
-        _commutator_ratios,
-        lambda p: _require(p["s"] > -1, "commutator-A3", "s > -1"),
-    ),
-    "term-I": _Runner(_COMMUTATOR, _commutator_ratios),
-    "term-II": _Runner(
-        _COMMUTATOR,
-        _commutator_ratios,
-        lambda p: _require(p["s"] > 0, "term-II", "s > 0"),
-    ),
-    "term-III": _Runner(_COMMUTATOR, _commutator_ratios),
-    "term-IV": _Runner(
-        _COMMUTATOR,
-        _commutator_ratios,
-        lambda p: _require(p["s"] > -1, "term-IV", "s > -1"),
-    ),
-    "riesz-bounded": _Runner({**_COMMON, "s": 1.5}, _alone(_riesz_bounded)),
-    "pressure-3.11": _Runner(
-        {**_COMMON, "s": 1.5, "p": 2.0, "q": 2.0},
-        _alone(_pressure),
-        lambda p: _require(
-            p["s"] > 1, "pressure-3.11", "s > 1 (the product estimate is applied at order s - 1)"
-        ),
-    ),
+    "vector-maximal": ({**_COMMON, "p": 2.0, "q": 2.0, "family": 8}, _vector_maximal),
+    "majorant": (dict(_COMMON), _alone(_majorant)),
+    **{iid: (_COMMUTATOR, _commutator_ratios) for iid in _COMMUTATOR_RHS},
+    "riesz-bounded": ({**_COMMON, "s": 1.5}, _alone(_riesz_bounded)),
+    "pressure-3.11": ({**_COMMON, "s": 1.5, "p": 2.0, "q": 2.0}, _alone(_pressure)),
 }
 
-INEQUALITY_IDS = tuple(sorted(_RUNNERS))
+# the hypothesis s > bound of each id that has one, with a remark for its
+# error message
+_S_BOUND = {
+    "product": (0, ""),
+    "commutator-A2": (0, ""),
+    "commutator-A3": (-1, ""),
+    "term-II": (0, ""),
+    "term-IV": (-1, ""),
+    "pressure-3.11": (1, " (the product estimate is applied at order s - 1)"),
+}
+
+INEQUALITY_IDS = tuple(sorted(_EVALUATORS))
 
 # the params that a trial's drawn fields depend on; the others (s, p, q,
 # homogeneous, k, direction) enter only the reductions
@@ -411,21 +346,28 @@ DRAW_KEYS = ("d", "n", "kmax", "decay", "amplitude", "family")
 
 
 def _job(inequality_id: str, params: dict | None):
-    """(runner, merged params) of one job, validated before any trial runs."""
-    if inequality_id not in _RUNNERS:
+    """(evaluator, merged params) of one job, checked before any trial runs."""
+    if inequality_id not in _EVALUATORS:
         raise UnknownInequalityError(
             f"unknown inequality id '{inequality_id}'; known: {', '.join(INEQUALITY_IDS)}"
         )
-    runner = _RUNNERS[inequality_id]
-    unknown = set(params or {}) - set(runner.defaults)
+    defaults, evaluate = _EVALUATORS[inequality_id]
+    unknown = set(params or {}) - set(defaults)
     if unknown:
         raise HypothesisError(
             f"unknown parameter(s) {sorted(unknown)} for inequality '{inequality_id}'"
         )
-    p = {**runner.defaults, **(params or {})}
-    if runner.validate is not None:
-        runner.validate(p)
-    return runner, p
+    p = {**defaults, **(params or {})}
+    if inequality_id == "bernstein" and p["direction"] not in ("forward", "reverse"):
+        raise HypothesisError(
+            "inequality 'bernstein' requires direction in {forward, reverse}"
+        )
+    bound, remark = _S_BOUND.get(inequality_id, (None, ""))
+    if bound is not None and not p["s"] > bound:
+        raise HypothesisError(
+            f"inequality '{inequality_id}' requires s > {bound}{remark}"
+        )
+    return evaluate, p
 
 
 def run_inequalities(jobs, trials: int = 200, seed: int = 0) -> list:
@@ -438,8 +380,8 @@ def run_inequalities(jobs, trials: int = 200, seed: int = 0) -> list:
         raise HypothesisError(f"trials = {trials}: at least one trial is required")
     merged = [(iid, *_job(iid, params)) for iid, params in jobs]
     groups = {}
-    for pos, (_, runner, p) in enumerate(merged):
-        key = (runner.evaluate, repr([p.get(k) for k in DRAW_KEYS]))
+    for pos, (_, evaluate, p) in enumerate(merged):
+        key = (evaluate, repr([p.get(k) for k in DRAW_KEYS]))
         groups.setdefault(key, []).append(pos)
     ratios = [[] for _ in merged]
     for (evaluate, _), members in groups.items():

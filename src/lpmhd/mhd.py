@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -384,57 +385,6 @@ _REFINE = 4
 _SPLINE_ORDER = 5
 
 
-class _VelocitySampler:
-    """Evaluates vector fields at off-grid points by spectral zero-padding
-    refinement plus quintic spline interpolation on the refined lattice.
-
-    Spline coefficient tables are cached per field object (bounded LRU; the
-    cached strong reference keeps the id stable while the entry lives), so
-    steady velocities are refined exactly once.
-    """
-
-    _MAX_CACHED = 8
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        self.fine = grid.points * _REFINE
-        self._cache = {}
-
-    def _tables(self, v: RealField):
-        key = id(v)
-        if key not in self._cache:
-            from scipy import ndimage  # its only user; kept off the import path
-
-            fine_values = _fourier_refine(v, _REFINE)
-            tables = [
-                ndimage.spline_filter(
-                    comp, order=_SPLINE_ORDER, mode="grid-wrap"
-                )
-                for comp in fine_values
-            ]
-            if len(self._cache) >= self._MAX_CACHED:
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[key] = (v, tables)
-        return self._cache[key][1]
-
-    def __call__(self, v: RealField, points: np.ndarray) -> np.ndarray:
-        """points shape (d, ...) in [0, 2pi) coordinates (any wrap)."""
-        from scipy import ndimage
-
-        tables = self._tables(v)
-        idx = np.mod(points, 2.0 * math.pi) * (self.fine / (2.0 * math.pi))
-        flat = idx.reshape(self.grid.dimension, -1)
-        out = np.stack(
-            [
-                ndimage.map_coordinates(
-                    tab, flat, order=_SPLINE_ORDER, mode="grid-wrap", prefilter=False
-                )
-                for tab in tables
-            ]
-        )
-        return out.reshape(points.shape)
-
-
 def _fourier_refine(v: RealField, factor: int) -> np.ndarray:
     """Zero-padded spectral upsampling to a factor-times finer lattice."""
     grid = v.grid
@@ -488,8 +438,6 @@ class TrajectoryMap:
 def _as_velocity_fn(velocity):
     if isinstance(velocity, RealField):
         return lambda t: velocity
-    if callable(velocity):
-        return velocity
     snaps = sorted(velocity, key=lambda item: item[0])
     ts = np.array([item[0] for item in snaps])
 
@@ -517,21 +465,41 @@ def trajectory_map(
 ) -> TrajectoryMap:
     """Integrate dX/dt = v(X, t) with RK4 from X(alpha, 0) = alpha.
 
-    `velocity` may be a steady RealField, a callable t -> RealField, or a
-    sequence of (t, RealField) snapshots (linearly interpolated in time at
-    RK4 stage instants).  The labels are the full lattice, which is what
-    the spectral Jacobian determinant requires.
+    `velocity` may be a steady RealField or a sequence of (t, RealField)
+    snapshots (linearly interpolated in time at RK4 stage instants).  The
+    labels are the full lattice, which is what the spectral Jacobian
+    determinant requires.  Fields are sampled by spectral zero-padding
+    refinement and quintic splines on the refined lattice, and a steady
+    velocity is refined once.
     """
+    from scipy import ndimage  # its only user; kept off the import path
+
     v_of_t = _as_velocity_fn(velocity)
+    to_index = grid.points * _REFINE / (2.0 * math.pi)
+
+    # RealField hashes by identity; the cache holds its key fields, so no
+    # key's id is reused while its entry lives
+    @lru_cache(maxsize=8)
+    def tables(v):
+        return [ndimage.spline_filter(comp, order=_SPLINE_ORDER, mode="grid-wrap")
+                for comp in _fourier_refine(v, _REFINE)]
+
+    def sample(v, points):
+        flat = (np.mod(points, 2.0 * math.pi) * to_index).reshape(grid.dimension, -1)
+        return np.stack([
+            ndimage.map_coordinates(tab, flat, order=_SPLINE_ORDER, mode="grid-wrap",
+                                    prefilter=False)
+            for tab in tables(v)
+        ]).reshape(points.shape)
+
     labels = np.stack(grid.coordinates())
-    sampler = _VelocitySampler(grid)
     x = labels.copy()
     n_steps = _step_count(t_final, dt)
     for m in range(n_steps):
         t = m * dt
         stage_times = iter((t + 0.5 * dt, t + 0.5 * dt, t + dt))
-        x = _rk4(x, sampler(v_of_t(t), x), dt,
-                 lambda y: sampler(v_of_t(next(stage_times)), y))
+        x = _rk4(x, sample(v_of_t(t), x), dt,
+                 lambda y: sample(v_of_t(next(stage_times)), y))
     return TrajectoryMap(grid=grid, t=n_steps * dt, positions=x, labels=labels)
 
 

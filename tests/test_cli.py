@@ -775,6 +775,40 @@ verify:
                 1 + ids.index(iid)
             ]
 
+    def test_cli_ids_config_reruns(self, tmp_path):
+        # config.yaml lists the ids that ran, with only their params, so a
+        # rerun from it writes the same reports and summary
+        cfg = self._config(
+            tmp_path, ids="[product, bernstein]", extra=", params: {product: {s: 2.5}}"
+        )
+        assert main(["verify", "--config", cfg, "--ids", "riesz-bounded"]) == 0
+        first = tmp_path / "vrun"
+        written = yaml.safe_load((first / "config.yaml").read_text())
+        assert written["verify"]["ids"] == ["riesz-bounded"]
+        assert written["verify"]["params"] == {}
+        written["output"] = str(tmp_path / "rerun")
+        again = write(tmp_path / "again.yaml", yaml.safe_dump(written))
+        assert main(["verify", "--config", again]) == 0
+        second = tmp_path / "rerun"
+        assert sorted(p.name for p in (second / "reports").iterdir()) == [
+            "riesz-bounded.json"
+        ]
+        for name in ("summary.csv", "reports/riesz-bounded.json"):
+            assert (second / name).read_bytes() == (first / name).read_bytes()
+
+    @pytest.mark.parametrize("res", ["[64]", "[64, 128]"], ids=["single", "sweep"])
+    def test_params_n_exit_2(self, tmp_path, capsys, res):
+        # the resolution has one owner: verify.resolutions (or grid.points)
+        cfg = self._config(
+            tmp_path, ids="[riesz-bounded]",
+            extra=f", resolutions: {res}, params: {{riesz-bounded: {{n: 32}}}}",
+        )
+        assert main(["verify", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "key 'n' in verify.params.riesz-bounded" in err
+        assert "verify.resolutions" in err and "grid.points" in err
+        assert not (tmp_path / "vrun").exists()
+
     @pytest.mark.parametrize(
         "res", ["[32.9, 64]", "[true, '64']", "[64, 100]"],
         ids=["float", "bool-str", "not-pow2"],
@@ -858,6 +892,18 @@ class TestSnapshotTools:
             blk, _ = sp.load_snapshot(outdir / f"block_j{j}.npz")
             acc = acc + blk.values
         assert np.max(np.abs(acc - f.values)) <= 1e-12 * np.max(np.abs(f.values))
+
+    def test_decompose_non_finite_exit_4(self, tmp_path, capsys):
+        grid = sp.Grid(2, 16)
+        values = sp.random_band_limited(grid, seed=1).values.copy()
+        values[0, 3, 5] = np.nan
+        path = tmp_path / "bad.npz"
+        sp.save_snapshot(sp.RealField(grid, values=values), path)
+        outdir = tmp_path / "blocks"
+        assert main(["decompose", "--field", str(path), "--out", str(outdir)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(path) in err[0]
+        assert not outdir.exists()
 
     def test_norm_bad_exponent_exit_2(self, tmp_path, capsys):
         _, _, path = self._snapshot(tmp_path)

@@ -33,6 +33,19 @@ class TestValidation:
             lab.run_inequality(iid, params, trials=1)
         assert needle in str(err.value)
 
+    def test_bernstein_direction_named(self):
+        with pytest.raises(lab.HypothesisError, match="direction in"):
+            lab.run_inequality("bernstein", {"direction": "sideways"}, trials=1)
+
+    def test_tables_name_known_ids(self):
+        # a misspelled key would silently drop a hypothesis or a right-hand side
+        commutator_ids = {
+            iid for iid, (_, evaluate) in lab._EVALUATORS.items()
+            if evaluate is lab._commutator_ratios
+        }
+        assert set(lab._COMMUTATOR_RHS) == commutator_ids
+        assert set(lab._S_BOUND) <= set(lab.INEQUALITY_IDS)
+
     def test_unknown_param_key(self):
         with pytest.raises(lab.HypothesisError, match="unknown parameter"):
             lab.run_inequality("bernstein", {"spam": 1}, trials=1)

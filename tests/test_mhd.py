@@ -569,6 +569,19 @@ class TestTrajectory:
         tm = mhd.trajectory_map(v, G, t_final=0.5, dt=0.05)
         assert np.max(np.abs(tm.jacobian_determinant() - 1.0)) <= 5e-3
 
+    def test_steady_velocity_refined_once(self, monkeypatch):
+        calls = []
+        refine = mhd._fourier_refine
+
+        def spy(v, factor):
+            calls.append(v)
+            return refine(v, factor)
+
+        monkeypatch.setattr(mhd, "_fourier_refine", spy)
+        v = sp.random_solenoidal(G, seed=20, decay=3.0, amplitude=0.3)
+        mhd.trajectory_map(v, G, t_final=1.0, dt=0.1)
+        assert calls == [v]
+
     def test_snapshot_history_interpolation(self):
         a = sp.RealField(
             G, values=np.stack([np.ones(G.shape), np.zeros(G.shape)]),
