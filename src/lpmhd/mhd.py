@@ -387,20 +387,11 @@ _SPLINE_ORDER = 5
 
 def _fourier_refine(v: RealField, factor: int) -> np.ndarray:
     """Zero-padded spectral upsampling to a factor-times finer lattice."""
-    grid = v.grid
-    n, d = grid.points, grid.dimension
+    n, d = v.grid.points, v.grid.dimension
     m = n * factor
-    fine_shape = (m,) * (d - 1) + (m // 2 + 1,)
-    out = np.zeros((v.ncomp,) + fine_shape, dtype=complex)
-    src = v.coeffs
-    index = [np.arange(n // 2 + 1)]
-    for _ in range(d - 1):
-        freq = np.fft.fftfreq(n, 1.0 / n).astype(int)
-        index.insert(0, np.mod(freq, m))
-    grids = np.ix_(*index)
-    for c in range(v.ncomp):
-        dest = out[c]
-        dest[grids] = src[c]
+    out = np.zeros((v.ncomp,) + (m,) * (d - 1) + (m // 2 + 1,), dtype=complex)
+    wrapped = np.mod(np.fft.fftfreq(n, 1.0 / n).astype(int), m)
+    out[np.ix_(np.arange(v.ncomp), *[wrapped] * (d - 1), np.arange(n // 2 + 1))] = v.coeffs
     return _inverse(Grid(d, m), out) * float(factor) ** d
 
 
@@ -424,37 +415,7 @@ class TrajectoryMap:
         d = grid.dimension
         disp = RealField(grid, values=self.displacement)
         jac = _inverse(grid, jacobian(disp).coeffs).reshape((d, d) + grid.shape)
-        for a in range(d):
-            jac[a, a] += 1.0
-        if d == 2:
-            return jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        return (
-            jac[0, 0] * (jac[1, 1] * jac[2, 2] - jac[1, 2] * jac[2, 1])
-            - jac[0, 1] * (jac[1, 0] * jac[2, 2] - jac[1, 2] * jac[2, 0])
-            + jac[0, 2] * (jac[1, 0] * jac[2, 1] - jac[1, 1] * jac[2, 0])
-        )
-
-
-def _as_velocity_fn(velocity):
-    if isinstance(velocity, RealField):
-        return lambda t: velocity
-    snaps = sorted(velocity, key=lambda item: item[0])
-    ts = np.array([item[0] for item in snaps])
-
-    def interp(t):
-        i = int(np.searchsorted(ts, t))
-        if i < len(ts) and abs(ts[i] - t) < 1e-12:
-            return snaps[i][1]
-        if i == 0:
-            return snaps[0][1]
-        if i == len(ts):
-            return snaps[-1][1]
-        t0, f0 = snaps[i - 1]
-        t1, f1 = snaps[i]
-        w = (t - t0) / (t1 - t0)
-        return (1.0 - w) * f0 + w * f1
-
-    return interp
+        return np.linalg.det(np.moveaxis(jac, (0, 1), (-2, -1)) + np.eye(d))
 
 
 def trajectory_map(
@@ -465,32 +426,49 @@ def trajectory_map(
 ) -> TrajectoryMap:
     """Integrate dX/dt = v(X, t) with RK4 from X(alpha, 0) = alpha.
 
-    `velocity` may be a steady RealField or a sequence of (t, RealField)
-    snapshots (linearly interpolated in time at RK4 stage instants).  The
-    labels are the full lattice, which is what the spectral Jacobian
+    `velocity` may be a steady RealField or a nonempty sequence of
+    (t, RealField) snapshots; each field must be a vector field on `grid`.
+    The labels are the full lattice, which is what the spectral Jacobian
     determinant requires.  Fields are sampled by spectral zero-padding
-    refinement and quintic splines on the refined lattice, and a steady
-    velocity is refined once.
+    refinement and quintic splines on the refined lattice.  Each snapshot is
+    refined once; a stage between two snapshot times blends their samples
+    linearly in time (outside the history the nearest snapshot holds), which
+    is, as both steps are linear, the sample of the blended field.
     """
     from scipy import ndimage  # its only user; kept off the import path
 
-    v_of_t = _as_velocity_fn(velocity)
+    snaps = ([(0.0, velocity)] if isinstance(velocity, RealField)
+             else sorted(velocity, key=lambda item: item[0]))
+    if not snaps or not all(isinstance(f, RealField) and f.grid == grid
+                            and f.ncomp == grid.dimension for _, f in snaps):
+        raise SpectralError(
+            f"velocity must be a vector field on {grid}, or a nonempty list of "
+            "(t, field) snapshots of such fields")
+    ts = np.array([t for t, _ in snaps])
     to_index = grid.points * _REFINE / (2.0 * math.pi)
 
-    # RealField hashes by identity; the cache holds its key fields, so no
-    # key's id is reused while its entry lives
-    @lru_cache(maxsize=8)
-    def tables(v):
+    # stage times only increase and a stage reads at most two snapshots
+    @lru_cache(maxsize=2)
+    def tables(i):
         return [ndimage.spline_filter(comp, order=_SPLINE_ORDER, mode="grid-wrap")
-                for comp in _fourier_refine(v, _REFINE)]
+                for comp in _fourier_refine(snaps[i][1], _REFINE)]
 
-    def sample(v, points):
+    def sample(i, points):
         flat = (np.mod(points, 2.0 * math.pi) * to_index).reshape(grid.dimension, -1)
         return np.stack([
             ndimage.map_coordinates(tab, flat, order=_SPLINE_ORDER, mode="grid-wrap",
                                     prefilter=False)
-            for tab in tables(v)
+            for tab in tables(i)
         ]).reshape(points.shape)
+
+    def velocity_at(t, points):
+        i = int(np.searchsorted(ts, t))
+        if i < len(ts) and abs(ts[i] - t) < 1e-12 or i == 0:
+            return sample(i, points)
+        if i == len(ts):
+            return sample(i - 1, points)
+        w = (t - ts[i - 1]) / (ts[i] - ts[i - 1])
+        return (1.0 - w) * sample(i - 1, points) + w * sample(i, points)
 
     labels = np.stack(grid.coordinates())
     x = labels.copy()
@@ -498,8 +476,7 @@ def trajectory_map(
     for m in range(n_steps):
         t = m * dt
         stage_times = iter((t + 0.5 * dt, t + 0.5 * dt, t + dt))
-        x = _rk4(x, sample(v_of_t(t), x), dt,
-                 lambda y: sample(v_of_t(next(stage_times)), y))
+        x = _rk4(x, velocity_at(t, x), dt, lambda y: velocity_at(next(stage_times), y))
     return TrajectoryMap(grid=grid, t=n_steps * dt, positions=x, labels=labels)
 
 

@@ -51,6 +51,8 @@ class NormSpec:
     homogeneous: bool = True
 
     def __post_init__(self):
+        if not math.isfinite(self.s):
+            raise NormDomainError(f"s = {self.s} must be a finite number")
         p, q = self.p, self.q
         ok = (1.0 < p < INF and 1.0 < q <= INF) or (p == INF and q == INF)
         if not ok:

@@ -823,6 +823,10 @@ def load_snapshot(path):
             field = RealField(
                 grid, values=data["values"], solenoidal=bool(data["solenoidal"])
             )
+            if field.ncomp != int(data["components"]):
+                raise SpectralError(
+                    f"snapshot {path} holds {field.ncomp} components but its "
+                    f"header says {int(data['components'])}")
             t = float(data["time"])
     except SpectralError:
         raise

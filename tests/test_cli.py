@@ -905,6 +905,34 @@ class TestSnapshotTools:
         assert len(err) == 1 and str(path) in err[0]
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("s", ["nan", "inf"])
+    @pytest.mark.parametrize("homogeneous", [True, False])
+    def test_norm_non_finite_s_exit_2(self, tmp_path, capsys, s, homogeneous):
+        _, _, path = self._snapshot(tmp_path)
+        args = ["norm", "--field", str(path), "--s", s, "--p", "2", "--q", "2"]
+        assert main(args + ["--homogeneous"] * homogeneous) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"s = {s} must be a finite number" in captured.err
+
+    @pytest.mark.parametrize("command", ["norm", "decompose"])
+    def test_components_header_mismatch_exit_2(self, tmp_path, capsys, command):
+        # a 2-component field under a header that claims 3 components
+        path = tmp_path / "bad.npz"
+        sp.save_snapshot(sp.random_solenoidal(sp.Grid(2, 16), seed=1), path)
+        with np.load(path) as data:
+            archive = dict(data)
+        archive["components"] = np.int64(3)
+        np.savez(path, **archive)
+        with pytest.raises(sp.SpectralError, match="3"):
+            sp.load_snapshot(path)
+        outdir = tmp_path / "blocks"
+        extra = {"norm": ["--s", "1", "--p", "2", "--q", "2"],
+                 "decompose": ["--out", str(outdir)]}[command]
+        assert main([command, "--field", str(path)] + extra) == 2
+        assert "components" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_norm_bad_exponent_exit_2(self, tmp_path, capsys):
         _, _, path = self._snapshot(tmp_path)
         assert main(["norm", "--field", str(path), "--s", "1",

@@ -582,6 +582,53 @@ class TestTrajectory:
         mhd.trajectory_map(v, G, t_final=1.0, dt=0.1)
         assert calls == [v]
 
+    def test_history_refines_each_snapshot_once(self, monkeypatch):
+        calls = []
+        refine = mhd._fourier_refine
+
+        def spy(v, factor):
+            calls.append(v)
+            return refine(v, factor)
+
+        monkeypatch.setattr(mhd, "_fourier_refine", spy)
+        grid = sp.Grid(2, 32)
+        v0 = sp.random_solenoidal(grid, seed=20, decay=3.0, amplitude=0.3)
+        v1 = sp.random_solenoidal(grid, seed=21, decay=3.0, amplitude=0.3)
+        mhd.trajectory_map([(1.0, v1), (0.0, v0)], grid, t_final=1.0, dt=0.1)
+        assert calls == [v0, v1]
+
+    @pytest.mark.parametrize("grid", [sp.Grid(2, 32), sp.Grid(3, 16)], ids=["2d", "3d"])
+    def test_jacobian_determinant_cofactors(self, grid):
+        d = grid.dimension
+        disp = sp.random_band_limited(grid, seed=22, ncomp=d)
+        disp = sp.RealField(grid, values=0.3 * disp.values / np.max(np.abs(disp.values)))
+        labels = np.stack(grid.coordinates())
+        tm = mhd.TrajectoryMap(grid, 1.0, labels + disp.values, labels)
+        j = sp.jacobian(disp).values.reshape((d, d) + grid.shape) + np.eye(d).reshape(
+            (d, d) + (1,) * d)
+        if d == 2:
+            expect = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
+        else:
+            expect = (j[0, 0] * (j[1, 1] * j[2, 2] - j[1, 2] * j[2, 1])
+                      - j[0, 1] * (j[1, 0] * j[2, 2] - j[1, 2] * j[2, 0])
+                      + j[0, 2] * (j[1, 0] * j[2, 1] - j[1, 1] * j[2, 0]))
+        got = tm.jacobian_determinant()
+        assert np.max(np.abs(expect - 1.0)) > 0.1  # the map is far from rigid
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("case", ["coarse-field", "scalar", "empty", "mixed-grids"])
+    def test_rejects_velocity_it_cannot_sample(self, case):
+        coarse, fine = sp.Grid(2, 32), sp.Grid(2, 64)
+        v = sp.random_solenoidal(coarse, seed=20, decay=3.0, amplitude=0.3)
+        velocity, grid = {
+            "coarse-field": (v, fine),
+            "scalar": (sp.random_band_limited(coarse, seed=1), coarse),
+            "empty": ([], coarse),
+            "mixed-grids": ([(0.0, v), (1.0, sp.zero_field(fine, 2))], coarse),
+        }[case]
+        with pytest.raises(sp.SpectralError, match="velocity must be a vector field"):
+            mhd.trajectory_map(velocity, grid, t_final=0.5, dt=0.05)
+
     def test_snapshot_history_interpolation(self):
         a = sp.RealField(
             G, values=np.stack([np.ones(G.shape), np.zeros(G.shape)]),

@@ -42,6 +42,12 @@ class TestNormSpec:
         with pytest.raises(NormDomainError):
             NormSpec(s, p, q, homogeneous=hom)
 
+    @pytest.mark.parametrize("s", [math.nan, INF, -INF])
+    @pytest.mark.parametrize("hom", [True, False])
+    def test_non_finite_s(self, s, hom):
+        with pytest.raises(NormDomainError, match=f"s = {s} must be a finite number"):
+            NormSpec(s, 2.0, 2.0, homogeneous=hom)
+
     def test_valid(self):
         NormSpec(0.0, INF, INF)          # the blow-up norm
         NormSpec(1.5, 2.0, INF)
