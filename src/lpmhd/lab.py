@@ -13,10 +13,12 @@ The unit of work is an (id, params) job, and one id may appear in several
 jobs.  `run_inequalities` and `stability_sweeps` group jobs by evaluator
 and `DRAW_KEYS`, and each trial of a group draws its fields once: the
 commutator jobs (A2, A3, term-I..IV) build the direct and the split family
-at most once per trial and reduce them once per NormSpec; the
-vector-maximal jobs maximize their family once per trial.  At p = q = 2 a
-commutator norm is sqrt(sum_k 2^{2ks} ||C_k||_2^2), taken by Plancherel
-from the family's coefficients.  Nothing is kept between trials or calls.
+at most once per trial, both from one `paracalc` workspace, and reduce them
+once per NormSpec; the vector-maximal jobs maximize their family once per
+trial.  At p = q = 2 a commutator norm is sqrt(sum_k 2^{2ks} ||C_k||_2^2),
+taken by Plancherel from the family's coefficients; at other (p, q) a shell
+with exactly zero coefficients is not transformed.  Nothing is kept
+between trials or calls: the workspace is freed with the trial's fields.
 Reports are reproducible bit-for-bit from (id, params, seed), whichever
 jobs run beside them; `run_inequality` and `stability_sweep` are the
 one-job forms.
@@ -212,12 +214,17 @@ def _majorant(p, grid, kmax, seed, trial):
 def _commutator_lhs(fields_by_k, grid, s, pp, qq):
     """|| 2^{ks} |C_k(x)| ||_{L^p(l^q)} of a commutator family {k: C_k}.  At
     p = q = 2 it is sqrt(sum_k 2^{2ks} ||C_k||_2^2), by Plancherel from the
-    coefficients with no transform; other (p, q) reduce the magnitudes."""
+    coefficients with no transform; other (p, q) reduce the magnitudes, and
+    a C_k with exactly zero coefficients has zero magnitude (the bits of its
+    inverse) without a transform."""
     if pp == qq == 2.0:
         energies = [shell_energies(fields_by_k[k])[1] for k in grid.js]
         weights = 2.0 ** (2.0 * s * np.asarray(grid.js, dtype=float))
         return math.sqrt(float(weights @ energies))
-    stack = np.stack([fields_by_k[k].magnitude() for k in grid.js])
+    stack = np.zeros((len(grid.js),) + grid.shape)
+    for i, k in enumerate(grid.js):
+        if fields_by_k[k].coeffs.any():
+            stack[i] = fields_by_k[k].magnitude()
     return shell_lp_lq(stack, grid.js, s, pp, qq)
 
 
@@ -240,8 +247,9 @@ _COMMUTATOR_RHS = {
 def _commutator_ratios(jobs, grid, kmax, seed, trial):
     """Ratios of the commutator jobs (A2, A3, term-I..IV) on one trial's
     (f, g): the direct and the split family are built at most once each,
-    each left-hand side and Triebel-Lizorkin factor is computed once per
-    NormSpec and each sup factor once, and nothing outlives the trial."""
+    from one shared workspace, each left-hand side and Triebel-Lizorkin
+    factor is computed once per NormSpec and each sup factor once, and
+    nothing outlives the trial."""
     f = _draw(jobs[0][1], grid, kmax, seed, trial, sampler=random_solenoidal)
     g = _draw(jobs[0][1], grid, kmax, seed, trial, 1)
     families = [_TERM_OF.get(iid, "direct") for iid, _ in jobs]

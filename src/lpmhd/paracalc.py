@@ -29,16 +29,21 @@ set of factor transforms.  A single shell is a lookup,
 ``commutator_family(f, g)[k]``.
 
 Both halves read their factors from one dyadic-block cache per spectrum
-(`_Blocks`): the values of Delta_j a and S_j a, each inverse-transformed on
-first use, and None for a block whose coefficients are all zero, which is
-then never transformed or multiplied.  Leading axes of a spectrum are batch
-axes.  The paraproduct piece P_K(S_{j-1}a Delta_j b) and the remainder piece
+(`_Blocks`): the values of Delta_j a and S_j a, each computed on first use,
+and None for a block whose coefficients are all zero, which is then never
+transformed or multiplied.  Leading axes of a spectrum are batch axes.  The
+paraproduct piece P_K(S_{j-1}a Delta_j b) and the remainder piece
 P_K(Delta_j a Delta~_j b) are summed over j by `paraproduct` and
 `remainder`, and over the components i of (f_i, d_i g) by the commutator
 split for terms I, III and IV.  `bony_reconstruction` shares one cache per
-argument across all its terms; the commutator builds one workspace per
-(f, g), with g's components on the batch axis, so every f_i block is
-transformed once and shared by all components of g.
+argument across all its terms, and inverse-transforms every S_j a from
+chi_j.  The commutator keeps one workspace per (f, g), with g's components
+on the batch axis, so every f_i block is transformed once and shared by all
+components of g.  Both families read it: a one-slot cache holds the last
+pair's workspace while both fields live, so the split family of the pair the
+direct family just measured transforms no block again.  In the workspace
+S_j a = S_{j-1} a + Delta_{j-1} a is summed in physical space for j > j0,
+from blocks already transformed; only S_{j0} a is inverse-transformed.
 
 P_K and the transform are linear, so the commutator adds up in physical
 space the products that feed one output and forward-transforms each sum
@@ -51,8 +56,8 @@ transform per piece, with the bits of P_K(a * b).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -98,16 +103,36 @@ def _add_products(acc: np.ndarray, grid, pairs):
 
 class _Blocks:
     """The dyadic blocks of one spectrum a, batched over its leading axes:
-    ``block(j)`` gives the values of Delta_j a and ``low(j)`` those of S_j a.
-    Each is inverse-transformed on first use and held as None when its
-    coefficients are identically zero."""
+    ``block(j)`` gives the values of Delta_j a and ``low(j)`` those of S_j a,
+    each computed on first use and held as None when its coefficients are
+    identically zero.  A block is one inverse transform, and so is a low
+    pass unless `telescoped`: then S_j a = S_{j-1} a + Delta_{j-1} a for
+    j > j0, summed in physical space.  That is exact on the multipliers,
+    phi_{j-1} = chi_j - chi_{j-1}, and equal to the transform of chi_j a up
+    to round-off.  The memos are plain dicts, so a dropped cache holds no
+    reference cycle and is freed at once."""
 
-    def __init__(self, grid, coeffs: np.ndarray):
-        bank = make_filter_bank(grid)
+    def __init__(self, grid, coeffs: np.ndarray, telescoped: bool = False):
         self.grid = grid
         self.coeffs = coeffs
-        self.block = cache(lambda j: _block_values(grid, bank.phi[j] * coeffs))
-        self.low = cache(lambda j: _block_values(grid, bank.chi[j] * coeffs))
+        self.telescoped = telescoped
+        self._bank = make_filter_bank(grid)
+        self._blocks = {}
+        self._lows = {}
+
+    def block(self, j: int):
+        if j not in self._blocks:
+            self._blocks[j] = _block_values(self.grid, self._bank.phi[j] * self.coeffs)
+        return self._blocks[j]
+
+    def low(self, j: int):
+        if j not in self._lows:
+            if self.telescoped and j > self.grid.j0:
+                parts = [x for x in (self.low(j - 1), self.block(j - 1)) if x is not None]
+                self._lows[j] = sum(parts[1:], parts[0]) if parts else None
+            else:
+                self._lows[j] = _block_values(self.grid, self._bank.chi[j] * self.coeffs)
+        return self._lows[j]
 
 
 def _paraproduct_factors(a: _Blocks, b: _Blocks, j: int):
@@ -227,11 +252,11 @@ class CommutatorSplit:
 
 
 class _CommutatorWorkspace:
-    """Shared per-(f, g) precomputations for the commutator family: the
-    blocks of every f_i and of every d_i g, so assembling all k reuses the
-    same physical-space factors and never transforms an empty block.  The
-    components of g ride a leading batch axis, so f's blocks are transformed
-    once whatever g's component count."""
+    """Shared per-(f, g) precomputations for both commutator families: the
+    blocks of every f_i and of every d_i g, with telescoped low passes, so
+    assembling all k reuses the same physical-space factors and never
+    transforms an empty block.  The components of g ride a leading batch
+    axis, so f's blocks are transformed once whatever g's component count."""
 
     def __init__(self, f: RealField, g: RealField):
         _require_solenoidal(f, "advecting field f")
@@ -244,8 +269,10 @@ class _CommutatorWorkspace:
         self.bank = make_filter_bank(grid)
         self.d = grid.dimension
         freqs = frequencies(grid)
-        self.f = [_Blocks(grid, f.coeffs[i]) for i in range(self.d)]
-        self.dg = [_Blocks(grid, 1j * freqs[i] * g.coeffs) for i in range(self.d)]
+        self.f = [_Blocks(grid, f.coeffs[i], telescoped=True) for i in range(self.d)]
+        self.dg = [
+            _Blocks(grid, 1j * freqs[i] * g.coeffs, telescoped=True) for i in range(self.d)
+        ]
         self.f_phys = [f.values[i] for i in range(self.d)]
 
     def _zeros(self):
@@ -339,18 +366,42 @@ class _CommutatorWorkspace:
         return term_i, term_ii, term_iii, term_iv
 
 
+# the last pair's workspace, as (weak reference to f, to g, workspace)
+_last = None
+
+
+def _forget(_ref):
+    """Weak-reference callback: a field of the cached pair was freed."""
+    global _last
+    _last = None
+
+
+def _workspace(f: RealField, g: RealField) -> _CommutatorWorkspace:
+    """The workspace of (f, g), shared by both families of the pair.  One
+    slot holds the last pair's workspace and refers to the pair weakly, so
+    it empties as soon as either field is freed (a lab trial's fields die
+    with the trial) and a freed field's id can never match.  Fields are
+    immutable, so a pair's workspace stays valid while it is cached."""
+    global _last
+    if _last is None or _last[0]() is not f or _last[1]() is not g:
+        _last = None  # free the old workspace before the new one fills
+        ws = _CommutatorWorkspace(f, g)
+        _last = (weakref.ref(f, _forget), weakref.ref(g, _forget), ws)
+    return _last[2]
+
+
 def commutator_family(f: RealField, g: RealField) -> dict:
     """Direct commutators f . grad Delta_k g - Delta_k (f . grad g) for every
     shell k, sharing factor transforms; the reference values for the split.
     One shell is ``commutator_family(f, g)[k]``."""
-    family = _CommutatorWorkspace(f, g).direct_family()
+    family = _workspace(f, g).direct_family()
     return {k: RealField(f.grid, coeffs=acc) for k, acc in family.items()}
 
 
 def commutator_split_family(f: RealField, g: RealField) -> dict:
     """The four-term split for every shell k with shared precomputation;
     ``[k].total`` reconstructs ``commutator_family(f, g)[k]`` exactly."""
-    family = _CommutatorWorkspace(f, g).split_family()
+    family = _workspace(f, g).split_family()
     return {
         k: CommutatorSplit(k, *(RealField(f.grid, coeffs=t) for t in terms))
         for k, terms in family.items()

@@ -174,7 +174,9 @@ class RealField:
     new field.
     """
 
-    __slots__ = ("grid", "ncomp", "_values", "_coeffs", "solenoidal")
+    # weak references let paracalc cache a workspace per pair of fields
+    # without keeping the fields alive
+    __slots__ = ("grid", "ncomp", "_values", "_coeffs", "solenoidal", "__weakref__")
 
     def __init__(self, grid, values=None, coeffs=None, solenoidal=False):
         if values is None and coeffs is None:
@@ -488,6 +490,9 @@ def low_pass_saturating(f: RealField, j: int) -> RealField:
 def block_magnitudes(f: RealField) -> np.ndarray:
     """Stack of pointwise magnitudes |Delta_j f|, shape (n_shells,) + grid.shape:
     per shell, one batched inverse of every component, written into the stack.
+    A shell whose spectrum is exactly zero is written as zeros, the bits of
+    its inverse, without a transform; a NaN spectrum is nonzero and is
+    transformed.
 
     (One inverse of all shells at once gives the same bits, but it measured
     up to 1.7x slower once the stack passes about 1 MB, as at 2D N=128 and
@@ -496,7 +501,11 @@ def block_magnitudes(f: RealField) -> np.ndarray:
     grid, bank = f.grid, make_filter_bank(f.grid)
     out = np.empty((len(grid.js),) + grid.shape)
     for i, j in enumerate(grid.js):
-        blk = _inverse(grid, f.coeffs * bank.phi[j])
+        shell = f.coeffs * bank.phi[j]
+        if not shell.any():
+            out[i] = 0.0
+            continue
+        blk = _inverse(grid, shell)
         if f.ncomp == 1:
             np.abs(blk[0], out=out[i])
         else:

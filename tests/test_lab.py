@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lpmhd import lab
+from lpmhd import lab, paracalc
 from lpmhd import spectral as sp
 from lpmhd.paracalc import commutator_family, commutator_split_family
 from lpmhd.spaces import NormSpec, lp_norm, shell_lp_lq, tl_norm
@@ -383,15 +383,51 @@ class TestCommutatorLhs:
                 assert want > 0
                 assert abs(got - want) <= 1e-12 * want
 
-    def test_trial_transform_count(self, count_transforms):
-        # one trial of the six commutator ids at p = q = 2: the draw, the
-        # two families (20 + 92) and the right-hand-side factors; no
-        # commutator field is inverse-transformed for its norm
-        p = dict(lab._COMMUTATOR, n=64, kmax=10)
+    @staticmethod
+    def _trial_transforms(count_transforms, **extra):
+        p = dict(lab._COMMUTATOR, **extra)
         grid, kmax = lab._grid_and_kmax(p)
         counts = count_transforms()
         ratios = lab._commutator_ratios(
             [(iid, p) for iid in COMMUTATOR_IDS], grid, kmax, 0, 0
         )
         assert len(ratios) == len(COMMUTATOR_IDS)
-        assert sum(counts) == 121
+        return sum(counts)
+
+    def test_trial_transform_count(self, count_transforms):
+        # one trial of the six commutator ids at p = q = 2: the draw, the
+        # two families on one workspace (20 + 60) and the right-hand-side
+        # factors; no commutator field is inverse-transformed for its norm
+        assert self._trial_transforms(count_transforms, n=64, kmax=10) == 89
+
+    def test_p4_trial_transform_count(self, count_transforms):
+        # p = 4 on the full band at N=128: every nonempty shell of the six
+        # left-hand sides and of the Triebel-Lizorkin factors is
+        # inverse-transformed for its magnitude, and the 12 exactly empty
+        # ones are not
+        assert self._trial_transforms(count_transforms, n=128, p=4.0) == 213
+
+    def test_trial_shares_one_workspace(self, monkeypatch):
+        # one trial builds one workspace and calls each public family once
+        built, calls = [], []
+
+        class Counted(paracalc._CommutatorWorkspace):
+            def __init__(self, f, g):
+                built.append(1)
+                super().__init__(f, g)
+
+        def counted(fn):
+            def wrapper(f, g):
+                calls.append(fn.__name__)
+                return fn(f, g)
+
+            return wrapper
+
+        monkeypatch.setattr(paracalc, "_CommutatorWorkspace", Counted)
+        for name in ("commutator_family", "commutator_split_family"):
+            monkeypatch.setattr(lab, name, counted(getattr(lab, name)))
+        p = dict(lab._COMMUTATOR, n=64, kmax=10)
+        grid, kmax = lab._grid_and_kmax(p)
+        lab._commutator_ratios([(iid, p) for iid in COMMUTATOR_IDS], grid, kmax, 0, 0)
+        assert built == [1]
+        assert sorted(calls) == ["commutator_family", "commutator_split_family"]

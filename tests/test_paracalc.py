@@ -1,8 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpmhd import paracalc
 from lpmhd import spectral as sp
 from lpmhd.paracalc import (
     bony_reconstruction,
@@ -284,13 +288,17 @@ class TestEmptyBlocks:
     # blocks are never transformed and their products never formed.  Each
     # commutator sum (the whole f . grad g, a direct shell, a p1/q/p2 entry,
     # the product parts of terms I and II) is forward-transformed once.
+    # The split pin counts the split family after the direct one on the same
+    # pair, which is the lab's order: it reuses the workspace, so the values
+    # of f and the d_i Delta_k g blocks are not transformed again, and every
+    # low pass above S_{j0} is a sum of blocks already transformed.
     @pytest.mark.parametrize(
         "d, n, kmax, ncomp, direct_xf, split_xf",
         [
-            pytest.param(2, 64, 10, 1, 20, 92, id="64-20-92"),
-            pytest.param(2, 128, 10, 1, 20, 96, id="128-20-96"),
-            pytest.param(2, 128, 10, 2, 38, 168, id="128-vector-38-168"),
-            pytest.param(3, 32, 6, 1, 27, 122, id="3d-32-27-122"),
+            pytest.param(2, 64, 10, 1, 20, 60, id="64-20-60"),
+            pytest.param(2, 128, 10, 1, 20, 60, id="128-20-60"),
+            pytest.param(2, 128, 10, 2, 38, 110, id="128-vector-38-110"),
+            pytest.param(3, 32, 6, 1, 27, 80, id="3d-32-27-80"),
         ],
     )
     def test_transform_count(
@@ -317,3 +325,90 @@ class TestEmptyBlocks:
         for k in grid.js:
             err = np.linalg.norm(splits[k].total.values - fam[k].values)
             assert err <= 1e-12 * scale
+
+
+def chi_path_families(f, g):
+    """The direct family and the split terms of (f, g) from a fresh
+    workspace whose low passes are each inverse-transformed from chi_j."""
+    ws = paracalc._CommutatorWorkspace(f, g)
+    for blocks in ws.f + ws.dg:
+        blocks.telescoped = False
+    split = ws.split_family()
+    direct = ws.direct_family()
+    return [direct] + [{k: split[k][t] for k in f.grid.js} for t in range(4)]
+
+
+class TestSharedWorkspace:
+    @pytest.mark.parametrize("kmax", [None, 3], ids=["full", "kmax3"])
+    @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+    @pytest.mark.parametrize(
+        "grid",
+        [sp.Grid(2, 64), sp.Grid(2, 128), sp.Grid(3, 16), sp.Grid(3, 32)],
+        ids=["2d-64", "2d-128", "3d-16", "3d-32"],
+    )
+    def test_matches_chi_path(self, grid, vector, kmax):
+        # telescoped low passes move each family array by round-off only,
+        # relative to the largest coefficient of its family
+        band = {} if kmax is None else {"kmax": kmax}
+        f = sp.random_solenoidal(grid, seed=60, decay=2.0, **band)
+        g = sp.random_band_limited(
+            grid, seed=61, decay=2.0, ncomp=grid.dimension if vector else 1, **band
+        )
+        direct = commutator_family(f, g)
+        split = commutator_split_family(f, g)
+        got = [{k: direct[k].coeffs for k in grid.js}] + [
+            {k: split[k].terms[key].coeffs for k in grid.js}
+            for key in ("I", "II", "III", "IV")
+        ]
+        for new, old in zip(got, chi_path_families(f, g)):
+            scale = max(np.max(np.abs(old[k])) for k in grid.js)
+            assert scale > 0
+            for k in grid.js:
+                assert np.max(np.abs(new[k] - old[k])) <= 1e-12 * scale
+
+    def test_one_workspace_per_pair(self, monkeypatch):
+        built = []
+
+        class Counted(paracalc._CommutatorWorkspace):
+            def __init__(self, f, g):
+                built.append((f, g))
+                super().__init__(f, g)
+
+        monkeypatch.setattr(paracalc, "_CommutatorWorkspace", Counted)
+        f = sp.random_solenoidal(G, seed=62)
+        g = sp.random_band_limited(G, seed=63)
+        commutator_family(f, g)
+        commutator_split_family(f, g)
+        commutator_family(f, g)
+        assert len(built) == 1
+        # another pair evicts it, and the first pair then builds afresh
+        other = sp.random_band_limited(G, seed=64)
+        commutator_family(f, other)
+        commutator_split_family(f, g)
+        assert len(built) == 3
+
+    def test_workspace_freed_without_gc(self):
+        # the block memos hold no reference cycle, and the cache refers to
+        # its fields weakly: a workspace and its block caches are freed at
+        # once when another pair evicts it, or when a field of its pair is
+        # dropped, as at the end of a lab trial
+        f = sp.random_solenoidal(G, seed=65)
+        g = sp.random_band_limited(G, seed=66)
+        other = sp.random_band_limited(G, seed=67)
+
+        def filled(f, g):
+            ws = paracalc._workspace(f, g)
+            ws.direct_family()
+            ws.split_family()
+            return [weakref.ref(x) for x in [ws] + ws.f + ws.dg]
+
+        gc.disable()
+        try:
+            refs = filled(f, g)
+            paracalc._workspace(f, other)
+            assert all(ref() is None for ref in refs)
+            refs = filled(f, other)
+            del other
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()

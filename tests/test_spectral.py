@@ -199,6 +199,21 @@ class TestDyadicBlock:
         per_shell = np.stack([sp.dyadic_block(f, j).magnitude() for j in grid.js])
         assert np.array_equal(sp.block_magnitudes(f), per_shell)
 
+    @pytest.mark.parametrize("ncomp", [1, 2])
+    def test_block_magnitudes_skip_empty_shells(self, count_transforms, ncomp):
+        # kmax = 10 leaves shells j >= 4 empty at N=64: they are written as
+        # the zeros their inverses would give, without a transform; a NaN
+        # coefficient times phi_j is NaN in every shell, even where phi_j is
+        # 0, so no shell is skipped and the NaN still propagates
+        f = sp.random_band_limited(G64, seed=5, kmax=10, ncomp=ncomp)
+        per_shell = np.stack([sp.dyadic_block(f, j).magnitude() for j in G64.js])
+        counts = count_transforms()
+        assert np.array_equal(sp.block_magnitudes(f), per_shell)
+        assert sum(counts) == ncomp * len(range(G64.j0, 4))
+        coeffs = f.coeffs.copy()
+        coeffs[..., 0, 20] = np.nan
+        assert np.isnan(sp.block_magnitudes(sp.RealField(G64, coeffs=coeffs))).all()
+
     @settings(max_examples=20, deadline=None)
     @given(
         a=st.floats(-10, 10, allow_nan=False),
