@@ -68,7 +68,10 @@ def _curl_shell_sups(state: ElsasserState):
     per-shell lists ||Delta_j curl u||_inf, ||Delta_j curl b||_inf.  Each
     shell is one batched inverse of all 2*nc curl components; pointwise
     magnitudes sum the squares of the first nc (u), the last nc (b) or all
-    of them (the integrand), with |.| for the 1-component curls of 2D.
+    of them (the integrand), with |.| for the 1-component curls of 2D.  A
+    shell whose spectrum is exactly zero, such as shell j_max of a
+    dealiased 2D state, has sups 0.0, the value its inverse would give,
+    without a transform; a NaN spectrum is nonzero and is transformed.
     """
     wu, wb = curl_pair(state)
     grid, nc = state.grid, wu.ncomp
@@ -76,7 +79,16 @@ def _curl_shell_sups(state: ElsasserState):
     bank = make_filter_bank(grid)
     sup_all, sup_u, sup_b = [], [], []
     for j in grid.js:
-        blk = _inverse(grid, stacked * bank.phi[j])
+        shell = stacked * bank.phi[j]
+        # component by component, so a nonempty shell is seen after one
+        if not any(part.any() for part in shell):
+            for sups in (sup_all, sup_u, sup_b):
+                sups.append(0.0)
+            continue
+        blk = _inverse(grid, shell)
+        # freed before the magnitudes' temporaries: holding the product
+        # measured 1 ms slower per 3D N=32 record
+        del shell
         if nc == 1:
             sup_u.append(float(np.abs(blk[0]).max()))
             sup_b.append(float(np.abs(blk[1]).max()))

@@ -11,14 +11,18 @@ d_i d_j M_ij is unchanged by M -> M^T: grad pi is the gradient part of
 either rate -d_j M_ij or -d_j M_ji, the part the Leray projection removes,
 so it is formed once per tendency, by the same kernel as `leray_project`
 (`spectral._leray_complement`), and subtracted from both halves.
-The 2/3 mask is folded into the cached derivative table -i xi_j (0/1, so
-exact), which dealiases the products as it differentiates them.
-`pressure_gradient` returns the same grad pi as a field for the lab's
-pressure estimate.  The linearized Picard systems define their per-iterate
-pressures the same way, as the Leray complement of the advection term, and
-step through the nonlinear system's RK4 (iterate 1, advected by the zero
-pair, is held fixed).  There is no explicit dissipation: products are
-2/3-dealiased and runs are meant to stay smooth.
+A dealiased tendency is zero outside the 2/3 cube |xi_i| <= N/3, so its
+arithmetic runs on the cube alone: the dyads' coefficients are gathered to
+the cube (which dealiases them) and differentiated by the cached cube table
+-i xi_j.  `step` keeps its RK4 stages on the cube of the pair, and
+`mhd_tendency`, `pressure_gradient` and `advection` scatter the same cube
+kernel's output into zeroed full arrays.  `pressure_gradient` returns grad
+pi as a field for the lab's pressure estimate.  The linearized Picard
+systems define their per-iterate pressures the same way, as the Leray
+complement of the advection term, and step through the nonlinear system's
+RK4 (iterate 1, advected by the zero pair, is held fixed).  There is no
+explicit dissipation: products are 2/3-dealiased and runs are meant to
+stay smooth.
 """
 
 from __future__ import annotations
@@ -35,12 +39,14 @@ from .spectral import (
     Grid,
     RealField,
     SpectralError,
+    _cube_tables,
     _forward,
+    _gather,
     _inverse,
     _leray,
     _leray_complement,
-    _masked_derivative_factors,
     _require_solenoidal,
+    _scatter,
     dealias,
     from_function,
     jacobian,
@@ -96,18 +102,18 @@ def from_elsasser(state: ElsasserState):
 
 def _dyads(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Products a_i b_j of stacked values a (m,) + shape and b (n,) + shape,
-    as coefficients (m, n) + spectral_shape, in one batched forward
-    transform.  They are not masked: `_masked_divergence` reads them through
-    the masked derivative table, which dealiases them on the way."""
-    return _forward(grid, a[:, np.newaxis] * b[np.newaxis, :])
+    as their coefficients on the 2/3 cube, shape (m, n) + the cube's shape,
+    from one batched forward transform: gathering the cube dealiases them."""
+    return _gather(grid, _forward(grid, a[:, np.newaxis] * b[np.newaxis, :]))
 
 
-def _masked_divergence(grid: Grid, m: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """-sum_j d_j of the dealiased dyads m (k, d) + spectral_shape, written
-    into out (k,) + spectral_shape and returned.  One output component at a
-    time, so that its operands stay in cache (about 15% faster than whole
-    (k,) + spectral_shape passes at 2D N=128 and 3D N=32)."""
-    factors = _masked_derivative_factors(grid)
+def _divergence(grid: Grid, m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """-sum_j d_j of the cube dyads m (k, d) + the cube's shape, written
+    into out (k,) + the cube's shape and returned.  One output component at
+    a time, so that its operands stay in cache (about 15% faster than whole
+    (k,) + shape passes at 2D N=128 and 3D N=32, measured on the full half
+    spectrum)."""
+    factors = _cube_tables(grid).derivative
     term = np.empty_like(out[0])
     for row, side in zip(m, out):
         np.multiply(factors[0], row[0], out=side)
@@ -121,10 +127,10 @@ def advection(w: RealField, z: RealField) -> RealField:
     dealiased products.  Equal to the advective form only when w is
     solenoidal (the divergence form adds z div w)."""
     grid = w.grid
-    out = np.empty((z.ncomp,) + grid.spectral_shape, dtype=complex)
-    _masked_divergence(grid, _dyads(grid, z.values, w.values), out)
+    out = np.empty((z.ncomp,) + grid._cube_shape, dtype=complex)
+    _divergence(grid, _dyads(grid, z.values, w.values), out)
     out *= -1.0  # numpy's complex multiply is vectorized, its negative is not
-    return RealField(grid, coeffs=out)
+    return RealField(grid, coeffs=_scatter(grid, out))
 
 
 def pressure_gradient(state: ElsasserState) -> RealField:
@@ -132,27 +138,31 @@ def pressure_gradient(state: ElsasserState) -> RealField:
     exactly the Leray complement of the advection term, read from the same
     kernel as the tendency."""
     grid = state.grid
-    rate = np.empty((grid.dimension,) + grid.spectral_shape, dtype=complex)
-    _masked_divergence(grid, _dyads(grid, state.z_plus.values, state.z_minus.values), rate)
-    return RealField(grid, coeffs=_leray_complement(grid, rate))
+    rate = np.empty((grid.dimension,) + grid._cube_shape, dtype=complex)
+    _divergence(grid, _dyads(grid, state.z_plus.values, state.z_minus.values), rate)
+    return RealField(grid, coeffs=_scatter(grid, _leray_complement(grid, rate, cube=True)))
 
 
-def _elsasser_rhs(grid: Grid, zp: np.ndarray, zm: np.ndarray) -> np.ndarray:
-    """Coefficients of (dz+/dt, dz-/dt), shape (2, d) + spectral_shape, from
-    the values of z+ and z-.  Both equations read the same dyads
-    M_ij = z+_i z-_j, whose coefficients are dealiased by the masked
-    derivative table as they are differentiated: -d_j M_ij and -d_j M_ji
-    fill the two halves of one output array.  One pressure serves both:
-    xi_a xi_j M_aj is unchanged by M -> M^T, so xi . (dz+/dt) equals
-    xi . (dz-/dt), and grad pi, formed once from the first half, is
-    subtracted from both."""
+def _cube_rhs(grid: Grid, zp: np.ndarray, zm: np.ndarray) -> np.ndarray:
+    """Cube coefficients of (dz+/dt, dz-/dt), shape (2, d) + the cube's
+    shape, from the values of z+ and z-.  Both equations read the same dyads
+    M_ij = z+_i z-_j: -d_j M_ij and -d_j M_ji fill the two halves of one
+    output array.  One pressure serves both: xi_a xi_j M_aj is unchanged by
+    M -> M^T, so xi . (dz+/dt) equals xi . (dz-/dt), and grad pi, formed
+    once from the first half, is subtracted from both."""
     m = _dyads(grid, zp, zm)
     out = np.empty((2,) + m.shape[1:], dtype=m.dtype)
     for side, dyads in zip(out, (m, m.swapaxes(0, 1))):
-        _masked_divergence(grid, dyads, side)
+        _divergence(grid, dyads, side)
     del m, dyads  # freed before the pressure's own temporaries
-    out -= _leray_complement(grid, out[0])
+    out -= _leray_complement(grid, out[0], cube=True)
     return out
+
+
+def _elsasser_rhs(grid: Grid, zp: np.ndarray, zm: np.ndarray) -> np.ndarray:
+    """`_cube_rhs` on the full half spectrum, shape (2, d) + spectral_shape:
+    every mode outside the 2/3 cube is zero."""
+    return _scatter(grid, _cube_rhs(grid, zp, zm))
 
 
 def mhd_tendency(state: ElsasserState):
@@ -177,9 +187,8 @@ def cfl_bound(state: ElsasserState) -> float:
 def _rk4(y, k1: np.ndarray, dt: float, rhs) -> np.ndarray:
     """One classical RK4 step of y' = rhs(y), given the first-stage tendency
     k1 (accumulated in place).  y is read along k1's first axis, so it may be
-    one array shaped like k1 or a sequence of its slices, such as the
-    coefficient pair (z+, z-), which is then never stacked.  Returns the new
-    y as one array."""
+    one array shaped like k1 or a sequence of its slices.  Returns the new y
+    as one array."""
 
     def ahead(c, k):
         # y + c k, slice by slice, without a stacked copy of y
@@ -217,27 +226,30 @@ def _warn_cfl(state: ElsasserState, dt: float, name: str):
 def step(state: ElsasserState, dt: float) -> ElsasserState:
     """One classical RK4 step of the nonlinear system.
 
-    RK4 runs on the stacked (2, d) + spectral_shape coefficient array of the
-    pair: each stage is one batched inverse transform of that array and one
-    batched forward transform of the d^2 dyads.  The first stage and the CFL
-    check both read the values of the input state, so they are transformed
-    at most once.
+    RK4 runs on the 2/3 cube of the stacked (2, d) coefficient array of the
+    pair, where every tendency lives.  The pair is copied once into a full
+    stacked buffer, whose modes outside the cube pass through the step
+    unchanged: each stage writes its cube into the buffer, inverse-transforms
+    the buffer in one batch, and gathers the cube of the d^2 dyads from one
+    batched forward transform.  The first stage and the CFL check both read
+    the values of the input state, so they are transformed at most once.
     """
     _require_dt(dt)
     _warn_cfl(state, dt, "z")
     grid = state.grid
     zp, zm = state.z_plus, state.z_minus
+    full = np.stack([zp.coeffs, zm.coeffs])
 
     def rhs(y):
-        values = _inverse(grid, y)
-        del y  # the stage coefficients are freed before the dyads are formed
-        return _elsasser_rhs(grid, *values)
+        _scatter(grid, y, full)
+        del y  # the stage's cube is freed before the dyads are formed
+        return _cube_rhs(grid, *_inverse(grid, full))
 
-    k1 = _elsasser_rhs(grid, zp.values, zm.values)
-    new = _rk4((zp.coeffs, zm.coeffs), k1, dt, rhs)
+    k1 = _cube_rhs(grid, zp.values, zm.values)
+    _scatter(grid, _rk4(_gather(grid, full), k1, dt, rhs), full)
     return ElsasserState(
-        RealField(grid, coeffs=new[0], solenoidal=zp.solenoidal),
-        RealField(grid, coeffs=new[1], solenoidal=zm.solenoidal),
+        RealField(grid, coeffs=full[0], solenoidal=zp.solenoidal),
+        RealField(grid, coeffs=full[1], solenoidal=zm.solenoidal),
         state.t + dt,
     )
 

@@ -21,15 +21,19 @@ place.  They reach scipy.fft as module attributes (`sfft.rfftn`) at call
 time, which is what lets a transform counter patch those attributes.
 
 `_leray_complement` is the one Leray kernel: `leray_project` subtracts it,
-and the MHD pressure gradient grad pi is it.
+and the MHD pressure gradient grad pi is it.  It runs on the full half
+spectrum or on the 2/3 cube, whose tables are gathered from the full ones;
+`_gather` and `_scatter` move coefficients between the two layouts.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import zipfile
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy import fft as sfft
@@ -96,6 +100,27 @@ class Grid:
     def dealias_limit(self) -> int:
         """Largest |xi_i| kept by the 2/3 rule."""
         return self.points // 3
+
+    @property
+    def _cube_shape(self) -> tuple:
+        """Shape of the 2/3 cube |xi_i| <= K = N // 3 of the half spectrum:
+        (2K+1,)*(d-1) + (K+1,), its modes in fftfreq order."""
+        k = self.dealias_limit
+        return (2 * k + 1,) * (self.dimension - 1) + (k + 1,)
+
+    @cached_property
+    def _cube_blocks(self) -> tuple:
+        """The 2/3 cube as (full, cube) index pairs, one per rectangular
+        block.  The cube is a product of index sets, {0..K} and {N-K..N-1}
+        on each leading axis and {0..K} on the last, so it is 2^(d-1)
+        blocks, and slice copies move it."""
+        k, n = self.dealias_limit, self.points
+        halves = ((slice(0, k + 1), slice(0, k + 1)),
+                  (slice(n - k, n), slice(k + 1, 2 * k + 1)))
+        last = (slice(0, k + 1),)
+        return tuple(((...,) + tuple(f for f, _ in block) + last,
+                      (...,) + tuple(c for _, c in block) + last)
+                     for block in itertools.product(halves, repeat=self.dimension - 1))
 
     def coordinates(self):
         """d arrays of shape `shape` with the lattice coordinates."""
@@ -647,18 +672,6 @@ def riesz(f: RealField, axis: int) -> RealField:
 
 
 @lru_cache(maxsize=None)
-def _masked_derivative_factors(grid: Grid) -> np.ndarray:
-    """The factors -i xi_j of -d_j times the 2/3 mask, stacked over j:
-    shape (d,) + spectral_shape.  The mask is 0/1, so multiplying an
-    unmasked product's coefficients by this table equals masking them first
-    and differentiating after, bit for bit up to the sign of zero."""
-    mask = dealias_mask(grid)
-    out = np.stack([-1j * f * mask for f in frequencies(grid)])
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=None)
 def _leray_factors(grid: Grid) -> np.ndarray:
     """xi_a |xi|^-2 stacked over a, shape (d,) + spectral_shape, 0 at the
     mean mode."""
@@ -669,19 +682,24 @@ def _leray_factors(grid: Grid) -> np.ndarray:
     return out
 
 
-def _leray_complement(grid: Grid, c: np.ndarray) -> np.ndarray:
+def _leray_complement(grid: Grid, c: np.ndarray, cube: bool = False) -> np.ndarray:
     """The gradient part xi_a |xi|^-2 (xi . c), 0 at the mean mode, of
-    stacked vector coefficients c, shape (..., d) + spectral_shape, as a new
-    array of that shape: the component axis is the one just before the
-    spectral axes, and every axis before it is a batch axis."""
+    stacked vector coefficients c, shape (..., d) + spectral_shape (or
+    + the cube's shape, with `cube`), as a new array of that shape: the
+    component axis is the one just before the spectral axes, and every axis
+    before it is a batch axis."""
     d = grid.dimension
-    freqs = frequencies(grid)
+    if cube:
+        tables = _cube_tables(grid)
+        freqs, factors = tables.xi, tables.leray
+    else:
+        freqs, factors = frequencies(grid), _leray_factors(grid)
     parts = [c[(..., a) + (slice(None),) * d] for a in range(d)]
     dot = freqs[0] * parts[0]
     term = np.empty_like(dot)
     for a in range(1, d):
         dot += np.multiply(freqs[a], parts[a], out=term)
-    return np.multiply(_leray_factors(grid), np.expand_dims(dot, -d - 1))
+    return np.multiply(factors, np.expand_dims(dot, -d - 1))
 
 
 def _leray(grid: Grid, c: np.ndarray) -> np.ndarray:
@@ -697,6 +715,53 @@ def leray_project(v: RealField) -> RealField:
     if not v.is_vector:
         raise SpectralError("leray projection expects a vector field")
     return RealField(v.grid, coeffs=_leray(v.grid, v.coeffs.copy()), solenoidal=True)
+
+
+# ---------------------------------------------------------------------------
+# the 2/3 cube
+# ---------------------------------------------------------------------------
+
+
+def _gather(grid: Grid, full: np.ndarray) -> np.ndarray:
+    """The cube of coefficients laid out (...) + spectral_shape, as a new
+    (...) + cube-shaped array, by one slice copy per block."""
+    out = np.empty(full.shape[:-grid.dimension] + grid._cube_shape, dtype=full.dtype)
+    for f, c in grid._cube_blocks:
+        out[c] = full[f]
+    return out
+
+
+def _scatter(grid: Grid, cube: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Cube coefficients written into the cube of `out` (by default a zeroed
+    full array), whose other modes are left as they are; returns `out`."""
+    if out is None:
+        out = np.zeros(cube.shape[:-grid.dimension] + grid.spectral_shape, dtype=cube.dtype)
+    for f, c in grid._cube_blocks:
+        out[f] = cube[c]
+    return out
+
+
+class _CubeTables(NamedTuple):
+    """Multiplier tables on the 2/3 cube, each (d,) + the cube's shape: xi_a
+    and the Leray factors xi_a |xi|^-2, gathered from the full-lattice
+    tables (so each entry has the bits of its full-lattice twin), and the
+    factors -i xi_j of -d_j.  The cube is the 2/3 mask, so a product's
+    coefficients gathered to it and multiplied by `derivative` are its
+    dealiased derivatives."""
+
+    xi: np.ndarray
+    derivative: np.ndarray
+    leray: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _cube_tables(grid: Grid) -> _CubeTables:
+    xi = _gather(grid, np.stack([np.broadcast_to(f, grid.spectral_shape)
+                                 for f in frequencies(grid)]))
+    tables = _CubeTables(xi, -1j * xi, _gather(grid, _leray_factors(grid)))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 # ---------------------------------------------------------------------------

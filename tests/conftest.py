@@ -3,6 +3,16 @@ import math
 import pytest
 
 
+@pytest.fixture(autouse=True, scope="session")
+def pinned_allocator():
+    """Fix glibc's allocator thresholds once for the session, as the CLI
+    does for its own process: the lab's and the solver's large arrays are
+    then reused, not mapped and faulted in afresh on every call."""
+    from lpmhd import cli
+
+    cli._pin_allocator()
+
+
 @pytest.fixture
 def count_transforms(monkeypatch):
     """Return a function that starts counting transforms: it wraps

@@ -98,13 +98,15 @@ class TestSinglePass:
         )
 
     @pytest.mark.parametrize(
-        "grid, expected", [(sp.Grid(2, 64), 26), (sp.Grid(3, 16), 54)]
+        "grid, expected", [(sp.Grid(2, 64), 24), (sp.Grid(3, 16), 54)]
     )
     def test_transform_count(self, count_transforms, grid, expected):
-        # per record: 2d state values, 2 d^2 gradients, and per shell 2nc
-        # curl components; the curls are decomposed once, whether or not a
-        # trapezoid step is taken, and the p = q = 2 norm is a Plancherel
-        # sum over the coefficients, with no transform
+        # per record: 2d state values, 2 d^2 gradients, and per nonempty
+        # shell 2nc curl components (the dealiased 2D state's shell j_max
+        # lies outside the 2/3 cube and is skipped; 3D has no empty shell);
+        # the curls are decomposed once, whether or not a trapezoid step is
+        # taken, and the p = q = 2 norm is a Plancherel sum over the
+        # coefficients, with no transform
         u, b = mhd.random_pair(grid, seed=23)
         state = mhd.to_elsasser(u, b)
         stream = diag.DiagnosticsStream(SPECS)
@@ -117,6 +119,21 @@ class TestSinglePass:
             # the record caches the values the next RK4 step reads
             assert recorded.z_plus._values is not None
             assert recorded.z_minus._values is not None
+
+    def test_empty_shell_skipped(self, count_transforms):
+        # shell j_max of a dealiased 2D state lies outside the 2/3 cube: its
+        # sups are the 0.0 its inverse gives, read without a transform; a
+        # state reaching past the cube transforms every shell
+        grid = sp.Grid(2, 64)
+        rec = diag.record(mhd.to_elsasser(*mhd.random_pair(grid, seed=23)))
+        assert rec.block_sup_curl_u[-1] == rec.block_sup_curl_b[-1] == 0.0
+        kmax = grid.points // 2 - 1
+        u, b = (sp.random_solenoidal(grid, seed=seed, kmax=kmax) for seed in (23, 24))
+        state = self.coeff_only(mhd.to_elsasser(u, b), 0.0)
+        counts = count_transforms()
+        rec = diag.record(state)
+        assert sum(counts) == 26
+        assert rec.block_sup_curl_u[-1] > 0.0
 
     @pytest.mark.parametrize("grid", [sp.Grid(2, 64), sp.Grid(3, 16)])
     def test_matches_separate_evaluations(self, grid):

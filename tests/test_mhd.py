@@ -282,6 +282,132 @@ class TestOnePassTendency:
         assert peak <= 3_600_000
 
 
+def full_lattice_step(state, dt):
+    """One RK4 step as it ran on the full half spectrum before the step moved
+    to the 2/3 cube: every stage and tendency spans all modes, and the 2/3
+    mask is folded into a derivative table -i xi_j built here."""
+    grid = state.grid
+    d = grid.dimension
+    mask = sp.dealias_mask(grid)
+    factors = np.stack([-1j * f * mask for f in sp.frequencies(grid)])
+
+    def tendency(zp, zm):
+        m = sp._forward(grid, zp[:, np.newaxis] * zm[np.newaxis, :])
+        out = np.empty((2,) + m.shape[1:], dtype=complex)
+        term = np.empty_like(out[0, 0])
+        for half, dyads in zip(out, (m, m.swapaxes(0, 1))):
+            for row, side in zip(dyads, half):
+                np.multiply(factors[0], row[0], out=side)
+                for j in range(1, d):
+                    side += np.multiply(factors[j], row[j], out=term)
+        out -= sp._leray_complement(grid, out[0])
+        return out
+
+    y = (state.z_plus.coeffs, state.z_minus.coeffs)
+
+    def ahead(c, k):
+        out = c * k
+        for i, part in enumerate(y):
+            out[i] += part
+        return out
+
+    k = total = tendency(state.z_plus.values, state.z_minus.values)
+    for frac, weight in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
+        k = tendency(*sp._inverse(grid, ahead(frac * dt, k)))
+        total += weight * k
+    new = ahead(dt / 6.0, total)
+    return mhd.ElsasserState(
+        sp.RealField(grid, coeffs=new[0], solenoidal=True),
+        sp.RealField(grid, coeffs=new[1], solenoidal=True),
+        state.t + dt,
+    )
+
+
+def _inner(grid, a, b):
+    """<a, b> of real fields from their rfft coefficients."""
+    return float(np.sum(sp.spectral_weights(grid) * (a.conj() * b).real))
+
+
+def _cosine(grid, z, dz):
+    """|<z, dz>| / (||z|| ||dz||)."""
+    return abs(_inner(grid, z, dz)) / math.sqrt(_inner(grid, z, z) * _inner(grid, dz, dz))
+
+
+def _pair_reaching_outside_cube(grid, seed):
+    """An Elsasser pair with modes up to |xi_i| = N/2 - 1, outside the 2/3
+    cube."""
+    kmax = grid.points // 2 - 1
+    u = sp.random_solenoidal(grid, seed=seed, kmax=kmax, amplitude=0.3)
+    b = sp.random_solenoidal(grid, seed=seed + 1, kmax=kmax, amplitude=0.3)
+    return mhd.to_elsasser(u, b)
+
+
+CUBE_GRIDS = pytest.mark.parametrize(
+    "grid", [sp.Grid(2, 64), sp.Grid(2, 128), sp.Grid(3, 16), sp.Grid(3, 32)],
+    ids=["2d-64", "2d-128", "3d-16", "3d-32"],
+)
+
+
+class TestCube:
+    @pytest.mark.parametrize("grid", [sp.Grid(2, 64), sp.Grid(3, 16)], ids=["2d-64", "3d-16"])
+    @pytest.mark.parametrize("dealiased", [True, False], ids=["dealiased", "outside-cube"])
+    def test_matches_full_lattice_step(self, grid, dealiased):
+        if dealiased:
+            u, b = mhd.random_pair(grid, seed=70, amplitude=0.3)
+            state = mhd.to_elsasser(u, b)
+        else:
+            state = _pair_reaching_outside_cube(grid, 70)
+        got = expect = state
+        for _ in range(3):
+            got, expect = mhd.step(got, 1e-3), full_lattice_step(expect, 1e-3)
+            assert np.array_equal(got.z_plus.coeffs, expect.z_plus.coeffs)
+            assert np.array_equal(got.z_minus.coeffs, expect.z_minus.coeffs)
+
+    @CUBE_GRIDS
+    def test_elsasser_rhs_is_galerkin(self, grid):
+        # the dealiased tendency conserves each Elsasser energy exactly
+        u, b = mhd.random_pair(grid, seed=72)
+        state = mhd.to_elsasser(u, b)
+        rates = mhd._elsasser_rhs(grid, state.z_plus.values, state.z_minus.values)
+        for z, dz in zip((state.z_plus, state.z_minus), rates):
+            assert _cosine(grid, z.coeffs, dz) <= 1e-15
+
+    @CUBE_GRIDS
+    def test_picard_stage_is_galerkin(self, grid, monkeypatch):
+        # every transport-stage tendency -P((w . grad) z) of a Picard run is
+        # orthogonal to the stage state z it advances
+        states, rates = [], []
+        advection, leray = mhd.advection, mhd._leray
+
+        def spy_advection(w, z):
+            states.append(z.coeffs)
+            return advection(w, z)
+
+        def spy_leray(g, c):
+            out = leray(g, c)
+            rates.extend(out.copy())
+            return out
+
+        monkeypatch.setattr(mhd, "advection", spy_advection)
+        monkeypatch.setattr(mhd, "_leray", spy_leray)
+        zp, zm = _picard_pair(grid, 74)
+        mhd.picard_iterate(zp, zm, s=2.5, p=2, q=2, t_final=1e-3, dt=1e-3, n_max=3)
+        assert len(states) == len(rates) == 2 * 4 * 2
+        for z, dz in zip(states, rates):
+            assert _cosine(grid, z, dz) <= 1e-15
+
+    @CUBE_GRIDS
+    def test_modes_outside_cube_pass_through(self, grid):
+        state = _pair_reaching_outside_cube(grid, 76)
+        outside = ~np.broadcast_to(sp.dealias_mask(grid), grid.spectral_shape)
+        assert np.any(state.z_plus.coeffs[:, outside])
+        new = mhd.step(state, 1e-3)
+        for before, after in ((state.z_plus, new.z_plus), (state.z_minus, new.z_minus)):
+            assert after.coeffs[:, outside].tobytes() == before.coeffs[:, outside].tobytes()
+        for rate in mhd.mhd_tendency(state):
+            assert np.all(rate.coeffs[:, outside] == 0.0)
+
+
 class TestStep:
     def test_euler_step_oracle(self):
         # b = 0: one RK4 step must match an independently coded

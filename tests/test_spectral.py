@@ -46,8 +46,8 @@ GRID_TABLES = {
     "spectral_weights": sp.spectral_weights,
     "make_filter_bank": sp.make_filter_bank,
     "plancherel_weights": sp._plancherel_weights,
-    "masked_derivative_factors": sp._masked_derivative_factors,
     "leray_factors": sp._leray_factors,
+    "cube_tables": sp._cube_tables,
     "ball_kernels": spaces._ball_kernels,
 }
 
