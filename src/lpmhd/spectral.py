@@ -17,13 +17,21 @@ true product.
 `_forward` and `_inverse` are the only transform entry points of the
 package: every other module transforms through them, so the layout (rfft
 over the trailing d axes, every leading axis a batch axis) is decided in one
-place.  They reach scipy.fft as module attributes (`sfft.rfftn`) at call
-time, which is what lets a transform counter patch those attributes.
+place.  `_inverse` also takes a box |xi_i| <= k of a spectrum that vanishes
+outside it and inverse-transforms it by pruned one-axis passes, with the
+bits of the full inverse.  Both reach scipy.fft as module attributes
+(`sfft.rfftn`) at call time, which is what lets a transform counter patch
+those attributes.
+
+`_shell_blocks` is the one shell sweep: the dyadic blocks of stacked
+coefficients, shell by shell, each from its box while that box is small.
+`block_magnitudes` and the diagnostics record read it.
 
 `_leray_complement` is the one Leray kernel: `leray_project` subtracts it,
 and the MHD pressure gradient grad pi is it.  It runs on the full half
 spectrum or on the 2/3 cube, whose tables are gathered from the full ones;
-`_gather` and `_scatter` move coefficients between the two layouts.
+`_gather` and `_scatter` move coefficients between the two layouts (the
+cube is the box of half-width N // 3).
 """
 
 from __future__ import annotations
@@ -101,26 +109,34 @@ class Grid:
         """Largest |xi_i| kept by the 2/3 rule."""
         return self.points // 3
 
-    @property
-    def _cube_shape(self) -> tuple:
-        """Shape of the 2/3 cube |xi_i| <= K = N // 3 of the half spectrum:
-        (2K+1,)*(d-1) + (K+1,), its modes in fftfreq order."""
-        k = self.dealias_limit
+    def _box_shape(self, k: int) -> tuple:
+        """Shape of the box |xi_i| <= k (k < N/2) of the half spectrum:
+        (2k+1,)*(d-1) + (k+1,), its modes in fftfreq order."""
         return (2 * k + 1,) * (self.dimension - 1) + (k + 1,)
 
-    @cached_property
-    def _cube_blocks(self) -> tuple:
-        """The 2/3 cube as (full, cube) index pairs, one per rectangular
-        block.  The cube is a product of index sets, {0..K} and {N-K..N-1}
-        on each leading axis and {0..K} on the last, so it is 2^(d-1)
-        blocks, and slice copies move it."""
-        k, n = self.dealias_limit, self.points
+    def _box_blocks(self, k: int) -> tuple:
+        """The box |xi_i| <= k as (full, box) index pairs, one per
+        rectangular block.  The box is a product of index sets, {0..k} and
+        {N-k..N-1} on each leading axis and {0..k} on the last, so it is
+        2^(d-1) blocks, and slice copies move it."""
+        n = self.points
         halves = ((slice(0, k + 1), slice(0, k + 1)),
                   (slice(n - k, n), slice(k + 1, 2 * k + 1)))
         last = (slice(0, k + 1),)
         return tuple(((...,) + tuple(f for f, _ in block) + last,
                       (...,) + tuple(c for _, c in block) + last)
                      for block in itertools.product(halves, repeat=self.dimension - 1))
+
+    @property
+    def _cube_shape(self) -> tuple:
+        """Shape of the 2/3 cube, the box of half-width K = N // 3."""
+        return self._box_shape(self.dealias_limit)
+
+    @cached_property
+    def _cube_blocks(self) -> tuple:
+        """`_box_blocks` of the 2/3 cube, which the RK4 step moves several
+        times per step."""
+        return self._box_blocks(self.dealias_limit)
 
     def coordinates(self):
         """d arrays of shape `shape` with the lattice coordinates."""
@@ -183,9 +199,29 @@ def _forward(grid: Grid, values: np.ndarray) -> np.ndarray:
     return sfft.rfftn(values, axes=tuple(range(-grid.dimension, 0)))
 
 
-def _inverse(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of _forward, batched over the leading axes."""
-    return sfft.irfftn(coeffs, s=grid.shape, axes=tuple(range(-grid.dimension, 0)))
+def _inverse(grid: Grid, coeffs: np.ndarray, k: int | None = None) -> np.ndarray:
+    """Inverse of _forward, batched over the leading axes.
+
+    With k, `coeffs` is the box |xi_i| <= k (k < N/2) of a spectrum that
+    vanishes outside it, laid out (...) + `grid._box_shape(k)` as `_gather`
+    writes it, and the inverse is a pruned transform with the bits of the
+    full one.  irfftn runs unscaled complex inverses over the leading axes,
+    first to last, then a real inverse over the last axis, which scales by
+    N^-d.  The same passes run here, each on the columns the box touches
+    only, zero-padded to N along its own axis; the columns it skips are
+    zero in irfftn too."""
+    if k is None:
+        return sfft.irfftn(coeffs, s=grid.shape, axes=tuple(range(-grid.dimension, 0)))
+    n, d = grid.points, grid.dimension
+    for axis in range(coeffs.ndim - d, coeffs.ndim - 1):
+        pad = np.zeros(coeffs.shape[:axis] + (n,) + coeffs.shape[axis + 1:], dtype=complex)
+        head = (slice(None),) * axis
+        pad[head + (slice(0, k + 1),)] = coeffs[head + (slice(0, k + 1),)]
+        pad[head + (slice(n - k, n),)] = coeffs[head + (slice(k + 1, None),)]
+        coeffs = sfft.ifft(pad, axis=axis, norm="forward", overwrite_x=True)
+    out = sfft.irfft(coeffs, n=n, axis=-1, norm="forward")
+    out *= 1.0 / float(n) ** d
+    return out
 
 
 class RealField:
@@ -512,26 +548,86 @@ def low_pass_saturating(f: RealField, j: int) -> RealField:
     return low_pass(f, min(j, f.grid.j_max + 1))
 
 
+@lru_cache(maxsize=None)
+def _shell_boxes(grid: Grid) -> tuple:
+    """phi_j gathered to its box |xi_i| <= k_j, with k_j the largest |xi_i|
+    on the support of phi_j (the box's last axis holds k_j + 1 modes), for
+    the shells j = j0, j0 + 1, .. whose box spans no whole leading axis
+    (2 k_j + 1 < N)."""
+    bank, freqs = make_filter_bank(grid), frequencies(grid)
+    boxes = []
+    for j in grid.js:
+        support = bank.phi[j] != 0.0
+        k = max(int(np.abs(np.broadcast_to(f, support.shape)[support]).max())
+                for f in freqs)
+        if 2 * k + 1 >= grid.points:
+            break
+        phi = _gather(grid, bank.phi[j], k)
+        phi.flags.writeable = False
+        boxes.append(phi)
+    return tuple(boxes)
+
+
+def _shell_blocks(grid: Grid, coeffs: np.ndarray):
+    """The shell sweep: for each j in grid.js, yield Delta_j of stacked
+    coefficients (m,) + spectral_shape as a new (m,) + grid.shape array, or
+    None when the shell's spectrum is exactly zero (its inverse would be
+    zeros; the check runs component by component, so a nonempty shell is
+    seen after one).  The shell product is freed before the block is
+    yielded, so a caller's magnitude temporaries do not sit beside it.
+
+    The leading shells whose box is small are gathered, multiplied and
+    inverse-transformed on their box (`_inverse` with k), with the bits of
+    the full product and `_inverse`.  The one rule: a shell takes its box
+    when m (modes - 4 box modes) >= 2^12, i.e. the box holds under a
+    quarter of the half spectrum, by a margin of modes that pays for the
+    box path's extra calls.  It is fitted to per-shell timings (CHANGES.md
+    holds the table); larger boxes gain less, and the k = 10 box of 3D N=32
+    raised a run's peak RSS by 1.6 MB.  A non-finite coefficient makes the
+    full product of every shell non-finite (NaN * 0 is NaN) but never
+    reaches a box it lies outside, so a non-finite spectrum sweeps the full
+    products only.
+    """
+    m, modes = len(coeffs), math.prod(grid.spectral_shape)
+    boxes = list(itertools.takewhile(lambda phi: m * (modes - 4 * phi.size) >= 2**12,
+                                     _shell_boxes(grid)))
+    # a sum is finite only if every term is (an overflow only costs the
+    # boxes)
+    if boxes and not np.isfinite(coeffs.sum()):
+        boxes = []
+    bank = make_filter_bank(grid)
+    for i, j in enumerate(grid.js):
+        if i < len(boxes):
+            k = boxes[i].shape[-1] - 1
+            shell = _gather(grid, coeffs, k)
+            shell *= boxes[i]
+        else:
+            k = None
+            shell = coeffs * bank.phi[j]
+        if not any(part.any() for part in shell):
+            yield None
+            continue
+        blk = _inverse(grid, shell, k)
+        del shell
+        yield blk
+
+
 def block_magnitudes(f: RealField) -> np.ndarray:
     """Stack of pointwise magnitudes |Delta_j f|, shape (n_shells,) + grid.shape:
-    per shell, one batched inverse of every component, written into the stack.
-    A shell whose spectrum is exactly zero is written as zeros, the bits of
-    its inverse, without a transform; a NaN spectrum is nonzero and is
-    transformed.
+    one block of every component per shell (`_shell_blocks`), written into
+    the stack.  An empty shell is written as zeros, the bits of its inverse;
+    a non-finite coefficient makes every shell NaN.
 
     (One inverse of all shells at once gives the same bits, but it measured
     up to 1.7x slower once the stack passes about 1 MB, as at 2D N=128 and
     3D N=32, where its multi-MB temporaries miss the cache.)
     """
-    grid, bank = f.grid, make_filter_bank(f.grid)
+    grid = f.grid
     out = np.empty((len(grid.js),) + grid.shape)
-    for i, j in enumerate(grid.js):
-        shell = f.coeffs * bank.phi[j]
-        if not shell.any():
+    for i, blk in enumerate(_shell_blocks(grid, f.coeffs)):
+        if blk is None:
             out[i] = 0.0
-            continue
-        blk = _inverse(grid, shell)
-        if f.ncomp == 1:
+        elif f.ncomp == 1:
             np.abs(blk[0], out=out[i])
         else:
             np.square(blk, out=blk)
@@ -722,11 +818,16 @@ def leray_project(v: RealField) -> RealField:
 # ---------------------------------------------------------------------------
 
 
-def _gather(grid: Grid, full: np.ndarray) -> np.ndarray:
-    """The cube of coefficients laid out (...) + spectral_shape, as a new
-    (...) + cube-shaped array, by one slice copy per block."""
-    out = np.empty(full.shape[:-grid.dimension] + grid._cube_shape, dtype=full.dtype)
-    for f, c in grid._cube_blocks:
+def _gather(grid: Grid, full: np.ndarray, k: int | None = None) -> np.ndarray:
+    """The box of half-width k (by default the 2/3 cube) of coefficients
+    laid out (...) + spectral_shape, as a new (...) + box-shaped array, by
+    one slice copy per block."""
+    if k is None:
+        k, blocks = grid.dealias_limit, grid._cube_blocks
+    else:
+        blocks = grid._box_blocks(k)
+    out = np.empty(full.shape[:-grid.dimension] + grid._box_shape(k), dtype=full.dtype)
+    for f, c in blocks:
         out[c] = full[f]
     return out
 

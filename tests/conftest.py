@@ -17,7 +17,11 @@ def pinned_allocator():
 def count_transforms(monkeypatch):
     """Return a function that starts counting transforms: it wraps
     scipy.fft rfftn/irfftn and returns the list that then receives the
-    number of scalar N^d transforms (the batch size) of every call."""
+    number of scalar N^d transforms (the batch size) of every call.
+
+    A box inverse (`spectral._inverse` with a half-width k) of m components
+    counts m: its one irfft, over the last axis of an (m, N, .., N, k+1)
+    array with n=N, is counted, and its ifft passes are not."""
 
     def start():
         import scipy.fft
@@ -38,6 +42,31 @@ def count_transforms(monkeypatch):
                 return _original(x, s, axes, *args, **kwargs)
 
             monkeypatch.setattr(scipy.fft, name, counted)
+
+        irfft = scipy.fft.irfft
+
+        def counted_box(x, n, *args, **kwargs):
+            counts.append(math.prod(x.shape[:-1]) // n ** (x.ndim - 2))
+            return irfft(x, n, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, "irfft", counted_box)
         return counts
 
     return start
+
+
+@pytest.fixture
+def box_passes(monkeypatch):
+    """List that receives one entry per scipy.fft.ifft call: the leading-axis
+    passes of box inverses (`spectral._inverse` with a half-width k), so a
+    test can see that the box path ran."""
+    import scipy.fft
+
+    passes, ifft = [], scipy.fft.ifft
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return ifft(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "ifft", counted)
+    return passes

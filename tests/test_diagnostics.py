@@ -98,7 +98,8 @@ class TestSinglePass:
         )
 
     @pytest.mark.parametrize(
-        "grid, expected", [(sp.Grid(2, 64), 24), (sp.Grid(3, 16), 54)]
+        "grid, expected",
+        [(sp.Grid(2, 64), 24), (sp.Grid(3, 16), 54), (sp.Grid(2, 128), 26), (sp.Grid(3, 32), 60)],
     )
     def test_transform_count(self, count_transforms, grid, expected):
         # per record: 2d state values, 2 d^2 gradients, and per nonempty
@@ -106,7 +107,9 @@ class TestSinglePass:
         # lies outside the 2/3 cube and is skipped; 3D has no empty shell);
         # the curls are decomposed once, whether or not a trapezoid step is
         # taken, and the p = q = 2 norm is a Plancherel sum over the
-        # coefficients, with no transform
+        # coefficients, with no transform.  2D N=128 and 3D N=32 inverse-
+        # transform their leading shells from boxes, each counted as its
+        # 2nc components
         u, b = mhd.random_pair(grid, seed=23)
         state = mhd.to_elsasser(u, b)
         stream = diag.DiagnosticsStream(SPECS)
@@ -134,6 +137,22 @@ class TestSinglePass:
         rec = diag.record(state)
         assert sum(counts) == 26
         assert rec.block_sup_curl_u[-1] > 0.0
+
+    def test_nonfinite_mode_outside_every_box_poisons_every_sup(self, box_passes):
+        # 3D N=32 takes the box path for its leading shells; a NaN at a high
+        # mode of z+, outside each box, still makes every sup NaN, as in the
+        # full product of every shell
+        grid = sp.Grid(3, 32)
+        state = mhd.to_elsasser(*mhd.random_pair(grid, seed=25))
+        rec = diag.record(state)
+        assert box_passes and np.isfinite(rec.blowup_integrand)
+        coeffs = state.z_plus.coeffs.copy()
+        coeffs[1, 14, 14, 12] = np.nan
+        bad = mhd.ElsasserState(sp.RealField(grid, coeffs=coeffs), state.z_minus, 0.0)
+        rec = diag.record(bad)
+        assert math.isnan(rec.blowup_integrand)
+        assert np.isnan(rec.block_sup_curl_u).all()
+        assert np.isnan(rec.block_sup_curl_b).all()
 
     @pytest.mark.parametrize("grid", [sp.Grid(2, 64), sp.Grid(3, 16)])
     def test_matches_separate_evaluations(self, grid):

@@ -176,8 +176,9 @@ class TestPressure:
 class TestAdvection:
     @pytest.mark.parametrize("grid", [sp.Grid(2, 64), sp.Grid(3, 16)], ids=["2d-64", "3d-16"])
     def test_matches_masked_product_form(self, grid):
-        # the 2/3 mask sits on the derivative table, not on the product's
-        # coefficients; the 0/1 mask makes the two orders agree bit for bit
+        # advection dealiases by gathering the product's coefficients to the
+        # 2/3 cube and scattering the result into zeros; the oracle multiplies
+        # by the 0/1 mask instead, and the two agree bit for bit
         w = sp.random_solenoidal(grid, seed=50)
         z = sp.random_solenoidal(grid, seed=51)
         freqs = sp.frequencies(grid)

@@ -48,6 +48,7 @@ GRID_TABLES = {
     "plancherel_weights": sp._plancherel_weights,
     "leray_factors": sp._leray_factors,
     "cube_tables": sp._cube_tables,
+    "shell_boxes": sp._shell_boxes,
     "ball_kernels": spaces._ball_kernels,
 }
 
@@ -213,6 +214,38 @@ class TestDyadicBlock:
         coeffs = f.coeffs.copy()
         coeffs[..., 0, 20] = np.nan
         assert np.isnan(sp.block_magnitudes(sp.RealField(G64, coeffs=coeffs))).all()
+
+    @pytest.mark.parametrize("d,n", [(2, 64), (2, 128), (2, 256), (3, 16), (3, 32)])
+    @pytest.mark.parametrize("kmax", [None, "full"])
+    def test_box_inverse_matches_full_inverse(self, d, n, kmax):
+        # every shell box, dealiased and full-band: the pruned inverse of the
+        # gathered box product has the bits of the full product's inverse
+        grid = sp.Grid(d, n)
+        kmax = n // 2 - 1 if kmax == "full" else kmax
+        c = sp.random_band_limited(grid, seed=9, ncomp=2, kmax=kmax).coeffs
+        bank = sp.make_filter_bank(grid)
+        boxes = sp._shell_boxes(grid)
+        assert len(boxes) >= 3
+        for j, phi in zip(grid.js, boxes):
+            k = phi.shape[-1] - 1
+            assert 2 * k + 1 < n
+            box = sp._gather(grid, c, k) * phi
+            expect = sp._inverse(grid, c * bank.phi[j])
+            assert np.array_equal(sp._inverse(grid, box, k), expect), j
+
+    def test_nonfinite_mode_outside_every_box_poisons_every_shell(self, box_passes):
+        # 2D N=128 inverse-transforms its leading shells from their boxes; a
+        # NaN at a high mode, outside each box, still makes every shell NaN,
+        # as NaN * phi_j = NaN does in the full product
+        grid = sp.Grid(2, 128)
+        f = sp.random_band_limited(grid, seed=6)
+        per_shell = np.stack([sp.dyadic_block(f, j).magnitude() for j in grid.js])
+        assert box_passes == []
+        assert np.array_equal(sp.block_magnitudes(f), per_shell)
+        assert box_passes
+        coeffs = f.coeffs.copy()
+        coeffs[0, 60, 30] = np.nan
+        assert np.isnan(sp.block_magnitudes(sp.RealField(grid, coeffs=coeffs))).all()
 
     @settings(max_examples=20, deadline=None)
     @given(
