@@ -9,9 +9,12 @@ nonempty dyadic shell, pruned to the shell's box for the small leading
 shells, yields the per-shell sups of curl u and curl b and the stacked sup
 whose maximum over shells is the blow-up integrand.  The stream continues
 the trapezoid integral from the previous record's integrand, so nothing is
-evaluated twice.  Gradient sup norms are one batched inverse per field, and
-the record reads (caches) the state's grid values, which the next RK4 step
-reuses.
+evaluated twice.  The gradient sup norms take one inverse per gradient
+component (`spectral._gradient_sup`).  On grids of 2^15 points or more
+(3D N >= 32, 2D N >= 256) they run on one helper thread that `record`
+starts and joins before it returns, while the calling thread runs the shell
+sweep; there is no option for it.  The record reads (caches) the state's
+grid values, which the next RK4 step reuses.
 
 The blow-up monitor only reports; it never terminates a run.  CSV columns
 are emitted in the fixed order documented by `csv_columns`, one row per
@@ -21,6 +24,7 @@ record (`csv_header` and `csv_line` let a run stream them as it goes).
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +33,10 @@ from .mhd import ElsasserState, from_elsasser
 from .spaces import tl_norm
 from .spectral import (
     SpectralError,
+    _gradient_sup,
     _inverse,
     _shell_blocks,
     curl,
-    jacobian_sup_norm,
     make_filter_bank,
 )
 
@@ -62,7 +66,7 @@ def curl_pair(state: ElsasserState):
     return curl(u), curl(b)
 
 
-def _curl_shell_sups(state: ElsasserState):
+def _curl_shell_sups(grid, wu, wb):
     """Decompose the stacked curls (curl u, curl b) into dyadic blocks once
     and read every block quantity of a record from that single pass.
 
@@ -77,8 +81,7 @@ def _curl_shell_sups(state: ElsasserState):
     value its inverse would give, without a transform; a non-finite
     coefficient makes every sup NaN.
     """
-    wu, wb = curl_pair(state)
-    grid, nc = state.grid, wu.ncomp
+    nc = wu.ncomp
     stacked = np.concatenate([wu.coeffs, wb.coeffs])
     sup_all, sup_u, sup_b = [], [], []
     for blk in _shell_blocks(grid, stacked):
@@ -104,6 +107,14 @@ def _curl_shell_sups(state: ElsasserState):
     return float(np.max(sup_all)), sup_u, sup_b
 
 
+# The smallest grid (in points) whose record runs the gradient sups on a
+# helper thread.  Below it the two threads' short numpy calls hand the GIL
+# back and forth, and the threaded record is slower (interleaved medians,
+# serial against threaded: 2D N=64 1.09 -> 2.03 ms, 2D N=128 2.97 -> 3.35,
+# 3D N=16 2.94 -> 3.50; 3D N=32 18.6 -> 14.0, 2D N=256 13.3 -> 9.9).
+_HELPER_POINTS = 2**15
+
+
 @dataclass(frozen=True)
 class DiagnosticsRecord:
     """One row of the diagnostics stream."""
@@ -125,8 +136,36 @@ def record(
 ) -> DiagnosticsRecord:
     """Fill every diagnostic field for one state.  The running integral of
     the blow-up integrand continues from `prev` by the trapezoid rule
-    (0 when there is no previous record)."""
-    b_t, sup_u, sup_b = _curl_shell_sups(state)
+    (0 when there is no previous record).
+
+    On a grid of at least `_HELPER_POINTS` points the two gradient sups
+    run on one helper thread while this thread sweeps the curl shells and
+    reads the energies; the two halves share no array, and the transforms
+    and ufuncs they run release the GIL.  The helper is joined before the
+    record is assembled, and an exception on it is raised here.  It gets
+    coefficient arrays already computed, so it never fills a field's lazy
+    cache, and every transform still runs whole on one thread, so every
+    value keeps its bits.  The curls are formed before the helper starts
+    and the norms after the join, so while the helper runs this thread runs
+    only the sweep and the energies."""
+    grid = state.grid
+    wu, wb = curl_pair(state)
+    pair = (state.z_plus.coeffs, state.z_minus.coeffs)
+
+    def sweep():
+        return _curl_shell_sups(grid, wu, wb), _energy_and_cross_helicity(state)
+
+    def grads():
+        return [_gradient_sup(grid, c) for c in pair]
+
+    if grid.points**grid.dimension < _HELPER_POINTS:
+        (b_t, sup_u, sup_b), (e, h) = sweep()
+        grad_plus, grad_minus = grads()
+    else:
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            future = helper.submit(grads)
+            (b_t, sup_u, sup_b), (e, h) = sweep()
+            grad_plus, grad_minus = future.result()
     integral = 0.0
     if prev is not None:
         integral = prev.blowup_integral + 0.5 * (state.t - prev.t) * (
@@ -136,13 +175,12 @@ def record(
         spec.label: tl_norm(state.z_plus, spec) + tl_norm(state.z_minus, spec)
         for spec in specs
     }
-    e, h = _energy_and_cross_helicity(state)
     return DiagnosticsRecord(
         t=state.t,
         energy=e,
         cross_helicity=h,
-        grad_sup_z_plus=jacobian_sup_norm(state.z_plus),
-        grad_sup_z_minus=jacobian_sup_norm(state.z_minus),
+        grad_sup_z_plus=grad_plus,
+        grad_sup_z_minus=grad_minus,
         blowup_integrand=b_t,
         blowup_integral=integral,
         block_sup_curl_u=tuple(sup_u),

@@ -20,9 +20,9 @@ kernel's output into zeroed full arrays.  `pressure_gradient` returns grad
 pi as a field for the lab's pressure estimate.  The linearized Picard
 systems define their per-iterate pressures the same way, as the Leray
 complement of the advection term, and step through the nonlinear system's
-RK4 (iterate 1, advected by the zero pair, is held fixed).  There is no
-explicit dissipation: products are 2/3-dealiased and runs are meant to
-stay smooth.
+RK4 on the cube (iterate 1, advected by the zero pair, is held fixed).
+There is no explicit dissipation: products are 2/3-dealiased and runs are
+meant to stay smooth.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .spectral import (
     _forward,
     _gather,
     _inverse,
-    _leray,
     _leray_complement,
     _require_solenoidal,
     _scatter,
@@ -308,7 +307,10 @@ def picard_iterate(
 
     Iterate 1 is advected by the zero pair, so it stays S_2 z0 for all time
     and is never advanced.  Iterates n >= 2 step through `step`'s RK4 on
-    their stacked coefficient pair, one batched inverse transform per stage.
+    the 2/3 cube of their stacked coefficient pair, where the data and every
+    transport tendency live: a stage scatters its cube into one full buffer
+    per transport step, inverse-transforms it in one batch into the stage
+    pair's values, and gathers the cube of its two `advection` terms.
 
     Difference norms are recorded in the inhomogeneous F^{s-1}_{p,q} norm of
     the pair at every grid time; sup over the grid is the reported per-n
@@ -328,10 +330,10 @@ def picard_iterate(
     _warn_cfl(ElsasserState(z0p, z0m), dt, "z0")
     flags = (z0p.solenoidal, z0m.solenoidal)
 
-    def pair(c, values=(None, None)):
-        # the field pair of stacked coefficients c (and values, when known)
-        return tuple(RealField(grid, values=v, coeffs=ci, solenoidal=f)
-                     for v, ci, f in zip(values, c, flags))
+    def pair(c):
+        # the field pair of stacked cube coefficients c
+        return tuple(RealField(grid, coeffs=ci, solenoidal=f)
+                     for ci, f in zip(_scatter(grid, c), flags))
 
     def pair_norm(c):
         zp, zm = pair(c)
@@ -342,20 +344,26 @@ def picard_iterate(
         # of `advectors`; returns the new y and y's own stage pairs
         stages = []
         ws = iter(advectors)
+        full = np.zeros((2, grid.dimension) + grid.spectral_shape, dtype=complex)
 
         def rhs(c):
-            zp, zm = pair(c, _inverse(grid, c))
+            _scatter(grid, c, full)
+            zp, zm = (RealField(grid, values=v, solenoidal=f)
+                      for v, f in zip(_inverse(grid, full), flags))
             wp, wm = next(ws)
             stages.append((zp, zm))
-            k = np.empty((2, grid.dimension) + grid.spectral_shape, dtype=complex)
-            np.multiply(advection(wm, zp).coeffs, -1.0, out=k[0])
-            np.multiply(advection(wp, zm).coeffs, -1.0, out=k[1])
-            return _leray(grid, k)
+            k = np.stack([_gather(grid, advection(wm, zp).coeffs),
+                          _gather(grid, advection(wp, zm).coeffs)])
+            # -P k: the projection of the negated advection terms
+            return _leray_complement(grid, k, cube=True) - k
 
         return _rk4(y, rhs(y), dt, rhs), stages
 
-    # ys[n]: the stacked (2, d) + spectral_shape coefficients of iterate n
-    ys = [None] + [np.stack([low_pass_saturating(z, n + 1).coeffs for z in (z0p, z0m)])
+    # ys[n]: the stacked (2, d) cube coefficients of iterate n; every mode
+    # outside the cube of the dealiased data is zero, and so is every
+    # tendency there
+    ys = [None] + [_gather(grid, np.stack([low_pass_saturating(z, n + 1).coeffs
+                                           for z in (z0p, z0m)]))
                    for n in range(1, n_max + 1)]
     first = pair(ys[1])
     times = np.arange(n_steps + 1) * dt

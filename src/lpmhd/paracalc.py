@@ -43,7 +43,9 @@ components of g.  Both families read it: a one-slot cache holds the last
 pair's workspace while both fields live, so the split family of the pair the
 direct family just measured transforms no block again.  In the workspace
 S_j a = S_{j-1} a + Delta_{j-1} a is summed in physical space for j > j0,
-from blocks already transformed; only S_{j0} a is inverse-transformed.
+from blocks already transformed; only S_{j0} a is inverse-transformed.  The
+values of f_i and of the whole d_i g are their top low passes S_{j_max+1},
+so they too are sums of blocks.
 
 P_K and the transform are linear, so the commutator adds up in physical
 space the products that feed one output and forward-transforms each sum
@@ -273,7 +275,8 @@ class _CommutatorWorkspace:
         self.dg = [
             _Blocks(grid, 1j * freqs[i] * g.coeffs, telescoped=True) for i in range(self.d)
         ]
-        self.f_phys = [f.values[i] for i in range(self.d)]
+        # S_{j_max+1} is the identity on the lattice
+        self.top = grid.j_max + 1
 
     def _zeros(self):
         return np.zeros(self.shape, dtype=complex)
@@ -281,17 +284,17 @@ class _CommutatorWorkspace:
     def direct_family(self):
         """f . grad Delta_k g - Delta_k (f . grad g) for every shell k,
         spectral coefficients keyed by k: one forward transform for the
-        whole f . grad g and one per nonempty shell."""
-        grid, d = self.grid, self.d
+        whole f . grad g and one per nonempty shell.  f_i and the whole
+        d_i g are their top low passes, sums of blocks that the split family
+        reads too."""
+        grid, d, top = self.grid, self.d, self.top
+        f = [self.f[i].low(top) for i in range(d)]
         whole = self._zeros()
-        _add_products(
-            whole, grid,
-            ((self.f_phys[i], _block_values(grid, self.dg[i].coeffs)) for i in range(d)),
-        )
+        _add_products(whole, grid, ((f[i], self.dg[i].low(top)) for i in range(d)))
         out = {}
         for k in grid.js:
             acc = self._zeros()
-            _add_products(acc, grid, ((self.f_phys[i], self.dg[i].block(k)) for i in range(d)))
+            _add_products(acc, grid, ((f[i], self.dg[i].block(k)) for i in range(d)))
             acc -= self.bank.phi[k] * whole
             out[k] = acc
         return out
@@ -339,8 +342,8 @@ class _CommutatorWorkspace:
         for i in range(self.d):
             dg_k = self.dg[i].block(k)
             if dg_k is not None:
-                low = self.f[i].low(k)
-                yield dg_k, (self.f_phys[i] if low is None else self.f_phys[i] - low)
+                f_i, low = self.f[i].low(self.top), self.f[i].low(k)
+                yield dg_k, (f_i if low is None else f_i - low)
 
     def _split(self, k, p1, q, p2):
         grid, phi_k = self.grid, self.bank.phi[k]

@@ -747,12 +747,30 @@ def jacobian(v: RealField) -> RealField:
     return RealField(v.grid, coeffs=out)
 
 
+def _gradient_sup(grid: Grid, coeffs: np.ndarray) -> float:
+    """max over the grid of the Frobenius norm of the component gradients
+    d_b c_a of stacked coefficients (ncomp,) + spectral_shape.  One gradient
+    component at a time is built into a reused buffer and inverse-
+    transformed, and its square is added in (a, b) order: numpy sums axis 0
+    row after row, so this gives the bits of the sum over one batched
+    inverse of all ncomp*d components, with a working set of three arrays."""
+    buf = np.empty(grid.spectral_shape, dtype=complex)
+    total = None
+    for c in coeffs:
+        for xi in frequencies(grid):
+            np.multiply(1j * xi, c, out=buf)
+            row = _inverse(grid, buf)
+            np.square(row, out=row)
+            if total is None:
+                total = row
+            else:
+                total += row
+    return float(np.sqrt(total.max()))
+
+
 def jacobian_sup_norm(v: RealField) -> float:
-    """max over the grid of the Frobenius norm of the component gradients,
-    from one batched inverse of all ncomp*d gradient components."""
-    grads = _inverse(v.grid, jacobian(v).coeffs)
-    np.square(grads, out=grads)
-    return float(np.sqrt(grads.sum(axis=0).max()))
+    """max over the grid of the Frobenius norm of the component gradients."""
+    return _gradient_sup(v.grid, v.coeffs)
 
 
 def riesz(f: RealField, axis: int) -> RealField:

@@ -1052,6 +1052,35 @@ def test_benchmark_hot_calls_reached(tmp_path, monkeypatch):
         assert seen == set(workload.hot), name
 
 
+def test_traced_counts_repeat(tmp_path, monkeypatch):
+    # the benchmark fails a traced op whose counts differ from the previous
+    # op's; a record's helper thread runs transforms beside the calling
+    # thread's spans, which must not make any count depend on timing (a
+    # helper that entered a traced boundary failed this check in 4 of 5
+    # tries)
+    spans = _load_perfbench("spans", monkeypatch)
+    workloads = _load_perfbench("workloads", monkeypatch)
+    for name in ("monitor-3d", "simulate-ot2d"):
+        workload = workloads.WORKLOADS[name]
+        counts = []
+        for run in range(3):
+            cfg = workload.config(0, str(tmp_path / f"{name}-{run}"), warmup=True)
+            path = write(tmp_path / f"{name}-{run}.yaml", workloads.config_yaml(cfg))
+            tracer = spans.Tracer()
+            tracer.install()
+            try:
+                assert main([workload.subcommand, "--config", path]) == 0, name
+            finally:
+                tracer.uninstall()
+            metrics = spans.op_metrics(tracer.names, tracer.spans, tracer.input_digests)
+            # every metric but the timings, as the benchmark compares them
+            counts.append({key: value for key, value in metrics.items()
+                           if not key.endswith(("_s", "_share"))})
+        assert counts[0]["diagnostics.record.calls"] > 0, name
+        assert counts[0]["fft.xf"] > 0, name
+        assert counts[1] == counts[0] and counts[2] == counts[0], name
+
+
 def _exit_codes(text):
     # the codes that lead the comma-separated items of the "Exit codes:"
     # sentence, with parenthesized remarks dropped

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -86,6 +87,75 @@ class TestRecord:
         wu, wb = diag.curl_pair(state)
         bound = c * (lp_norm(wu, math.inf) + lp_norm(wb, math.inf))
         assert rec.blowup_integrand <= bound
+
+
+def _with_nan(state):
+    # one non-finite coefficient in each field
+    grid = state.grid
+    pair = []
+    for z in (state.z_plus, state.z_minus):
+        coeffs = z.coeffs.copy()
+        coeffs[(1,) + (2,) * grid.dimension] = np.nan
+        pair.append(sp.RealField(grid, coeffs=coeffs, solenoidal=True))
+    return mhd.ElsasserState(*pair, state.t)
+
+
+class TestHelperThread:
+    @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
+    @pytest.mark.parametrize(
+        "grid", [sp.Grid(2, 64), sp.Grid(2, 128), sp.Grid(3, 16), sp.Grid(3, 32)],
+        ids=["2d-64", "2d-128", "3d-16", "3d-32"],
+    )
+    def test_threaded_record_matches_serial(self, grid, nan, monkeypatch):
+        # the same two records, with the gradient sups on the helper thread
+        # at every grid size and on the calling thread at none: every CSV
+        # field has the same repr
+        state = mhd.to_elsasser(*mhd.random_pair(grid, seed=27))
+        states = [state, mhd.step(state, 1e-3)]
+        if nan:
+            states = [_with_nan(s) for s in states]
+        specs = SPECS + (NormSpec(2.5, 3, 2),)
+        threads = []
+        gradient_sup = diag._gradient_sup
+
+        def spy(grid, coeffs):
+            threads.append(threading.current_thread())
+            return gradient_sup(grid, coeffs)
+
+        monkeypatch.setattr(diag, "_gradient_sup", spy)
+        lines = {}
+        for name, points in (("threaded", 0), ("serial", math.inf)):
+            monkeypatch.setattr(diag, "_HELPER_POINTS", points)
+            prev, lines[name] = None, []
+            for s in states:
+                prev = diag.record(s, specs, prev)
+                lines[name].append(diag.csv_line(prev, specs).rstrip("\n").split(","))
+        main = threading.main_thread()
+        assert [t is main for t in threads] == [False] * 4 + [True] * 4
+        assert lines["threaded"] == lines["serial"]
+        if nan:
+            rec = lines["threaded"][-1]
+            columns = diag.csv_columns(grid, specs)
+            sups = [v for c, v in zip(columns, rec) if "sup" in c or "blowup" in c]
+            assert sups and all(v == "nan" for v in sups)
+
+    @pytest.mark.parametrize("where", ["helper", "caller"])
+    def test_exception_propagates_and_no_thread_is_left(self, where, monkeypatch):
+        # 3D N=32 runs the helper; an exception on either thread comes out
+        # of record, and the helper is joined first
+        grid = sp.Grid(3, 32)
+        assert grid.points**grid.dimension >= diag._HELPER_POINTS
+        state = mhd.to_elsasser(*mhd.random_pair(grid, seed=28))
+        baseline = threading.active_count()
+
+        def fail(*args):
+            raise RuntimeError(where)
+
+        name = "_gradient_sup" if where == "helper" else "_curl_shell_sups"
+        monkeypatch.setattr(diag, name, fail)
+        with pytest.raises(RuntimeError, match=where):
+            diag.record(state, SPECS)
+        assert threading.active_count() == baseline
 
 
 class TestSinglePass:

@@ -396,16 +396,16 @@ class TestCommutatorLhs:
 
     def test_trial_transform_count(self, count_transforms):
         # one trial of the six commutator ids at p = q = 2: the draw, the
-        # two families on one workspace (20 + 60) and the right-hand-side
+        # two families on one workspace (26 + 50) and the right-hand-side
         # factors; no commutator field is inverse-transformed for its norm
-        assert self._trial_transforms(count_transforms, n=64, kmax=10) == 89
+        assert self._trial_transforms(count_transforms, n=64, kmax=10) == 85
 
     def test_p4_trial_transform_count(self, count_transforms):
         # p = 4 on the full band at N=128: every nonempty shell of the six
         # left-hand sides and of the Triebel-Lizorkin factors is
         # inverse-transformed for its magnitude, and the 12 exactly empty
         # ones are not
-        assert self._trial_transforms(count_transforms, n=128, p=4.0) == 213
+        assert self._trial_transforms(count_transforms, n=128, p=4.0) == 209
 
     def test_trial_shares_one_workspace(self, monkeypatch):
         # one trial builds one workspace and calls each public family once

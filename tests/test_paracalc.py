@@ -288,17 +288,19 @@ class TestEmptyBlocks:
     # blocks are never transformed and their products never formed.  Each
     # commutator sum (the whole f . grad g, a direct shell, a p1/q/p2 entry,
     # the product parts of terms I and II) is forward-transformed once.
-    # The split pin counts the split family after the direct one on the same
-    # pair, which is the lab's order: it reuses the workspace, so the values
-    # of f and the d_i Delta_k g blocks are not transformed again, and every
-    # low pass above S_{j0} is a sum of blocks already transformed.
+    # The direct family transforms every nonempty block of f and of d_i g:
+    # f_i and the whole d_i g are their top low passes, sums of those
+    # blocks.  The split pin counts the split family after the direct one on
+    # the same pair, which is the lab's order: it reuses the workspace, so
+    # no block of f or of d_i g is transformed again, and every low pass
+    # above S_{j0} is a sum of blocks already transformed.
     @pytest.mark.parametrize(
         "d, n, kmax, ncomp, direct_xf, split_xf",
         [
-            pytest.param(2, 64, 10, 1, 20, 60, id="64-20-60"),
-            pytest.param(2, 128, 10, 1, 20, 60, id="128-20-60"),
-            pytest.param(2, 128, 10, 2, 38, 110, id="128-vector-38-110"),
-            pytest.param(3, 32, 6, 1, 27, 80, id="3d-32-27-80"),
+            pytest.param(2, 64, 10, 1, 26, 50, id="64-26-50"),
+            pytest.param(2, 128, 10, 1, 26, 50, id="128-26-50"),
+            pytest.param(2, 128, 10, 2, 42, 100, id="128-vector-42-100"),
+            pytest.param(3, 32, 6, 1, 36, 65, id="3d-32-36-65"),
         ],
     )
     def test_transform_count(

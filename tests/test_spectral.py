@@ -1,5 +1,6 @@
 import ast
 import inspect
+import math
 import typing
 from pathlib import Path
 
@@ -329,6 +330,25 @@ class TestDerivatives:
         f = sp.random_band_limited(G64, seed=6)
         with pytest.raises(sp.SpectralError):
             sp.spectral_derivative(f, (3, 2))
+
+    @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
+    @pytest.mark.parametrize(
+        "grid", [sp.Grid(2, 64), sp.Grid(2, 128), sp.Grid(3, 16), sp.Grid(3, 32)],
+        ids=["2d-64", "2d-128", "3d-16", "3d-32"],
+    )
+    def test_gradient_sup_matches_batched_inverse(self, grid, nan):
+        # one gradient component at a time, squares added in (a, b) order,
+        # has the bits of one batched inverse of every component summed
+        # over axis 0
+        v = sp.random_solenoidal(grid, seed=8, kmax=grid.points // 2 - 1)
+        coeffs = v.coeffs.copy()
+        if nan:
+            coeffs[(1,) + (3,) * grid.dimension] = np.nan
+        grads = sp._inverse(grid, sp.jacobian(sp.RealField(grid, coeffs=coeffs)).coeffs)
+        want = float(np.sqrt(np.square(grads).sum(axis=0).max()))
+        got = sp.jacobian_sup_norm(sp.RealField(grid, coeffs=coeffs))
+        assert repr(got) == repr(want)
+        assert math.isnan(got) == nan
 
 
 class TestRiesz:
