@@ -20,7 +20,6 @@ from .spectral import (
     low_pass,
     make_filter_bank,
     multiply,
-    partition_defect,
     random_band_limited,
     random_solenoidal,
     riesz,
@@ -34,7 +33,6 @@ from .spaces import (
     NormSpec,
     lp_norm,
     maximal_function,
-    sup_block_norm,
     tl_norm,
 )
 from .paracalc import (
@@ -62,8 +60,6 @@ from .lab import (
     INEQUALITY_IDS,
     InequalityReport,
     run_inequalities,
-    run_inequality,
-    stability_sweep,
     stability_sweeps,
 )
 

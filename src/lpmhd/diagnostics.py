@@ -34,10 +34,8 @@ from .spaces import tl_norm
 from .spectral import (
     SpectralError,
     _gradient_sup,
-    _inverse,
     _shell_blocks,
     curl,
-    make_filter_bank,
 )
 
 
@@ -202,14 +200,6 @@ class DiagnosticsStream:
         rec = record(state, self.specs, prev)
         self.records.append(rec)
         return rec
-
-
-def block_kernel_constant(grid) -> float:
-    """max_j of the l1 norm of the Delta_j convolution kernel: the L_inf
-    operator norm bounding ||Delta_j f||_inf <= C ||f||_inf."""
-    bank = make_filter_bank(grid)
-    kernels = _inverse(grid, np.stack([bank.phi[j] for j in grid.js]).astype(complex))
-    return max(float(np.sum(np.abs(kernel))) for kernel in kernels)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,7 @@ taken by Plancherel from the family's coefficients; at other (p, q) a shell
 with exactly zero coefficients is not transformed.  Nothing is kept
 between trials or calls: the workspace is freed with the trial's fields.
 Reports are reproducible bit-for-bit from (id, params, seed), whichever
-jobs run beside them; `run_inequality` and `stability_sweep` are the
-one-job forms.
+jobs run beside them; a single job runs as the list [(id, params)].
 """
 
 from __future__ import annotations
@@ -415,13 +414,6 @@ def run_inequalities(jobs, trials: int = 200, seed: int = 0) -> list:
     return reports
 
 
-def run_inequality(
-    inequality_id: str, params: dict | None = None, trials: int = 200, seed: int = 0
-) -> InequalityReport:
-    """``run_inequalities`` for one job."""
-    return run_inequalities([(inequality_id, params)], trials, seed)[0]
-
-
 @dataclass
 class SweepResult:
     inequality_id: str
@@ -500,17 +492,6 @@ def stability_sweeps(
             )
         )
     return sweeps
-
-
-def stability_sweep(
-    inequality_id: str,
-    params: dict | None = None,
-    resolutions=(64, 128),
-    trials: int = 200,
-    seed: int = 0,
-) -> SweepResult:
-    """``stability_sweeps`` for one job."""
-    return stability_sweeps([(inequality_id, params)], resolutions, trials, seed)[0]
 
 
 def _json_ready(obj):

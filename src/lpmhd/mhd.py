@@ -49,7 +49,7 @@ from .spectral import (
     dealias,
     from_function,
     jacobian,
-    low_pass_saturating,
+    low_pass,
     random_solenoidal,
     zero_field,
 )
@@ -158,17 +158,12 @@ def _cube_rhs(grid: Grid, zp: np.ndarray, zm: np.ndarray) -> np.ndarray:
     return out
 
 
-def _elsasser_rhs(grid: Grid, zp: np.ndarray, zm: np.ndarray) -> np.ndarray:
-    """`_cube_rhs` on the full half spectrum, shape (2, d) + spectral_shape:
-    every mode outside the 2/3 cube is zero."""
-    return _scatter(grid, _cube_rhs(grid, zp, zm))
-
-
 def mhd_tendency(state: ElsasserState):
     """Right sides (dz+/dt, dz-/dt) of the Elsasser system, both
-    Leray-projected (solenoidal)."""
+    Leray-projected (solenoidal): `_cube_rhs` scattered to the full half
+    spectrum, zero outside the 2/3 cube."""
     grid = state.grid
-    k = _elsasser_rhs(grid, state.z_plus.values, state.z_minus.values)
+    k = _scatter(grid, _cube_rhs(grid, state.z_plus.values, state.z_minus.values))
     return (
         RealField(grid, coeffs=k[0], solenoidal=True),
         RealField(grid, coeffs=k[1], solenoidal=True),
@@ -185,15 +180,13 @@ def cfl_bound(state: ElsasserState) -> float:
 
 def _rk4(y, k1: np.ndarray, dt: float, rhs) -> np.ndarray:
     """One classical RK4 step of y' = rhs(y), given the first-stage tendency
-    k1 (accumulated in place).  y is read along k1's first axis, so it may be
-    one array shaped like k1 or a sequence of its slices.  Returns the new y
-    as one array."""
+    k1 (accumulated in place); y is an array shaped like k1.  Returns the
+    new y."""
 
     def ahead(c, k):
-        # y + c k, slice by slice, without a stacked copy of y
+        # y + c k in one fresh array
         out = c * k
-        for i, part in enumerate(y):
-            out[i] += part
+        out += y
         return out
 
     k = total = k1
@@ -362,7 +355,7 @@ def picard_iterate(
     # ys[n]: the stacked (2, d) cube coefficients of iterate n; every mode
     # outside the cube of the dealiased data is zero, and so is every
     # tendency there
-    ys = [None] + [_gather(grid, np.stack([low_pass_saturating(z, n + 1).coeffs
+    ys = [None] + [_gather(grid, np.stack([low_pass(z, min(n + 1, grid.j_max + 1)).coeffs
                                            for z in (z0p, z0m)]))
                    for n in range(1, n_max + 1)]
     first = pair(ys[1])

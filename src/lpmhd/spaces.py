@@ -123,11 +123,6 @@ def tl_norm(f: RealField, spec: NormSpec) -> float:
     return value
 
 
-def sup_block_norm(f: RealField) -> float:
-    """sup_j ||Delta_j f||_inf, i.e. the homogeneous (s=0, p=q=inf) norm."""
-    return tl_norm(f, NormSpec(0.0, INF, INF, homogeneous=True))
-
-
 def norm_record(field_id: str, spec: NormSpec, value: float) -> dict:
     """JSON-ready record of one norm evaluation."""
     return {

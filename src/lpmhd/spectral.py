@@ -515,14 +515,6 @@ def make_filter_bank(grid: Grid) -> FilterBank:
     return FilterBank(grid=grid, phi=phi, chi=chi)
 
 
-def partition_defect(bank: FilterBank) -> float:
-    """max over the lattice of |chi_{j0} + sum_j phi_j - 1|."""
-    total = bank.chi[bank.j0].copy()
-    for j in range(bank.j0, bank.j_max + 1):
-        total = total + bank.phi[j]
-    return float(np.max(np.abs(total - 1.0)))
-
-
 def dyadic_block(f: RealField, j: int) -> RealField:
     """Frequency-annulus projection Delta_j f."""
     bank = make_filter_bank(f.grid)
@@ -541,11 +533,6 @@ def low_pass(f: RealField, j: int) -> RealField:
             f"low-pass index {j} outside [{bank.j0}, {bank.j_max + 1}]"
         )
     return apply_multiplier(f, bank.chi[j])
-
-
-def low_pass_saturating(f: RealField, j: int) -> RealField:
-    """S_j with the index clamped to j_max+1, where S_j is the identity."""
-    return low_pass(f, min(j, f.grid.j_max + 1))
 
 
 @lru_cache(maxsize=None)
@@ -1023,6 +1010,8 @@ def load_snapshot(path):
             t = float(data["time"])
     except SpectralError:
         raise
-    except (ValueError, KeyError, zipfile.BadZipFile) as exc:
+    # TypeError: a bare .npy array is no context manager, and a header entry
+    # that is not a scalar does not convert
+    except (TypeError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise SpectralError(f"unreadable snapshot {path}: {exc}") from exc
     return field, (None if math.isnan(t) else t)

@@ -13,6 +13,7 @@ from lpmhd import lab, mhd
 from lpmhd import spectral as sp
 from lpmhd.paracalc import commutator_family, commutator_split_family
 from lpmhd.spaces import NormSpec, lp_norm, tl_norm
+from oracles import block_kernel_constant, partition_defect
 
 
 def report(n, text):
@@ -73,7 +74,7 @@ def ot_run():
 def test_criterion_01_partition_of_unity():
     t0 = time.time()
     grid = sp.Grid(2, 128)
-    defect = sp.partition_defect(sp.make_filter_bank(grid))
+    defect = partition_defect(sp.make_filter_bank(grid))
     elapsed = time.time() - t0
     assert defect <= 1e-12
     assert elapsed < 1.0
@@ -194,11 +195,11 @@ def test_criterion_06_lemma_harness():
         assert abs(ratio - 1.0) <= 1e-12
 
     for iid in ("bernstein", "deriv-equiv", "product"):
-        rep = lab.run_inequality(iid, {"n": 64}, trials=200, seed=7)
+        rep = lab.run_inequalities([(iid, {"n": 64})], trials=200, seed=7)[0]
         assert rep.finite
 
     for n in (64, 128):
-        rep = lab.run_inequality("majorant", {"n": n}, trials=200, seed=7)
+        rep = lab.run_inequalities([("majorant", {"n": n})], trials=200, seed=7)[0]
         assert rep.finite
         assert rep.max_ratio <= 1.05, rep.max_ratio
 
@@ -214,8 +215,8 @@ def test_criterion_06_lemma_harness():
         assert sweep.max_growth <= 1.2, (p, q, sweep.max_growth)
         worst = max(worst, sweep.max_growth)
 
-    sweep = lab.stability_sweep("bernstein", {}, resolutions=(64, 128, 256),
-                                trials=200, seed=7)
+    sweep = lab.stability_sweeps([("bernstein", {})], resolutions=(64, 128, 256),
+                                 trials=200, seed=7)[0]
     assert sweep.max_growth <= 1.05
 
     report(6, f"Bernstein single-mode ratio exact; majorant slack <= 5%; "
@@ -293,7 +294,7 @@ def test_criterion_10_trajectory_volume_preservation():
 def test_criterion_11_blowup_monitor(ot_run):
     records, curl_sups, _, _ = ot_run
     grid = sp.Grid(2, OT_POINTS)
-    c = diag.block_kernel_constant(grid)
+    c = block_kernel_constant(grid)
     integrals = [r.blowup_integral for r in records]
     assert all(math.isfinite(r.blowup_integrand) for r in records)
     assert all(b >= a for a, b in zip(integrals, integrals[1:]))

@@ -1,6 +1,7 @@
 import csv
 import ctypes
 import importlib.util
+import io
 import json
 import math
 import os
@@ -836,6 +837,23 @@ verify:
         assert main(["verify", "--config", cfg]) == 1
 
 
+def _malformed_snapshots():
+    """A bare .npy array and an archive whose dimension is a length-2 array,
+    as file contents."""
+    field = sp.random_solenoidal(sp.Grid(2, 16), seed=1)
+    npy, npz = io.BytesIO(), io.BytesIO()
+    np.save(npy, field.values)
+    sp.save_snapshot(field, npz)
+    npz.seek(0)
+    with np.load(npz) as data:
+        archive = dict(data)
+    archive["dimension"] = np.array([2, 2])
+    npz = io.BytesIO()
+    np.savez(npz, **archive)
+    return [pytest.param(npy.getvalue(), id="bare-npy"),
+            pytest.param(npz.getvalue(), id="dimension-array")]
+
+
 class TestSnapshotTools:
     def _snapshot(self, tmp_path):
         grid = sp.Grid(2, 64)
@@ -939,13 +957,19 @@ class TestSnapshotTools:
                      "--p", "abc", "--q", "2"]) == 2
         assert "--p" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("content", [b"not a snapshot\n", b"PK\x03\x04 cut"])
-    def test_corrupt_snapshot_exit_2(self, tmp_path, capsys, content):
+    @pytest.mark.parametrize("command", ["norm", "decompose"])
+    @pytest.mark.parametrize(
+        "content", [b"not a snapshot\n", b"PK\x03\x04 cut", *_malformed_snapshots()]
+    )
+    def test_corrupt_snapshot_exit_2(self, tmp_path, capsys, content, command):
         path = tmp_path / "bad.npz"
         path.write_bytes(content)
-        assert main(["norm", "--field", str(path), "--s", "1",
-                     "--p", "2", "--q", "2"]) == 2
+        outdir = tmp_path / "blocks"
+        extra = {"norm": ["--s", "1", "--p", "2", "--q", "2"],
+                 "decompose": ["--out", str(outdir)]}[command]
+        assert main([command, "--field", str(path)] + extra) == 2
         assert "unreadable snapshot" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_missing_snapshot_is_io_error(self, tmp_path):
         assert main(["norm", "--field", str(tmp_path / "missing.npz"),
@@ -1050,6 +1074,25 @@ def test_benchmark_hot_calls_reached(tmp_path, monkeypatch):
         assert tracer.missing == [], name
         seen = {tracer.names[span[0]] for span in tracer.spans}
         assert seen == set(workload.hot), name
+
+
+def test_layer_table_rows_run(monkeypatch):
+    # perfbench/layer_table.py calls library names that no CLI path reaches
+    # (mhd_tendency, DiagnosticsStream); calling each of its rows once makes
+    # deleting or renaming one of them fail here, not only in the table
+    monkeypatch.syspath_prepend(str(Path(cli.__file__).resolve().parents[2] / "perfbench"))
+    # the table imports its sibling modules by their plain names
+    siblings = {"run", "calibrate", "spans", "workloads"} - set(sys.modules)
+    try:
+        table = _load_perfbench("layer_table", monkeypatch)
+        for grid in (sp.Grid(2, 16), sp.Grid(3, 16)):
+            rows = table._rows(grid)
+            assert rows
+            for _, prepare, fn in rows:
+                table._call(prepare, fn)()
+    finally:
+        for name in siblings:
+            sys.modules.pop(name, None)
 
 
 def test_traced_counts_repeat(tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from lpmhd.spectral import multiply, spectral_derivative
 class TestValidation:
     def test_unknown_id(self):
         with pytest.raises(lab.UnknownInequalityError, match="unknown inequality id"):
-            lab.run_inequality("no-such-estimate")
+            lab.run_inequalities([("no-such-estimate", None)])
 
     @pytest.mark.parametrize(
         "iid,params,needle",
@@ -30,12 +30,12 @@ class TestValidation:
     )
     def test_hypotheses_named(self, iid, params, needle):
         with pytest.raises(lab.HypothesisError) as err:
-            lab.run_inequality(iid, params, trials=1)
+            lab.run_inequalities([(iid, params)], trials=1)
         assert needle in str(err.value)
 
     def test_bernstein_direction_named(self):
         with pytest.raises(lab.HypothesisError, match="direction in"):
-            lab.run_inequality("bernstein", {"direction": "sideways"}, trials=1)
+            lab.run_inequalities([("bernstein", {"direction": "sideways"})], trials=1)
 
     def test_tables_name_known_ids(self):
         # a misspelled key would silently drop a hypothesis or a right-hand side
@@ -48,15 +48,15 @@ class TestValidation:
 
     def test_unknown_param_key(self):
         with pytest.raises(lab.HypothesisError, match="unknown parameter"):
-            lab.run_inequality("bernstein", {"spam": 1}, trials=1)
+            lab.run_inequalities([("bernstein", {"spam": 1})], trials=1)
 
     def test_sweep_needs_two_resolutions(self):
         with pytest.raises(lab.HypothesisError, match="2 resolutions"):
-            lab.stability_sweep("bernstein", {}, resolutions=(64,), trials=1)
+            lab.stability_sweeps([("bernstein", {})], resolutions=(64,), trials=1)
 
     def test_sweep_rejects_repeated_resolutions(self):
         with pytest.raises(lab.HypothesisError, match="repeat"):
-            lab.stability_sweep("bernstein", {}, resolutions=(64, 64), trials=1)
+            lab.stability_sweeps([("bernstein", {})], resolutions=(64, 64), trials=1)
         with pytest.raises(lab.HypothesisError, match="repeat"):
             lab.stability_sweeps(
                 [("term-I", None), ("term-II", None)], resolutions=(32, 64, 32), trials=1
@@ -66,20 +66,20 @@ class TestValidation:
     def test_sweep_rejects_non_integer_resolutions(self, resolutions):
         # 32.9 used to run (and be reported) as 32
         with pytest.raises(lab.HypothesisError, match="must be integers"):
-            lab.stability_sweep("bernstein", {}, resolutions=resolutions, trials=1)
+            lab.stability_sweeps([("bernstein", {})], resolutions=resolutions, trials=1)
         with pytest.raises(lab.HypothesisError, match="must be integers"):
             lab.stability_sweeps([("term-I", None)], resolutions=resolutions, trials=1)
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_trials_must_be_positive(self, trials):
         with pytest.raises(lab.HypothesisError, match="at least one trial"):
-            lab.run_inequality("bernstein", {}, trials=trials)
+            lab.run_inequalities([("bernstein", {})], trials=trials)
         with pytest.raises(lab.HypothesisError, match="at least one trial"):
             lab.run_inequalities(
                 [("term-I", None), ("commutator-A2", None)], trials=trials
             )
         with pytest.raises(lab.HypothesisError, match="at least one trial"):
-            lab.stability_sweep("bernstein", {}, trials=trials)
+            lab.stability_sweeps([("bernstein", {})], trials=trials)
         with pytest.raises(lab.HypothesisError, match="at least one trial"):
             lab.stability_sweeps([("term-I", {})], trials=trials)
 
@@ -95,31 +95,33 @@ class TestBernstein:
             assert abs(num / den - 1.0) <= 1e-12
 
     def test_forward_and_reverse_run(self):
-        fwd = lab.run_inequality("bernstein", {"n": 64}, trials=12, seed=3)
-        rev = lab.run_inequality(
-            "bernstein", {"n": 64, "direction": "reverse"}, trials=12, seed=3
-        )
+        fwd = lab.run_inequalities([("bernstein", {"n": 64})], trials=12, seed=3)[0]
+        rev = lab.run_inequalities(
+            [("bernstein", {"n": 64, "direction": "reverse"})], trials=12, seed=3
+        )[0]
         assert fwd.finite and rev.finite
 
     def test_higher_order(self):
-        rep = lab.run_inequality("bernstein", {"n": 64, "k": 2}, trials=8, seed=4)
+        rep = lab.run_inequalities([("bernstein", {"n": 64, "k": 2})], trials=8, seed=4)[0]
         assert rep.finite
 
 
 class TestReports:
     def test_reproducible_bit_for_bit(self):
-        a = lab.run_inequality("product", {"n": 64}, trials=8, seed=11)
-        b = lab.run_inequality("product", {"n": 64}, trials=8, seed=11)
+        a = lab.run_inequalities([("product", {"n": 64})], trials=8, seed=11)[0]
+        b = lab.run_inequalities([("product", {"n": 64})], trials=8, seed=11)[0]
         assert np.array_equal(a.ratios, b.ratios)
 
     def test_scaling_invariance(self):
         for iid in ("product", "commutator-A2", "term-II"):
-            a = lab.run_inequality(iid, {"n": 64, "amplitude": 1.0}, trials=4, seed=5)
-            b = lab.run_inequality(iid, {"n": 64, "amplitude": 3.7}, trials=4, seed=5)
+            a = lab.run_inequalities([(iid, {"n": 64, "amplitude": 1.0})],
+                                     trials=4, seed=5)[0]
+            b = lab.run_inequalities([(iid, {"n": 64, "amplitude": 3.7})],
+                                     trials=4, seed=5)[0]
             assert np.max(np.abs(a.ratios - b.ratios)) <= 1e-10 * np.max(a.ratios)
 
     def test_json_roundtrip(self, tmp_path):
-        rep = lab.run_inequality("riesz-bounded", {"n": 64}, trials=5, seed=6)
+        rep = lab.run_inequalities([("riesz-bounded", {"n": 64})], trials=5, seed=6)[0]
         path = tmp_path / "r.json"
         lab.write_report_json(rep, path)
         data = json.loads(path.read_text())
@@ -128,16 +130,16 @@ class TestReports:
         assert len(data["ratios"]) == 5
 
     def test_summary_lines(self):
-        rep = lab.run_inequality("majorant", {"n": 64}, trials=3, seed=7)
+        rep = lab.run_inequalities([("majorant", {"n": 64})], trials=3, seed=7)[0]
         lines = lab.summary_csv_lines([rep])
         assert lines[0].startswith("inequality_id,")
         assert lines[1].startswith("majorant,")
 
     def test_summary_csv_round_trip(self):
         # the params field holds strict JSON, commas and quotes included
-        reps = [lab.run_inequality("vector-maximal", {"n": 32, "q": math.inf, "p": 3},
-                                   trials=2, seed=7),
-                lab.run_inequality("majorant", {"n": 32}, trials=2, seed=7)]
+        reps = [lab.run_inequalities([("vector-maximal", {"n": 32, "q": math.inf, "p": 3})],
+                                     trials=2, seed=7)[0],
+                lab.run_inequalities([("majorant", {"n": 32})], trials=2, seed=7)[0]]
         header, *rows = csv.reader(lab.summary_csv_lines(reps))
         assert header == ["inequality_id", "params", "max_ratio", "growth_factor"]
         for rep, row in zip(reps, rows, strict=True):
@@ -170,11 +172,11 @@ class TestReports:
 
 class TestSharpCases:
     def test_riesz_contraction(self):
-        rep = lab.run_inequality("riesz-bounded", {"n": 64}, trials=20, seed=8)
+        rep = lab.run_inequalities([("riesz-bounded", {"n": 64})], trials=20, seed=8)[0]
         assert rep.max_ratio <= 1.0 + 1e-10
 
     def test_majorant_within_slack(self):
-        rep = lab.run_inequality("majorant", {"n": 64}, trials=20, seed=9)
+        rep = lab.run_inequalities([("majorant", {"n": 64})], trials=20, seed=9)[0]
         assert rep.max_ratio <= 1.05
 
     def test_product_with_constant_factor(self):
@@ -208,21 +210,23 @@ class TestSharpCases:
 class TestAllFinite:
     @pytest.mark.parametrize("iid", lab.INEQUALITY_IDS)
     def test_runs_and_finite(self, iid):
-        rep = lab.run_inequality(iid, {"n": 64}, trials=3, seed=13)
+        rep = lab.run_inequalities([(iid, {"n": 64})], trials=3, seed=13)[0]
         assert rep.finite
         assert rep.max_ratio > 0
 
     def test_both_commutator_hypotheses_on_shared_data(self):
-        a2 = lab.run_inequality("commutator-A2", {"n": 64, "s": 1.5}, trials=5, seed=14)
-        a3 = lab.run_inequality("commutator-A3", {"n": 64, "s": 1.5}, trials=5, seed=14)
+        a2 = lab.run_inequalities([("commutator-A2", {"n": 64, "s": 1.5})],
+                                  trials=5, seed=14)[0]
+        a3 = lab.run_inequalities([("commutator-A3", {"n": 64, "s": 1.5})],
+                                  trials=5, seed=14)[0]
         assert a2.finite and a3.finite
 
 
 class TestSweep:
     def test_growth_factors(self):
-        sw = lab.stability_sweep(
-            "deriv-equiv", {}, resolutions=(64, 128), trials=10, seed=15
-        )
+        sw = lab.stability_sweeps(
+            [("deriv-equiv", {})], resolutions=(64, 128), trials=10, seed=15
+        )[0]
         assert len(sw.reports) == 2
         assert len(sw.growth_factors) == 1
         assert sw.reports[0].params["kmax"] == 64 // 6
@@ -231,9 +235,9 @@ class TestSweep:
         assert abs(sw.growth_factors[0] - 1.0) <= 0.05
 
     def test_vector_maximal_q_inf(self):
-        rep = lab.run_inequality(
-            "vector-maximal", {"n": 64, "p": 2.0, "q": math.inf}, trials=4, seed=16
-        )
+        rep = lab.run_inequalities(
+            [("vector-maximal", {"n": 64, "p": 2.0, "q": math.inf})], trials=4, seed=16
+        )[0]
         assert rep.finite
 
 
@@ -279,9 +283,9 @@ class TestGrouping:
         together = lab.stability_sweeps(jobs, resolutions=(32, 64), trials=3, seed=17)
         assert [sw.inequality_id for sw in together] == list(COMMUTATOR_IDS)
         for (iid, params), sweep in zip(jobs, together):
-            alone = lab.stability_sweep(
-                iid, params, resolutions=(32, 64), trials=3, seed=17
-            )
+            alone = lab.stability_sweeps(
+                [(iid, params)], resolutions=(32, 64), trials=3, seed=17
+            )[0]
             assert sweep.to_dict() == alone.to_dict()
             for a, b in zip(sweep.reports, alone.reports):
                 assert a.params == b.params
@@ -304,7 +308,7 @@ class TestGrouping:
         together = lab.run_inequalities(jobs, trials=3, seed=18)
         assert [rep.params["p"] for rep in together] == [p for _, p, _ in specs]
         for (_, params), rep in zip(jobs, together):
-            alone = lab.run_inequality(iid, params, trials=3, seed=18)
+            alone = lab.run_inequalities([(iid, params)], trials=3, seed=18)[0]
             assert rep.params == alone.params
             assert np.array_equal(rep.ratios, alone.ratios)
 

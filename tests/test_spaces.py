@@ -16,7 +16,6 @@ from lpmhd.spaces import (
     maximal_radii,
     norm_record,
     shell_lp_lq,
-    sup_block_norm,
     tl_norm,
 )
 
@@ -129,7 +128,7 @@ class TestTlNorm:
         direct = max(
             float(sp.dyadic_block(f, j).magnitude().max()) for j in G.js
         )
-        assert sup_block_norm(f) == direct
+        assert tl_norm(f, NormSpec(0.0, INF, INF)) == direct
 
     def test_derivative_equivalence_band(self):
         # ratio ||f||_{F^{s+1}} / ||grad f||_{F^s} sits in a fixed band,
