@@ -31,7 +31,10 @@ set of factor transforms.  A single shell is a lookup,
 Both halves read their factors from one dyadic-block cache per spectrum
 (`_Blocks`): the values of Delta_j a and S_j a, each computed on first use,
 and None for a block whose coefficients are all zero, which is then never
-transformed or multiplied.  Leading axes of a spectrum are batch axes.  The
+transformed or multiplied.  A block is the shell sweep's single-shell
+kernel `spectral._shell_block`, its box rule decided once per cache; low
+passes and the term I and II factors take its emptiness check and inverse,
+`_nonzero_inverse`.  Leading axes of a spectrum are batch axes.  The
 paraproduct piece P_K(S_{j-1}a Delta_j b) and the remainder piece
 P_K(Delta_j a Delta~_j b) are summed over j by `paraproduct` and
 `remainder`, and over the components i of (f_i, d_i g) by the commutator
@@ -66,22 +69,17 @@ import numpy as np
 from .spectral import (
     RealField,
     SpectralError,
+    _block_boxes,
     _forward,
-    _inverse,
     _masked_product,
+    _nonzero_inverse,
     _require_solenoidal,
+    _shell_block,
     dealias,
     dealias_mask,
     frequencies,
     make_filter_bank,
 )
-
-
-def _block_values(grid, coeffs: np.ndarray):
-    """Physical values of a spectral block, or None when its coefficients are
-    identically zero.  Such a block's values and every product with it are
-    exact zeros, so skipping them leaves every sum unchanged bit for bit."""
-    return _inverse(grid, coeffs) if coeffs.any() else None
 
 
 def _add_products(acc: np.ndarray, grid, pairs):
@@ -107,7 +105,8 @@ class _Blocks:
     """The dyadic blocks of one spectrum a, batched over its leading axes:
     ``block(j)`` gives the values of Delta_j a and ``low(j)`` those of S_j a,
     each computed on first use and held as None when its coefficients are
-    identically zero.  A block is one inverse transform, and so is a low
+    identically zero.  A block is one inverse transform (`_shell_block`,
+    from its box for the shells `_block_boxes` picks), and so is a low
     pass unless `telescoped`: then S_j a = S_{j-1} a + Delta_{j-1} a for
     j > j0, summed in physical space.  That is exact on the multipliers,
     phi_{j-1} = chi_j - chi_{j-1}, and equal to the transform of chi_j a up
@@ -118,13 +117,12 @@ class _Blocks:
         self.grid = grid
         self.coeffs = coeffs
         self.telescoped = telescoped
-        self._bank = make_filter_bank(grid)
-        self._blocks = {}
-        self._lows = {}
+        self._boxes = _block_boxes(grid, coeffs)
+        self._blocks, self._lows = {}, {}
 
     def block(self, j: int):
         if j not in self._blocks:
-            self._blocks[j] = _block_values(self.grid, self._bank.phi[j] * self.coeffs)
+            self._blocks[j] = _shell_block(self.grid, self.coeffs, j, self._boxes)
         return self._blocks[j]
 
     def low(self, j: int):
@@ -133,7 +131,8 @@ class _Blocks:
                 parts = [x for x in (self.low(j - 1), self.block(j - 1)) if x is not None]
                 self._lows[j] = sum(parts[1:], parts[0]) if parts else None
             else:
-                self._lows[j] = _block_values(self.grid, self._bank.chi[j] * self.coeffs)
+                chi = make_filter_bank(self.grid).chi[j]
+                self._lows[j] = _nonzero_inverse(self.grid, chi * self.coeffs)
         return self._lows[j]
 
 
@@ -326,7 +325,7 @@ class _CommutatorWorkspace:
                 low = self.f[i].low(kp - 1)
                 if low is not None:
                     coeffs = bank.phi[k] * bank.phi[kp] * self.dg[i].coeffs
-                    yield low, _block_values(grid, coeffs)
+                    yield low, _nonzero_inverse(grid, coeffs)
 
     def _term_ii_pairs(self, k):
         """Factors of sum_{k'>=k-2} S_{k'+2}(Delta_k d_i g) Delta_{k'} f_i; for
@@ -338,7 +337,7 @@ class _CommutatorWorkspace:
                 blk = self.f[i].block(kp)
                 if blk is not None:
                     coeffs = bank.chi[kp + 2] * bank.phi[k] * self.dg[i].coeffs
-                    yield _block_values(grid, coeffs), blk
+                    yield _nonzero_inverse(grid, coeffs), blk
         for i in range(self.d):
             dg_k = self.dg[i].block(k)
             if dg_k is not None:

@@ -23,9 +23,11 @@ bits of the full inverse.  Both reach scipy.fft as module attributes
 (`sfft.rfftn`) at call time, which is what lets a transform counter patch
 those attributes.
 
-`_shell_blocks` is the one shell sweep: the dyadic blocks of stacked
-coefficients, shell by shell, each from its box while that box is small.
-`block_magnitudes` and the diagnostics record read it.
+`_shell_block` is the one dyadic-block kernel, `_block_boxes` its box rule.
+It serves the shell sweep `_shell_blocks` (`block_magnitudes`, the record)
+and paracalc's block caches (the commutator workspace, the Bony operators).
+The workspace's blocks take their box for j = -1..3 at 2D N=128 and
+j = -1..1 at 3D N=32; at 2D N=64 no one-component block does.
 
 `_leray_complement` is the one Leray kernel: `leray_project` subtracts it,
 and the MHD pressure gradient grad pi is it.  It runs on the full half
@@ -555,59 +557,57 @@ def _shell_boxes(grid: Grid) -> tuple:
     return tuple(boxes)
 
 
-def _shell_blocks(grid: Grid, coeffs: np.ndarray):
-    """The shell sweep: for each j in grid.js, yield Delta_j of stacked
-    coefficients (m,) + spectral_shape as a new (m,) + grid.shape array, or
-    None when the shell's spectrum is exactly zero (its inverse would be
-    zeros; the check runs component by component, so a nonempty shell is
-    seen after one).  The shell product is freed before the block is
-    yielded, so a caller's magnitude temporaries do not sit beside it.
+def _block_boxes(grid: Grid, coeffs: np.ndarray) -> tuple:
+    """The leading `_shell_boxes` that the blocks of `coeffs` (...) +
+    spectral_shape take: a shell takes its box when m (modes - 4 box modes)
+    >= 2^12, m the product of the leading axes, a margin that pays for the
+    box path's extra calls (fitted to per-shell timings in CHANGES.md).  A
+    NaN makes every full shell product NaN (NaN * 0 is NaN) but may lie
+    outside a box, so a non-finite spectrum takes no box (the check sums
+    the coefficients: an overflow only costs the boxes)."""
+    m, modes = math.prod(coeffs.shape[:-grid.dimension]), math.prod(grid.spectral_shape)
+    boxes = tuple(itertools.takewhile(lambda phi: m * (modes - 4 * phi.size) >= 2**12,
+                                      _shell_boxes(grid)))
+    return boxes if not boxes or np.isfinite(coeffs.sum()) else ()
 
-    The leading shells whose box is small are gathered, multiplied and
-    inverse-transformed on their box (`_inverse` with k), with the bits of
-    the full product and `_inverse`.  The one rule: a shell takes its box
-    when m (modes - 4 box modes) >= 2^12, i.e. the box holds under a
-    quarter of the half spectrum, by a margin of modes that pays for the
-    box path's extra calls.  It is fitted to per-shell timings (CHANGES.md
-    holds the table); larger boxes gain less, and the k = 10 box of 3D N=32
-    raised a run's peak RSS by 1.6 MB.  A non-finite coefficient makes the
-    full product of every shell non-finite (NaN * 0 is NaN) but never
-    reaches a box it lies outside, so a non-finite spectrum sweeps the full
-    products only.
-    """
-    m, modes = len(coeffs), math.prod(grid.spectral_shape)
-    boxes = list(itertools.takewhile(lambda phi: m * (modes - 4 * phi.size) >= 2**12,
-                                     _shell_boxes(grid)))
-    # a sum is finite only if every term is (an overflow only costs the
-    # boxes)
-    if boxes and not np.isfinite(coeffs.sum()):
-        boxes = []
-    bank = make_filter_bank(grid)
-    for i, j in enumerate(grid.js):
-        if i < len(boxes):
-            k = boxes[i].shape[-1] - 1
-            shell = _gather(grid, coeffs, k)
-            shell *= boxes[i]
-        else:
-            k = None
-            shell = coeffs * bank.phi[j]
-        if not any(part.any() for part in shell):
-            yield None
-            continue
-        blk = _inverse(grid, shell, k)
-        del shell
-        yield blk
+
+def _nonzero_inverse(grid: Grid, spectrum: np.ndarray, k: int | None = None):
+    """`_inverse(grid, spectrum, k)`, or None for an exactly zero spectrum,
+    checked one leading-axis entry at a time; a None block's products are
+    exact zeros, so skipping them keeps every sum's bits."""
+    parts = spectrum.reshape((-1,) + spectrum.shape[-grid.dimension:])
+    return _inverse(grid, spectrum, k) if any(part.any() for part in parts) else None
+
+
+def _shell_block(grid: Grid, coeffs: np.ndarray, j: int, boxes: tuple):
+    """The one dyadic-block kernel: Delta_j of coefficients (...) +
+    spectral_shape as a new (...) + grid.shape array, or None for an empty
+    shell.  A shell with a box in `boxes` runs on it, the leading axes
+    flattened to one, with the bits of the full product and inverse."""
+    i = j - grid.j0
+    if i >= len(boxes):
+        return _nonzero_inverse(grid, coeffs * make_filter_bank(grid).phi[j])
+    k = boxes[i].shape[-1] - 1
+    shell = _gather(grid, coeffs.reshape((-1,) + grid.spectral_shape), k)
+    shell *= boxes[i]
+    blk = _nonzero_inverse(grid, shell, k)
+    return None if blk is None else blk.reshape(coeffs.shape[:-grid.dimension] + grid.shape)
+
+
+def _shell_blocks(grid: Grid, coeffs: np.ndarray):
+    """The shell sweep: `_shell_block` of stacked coefficients for each j in
+    grid.js, one at a time, each shell product freed before the next."""
+    boxes = _block_boxes(grid, coeffs)
+    return (_shell_block(grid, coeffs, j, boxes) for j in grid.js)
 
 
 def block_magnitudes(f: RealField) -> np.ndarray:
     """Stack of pointwise magnitudes |Delta_j f|, shape (n_shells,) + grid.shape:
     one block of every component per shell (`_shell_blocks`), written into
     the stack.  An empty shell is written as zeros, the bits of its inverse;
-    a non-finite coefficient makes every shell NaN.
-
-    (One inverse of all shells at once gives the same bits, but it measured
-    up to 1.7x slower once the stack passes about 1 MB, as at 2D N=128 and
-    3D N=32, where its multi-MB temporaries miss the cache.)
+    a non-finite coefficient makes every shell NaN.  (One inverse of all
+    shells at once gives the same bits but measured up to 1.7x slower past
+    a 1 MB stack, as at 2D N=128 and 3D N=32: its temporaries miss cache.)
     """
     grid = f.grid
     out = np.empty((len(grid.js),) + grid.shape)

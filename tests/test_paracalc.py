@@ -329,6 +329,66 @@ class TestEmptyBlocks:
             assert err <= 1e-12 * scale
 
 
+class TestBlockKernel:
+    # the block caches read spectral's single-shell kernel: with the box
+    # rule m (modes - 4 box modes) >= 2^12, the workspace's small shells
+    # take their box, j = -1..3 at 2D N=128 and j = -1..1 at 3D N=32, for
+    # f_i (no batch axis) and for d_i g of one or two components
+    @pytest.mark.parametrize("ncomp", [1, 2])
+    @pytest.mark.parametrize("d, n, boxed", [(2, 128, 5), (3, 32, 3)], ids=["2d-128", "3d-32"])
+    def test_boxed_block_matches_full_inverse(
+        self, count_transforms, box_passes, d, n, boxed, ncomp
+    ):
+        grid = sp.Grid(d, n)
+        bank = sp.make_filter_bank(grid)
+        f = sp.random_solenoidal(grid, seed=80)
+        g = sp.random_band_limited(grid, seed=81, ncomp=ncomp)
+        ws = paracalc._CommutatorWorkspace(f, g)
+        counts = count_transforms()
+        for blocks, m in ((ws.f[0], 1), (ws.dg[0], ncomp)):
+            # the boxed shells, then the first full one
+            for j in grid.js[: boxed + 1]:
+                expect = sp._inverse(grid, bank.phi[j] * blocks.coeffs)
+                counts.clear()
+                box_passes.clear()
+                blk = blocks.block(j)
+                assert np.array_equal(blk, expect), j
+                assert bool(box_passes) == (j < grid.j0 + boxed), j
+                # a box inverse of the flattened leading axes counts m
+                assert sum(counts) == m, j
+
+    def test_one_component_takes_no_box_at_64(self, box_passes):
+        # at 2D N=64 the box path loses for one component
+        f = sp.random_solenoidal(G, seed=82)
+        g = sp.random_band_limited(G, seed=83)
+        ws = paracalc._CommutatorWorkspace(f, g)
+        for blocks in ws.f + ws.dg:
+            for j in G.js:
+                blocks.block(j)
+        paraproduct(g, f.component(0))
+        assert box_passes == []
+
+    def test_nonfinite_mode_outside_the_boxes_poisons_every_block(self):
+        # a NaN at a mode that no small box holds makes every full block
+        # product NaN (NaN * 0 is NaN); a non-finite spectrum takes no box,
+        # so the boxed shells are NaN too, and so is every family shell
+        grid = sp.Grid(2, 128)
+        f = sp.random_solenoidal(grid, seed=84)
+        g = sp.random_band_limited(grid, seed=85)
+        coeffs = f.coeffs.copy()
+        coeffs[0, 40, 30] = np.nan
+        f = sp.RealField(grid, coeffs=coeffs, solenoidal=True)
+        ws = paracalc._CommutatorWorkspace(f, g)
+        assert all(np.isnan(ws.f[0].block(j)).all() for j in grid.js)
+        family = commutator_family(f, g)
+        assert all(np.isnan(family[k].coeffs).all() for k in grid.js)
+        u = f.component(0)
+        a, _ = paracalc._scalar_blocks(u, g)
+        assert all(np.isnan(a.block(j)).all() for j in grid.js)
+        assert np.isnan(bony_reconstruction(u, g).coeffs).all()
+        assert np.isnan(bony_reconstruction(g, u).coeffs).all()
+
+
 def chi_path_families(f, g):
     """The direct family and the split terms of (f, g) from a fresh
     workspace whose low passes are each inverse-transformed from chi_j."""
