@@ -336,6 +336,14 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         cfg.picard_q = _parse_pq(
             pmap.get("q", 2.0), "q", "section 'picard'"
         )
+        # picard_iterate records the difference norm in inhomogeneous F^(s-1)_(p,q)
+        if not cfg.picard_s > 1.0:
+            raise ConfigError(f"picard.s = {cfg.picard_s!r} must exceed 1: the "
+                              "difference norm F^(s-1)_(p,q) is inhomogeneous")
+        try:
+            NormSpec(cfg.picard_s - 1.0, cfg.picard_p, cfg.picard_q, homogeneous=False)
+        except ValueError as exc:
+            raise ConfigError(f"invalid picard.p, picard.q: {exc}") from exc
         n_max = _get(pmap, "n_max", int, "section 'picard'", required=True)
         limit = grid.j_max - 2
         if not 1 <= n_max <= limit:

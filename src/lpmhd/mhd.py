@@ -20,7 +20,10 @@ kernel's output into zeroed full arrays.  `pressure_gradient` returns grad
 pi as a field for the lab's pressure estimate.  The linearized Picard
 systems define their per-iterate pressures the same way, as the Leray
 complement of the advection term, and step through the nonlinear system's
-RK4 on the cube (iterate 1, advected by the zero pair, is held fixed).
+RK4 on the cube (iterate 1, advected by the zero pair, is held fixed),
+each stage inverse-transformed straight from its cube by the box inverse
+(`spectral._inverse` with k = N // 3), which also refines the trajectory
+map's velocity snapshots.
 There is no explicit dissipation: products are 2/3-dealiased and runs are
 meant to stay smooth.
 """
@@ -106,13 +109,15 @@ def _dyads(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _gather(grid, _forward(grid, a[:, np.newaxis] * b[np.newaxis, :]))
 
 
-def _divergence(grid: Grid, m: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _divergence(grid: Grid, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """-sum_j d_j of the cube dyads m (k, d) + the cube's shape, written
-    into out (k,) + the cube's shape and returned.  One output component at
-    a time, so that its operands stay in cache (about 15% faster than whole
-    (k,) + shape passes at 2D N=128 and 3D N=32, measured on the full half
-    spectrum)."""
+    into out (k,) + the cube's shape (by default a new array) and returned.
+    One output component at a time, so that its operands stay in cache
+    (about 15% faster than whole (k,) + shape passes at 2D N=128 and 3D
+    N=32, measured on the full half spectrum)."""
     factors = _cube_tables(grid).derivative
+    if out is None:
+        out = np.empty(m.shape[:1] + m.shape[2:], dtype=m.dtype)
     term = np.empty_like(out[0])
     for row, side in zip(m, out):
         np.multiply(factors[0], row[0], out=side)
@@ -126,8 +131,7 @@ def advection(w: RealField, z: RealField) -> RealField:
     dealiased products.  Equal to the advective form only when w is
     solenoidal (the divergence form adds z div w)."""
     grid = w.grid
-    out = np.empty((z.ncomp,) + grid._cube_shape, dtype=complex)
-    _divergence(grid, _dyads(grid, z.values, w.values), out)
+    out = _divergence(grid, _dyads(grid, z.values, w.values))
     out *= -1.0  # numpy's complex multiply is vectorized, its negative is not
     return RealField(grid, coeffs=_scatter(grid, out))
 
@@ -137,8 +141,7 @@ def pressure_gradient(state: ElsasserState) -> RealField:
     exactly the Leray complement of the advection term, read from the same
     kernel as the tendency."""
     grid = state.grid
-    rate = np.empty((grid.dimension,) + grid._cube_shape, dtype=complex)
-    _divergence(grid, _dyads(grid, state.z_plus.values, state.z_minus.values), rate)
+    rate = _divergence(grid, _dyads(grid, state.z_plus.values, state.z_minus.values))
     return RealField(grid, coeffs=_scatter(grid, _leray_complement(grid, rate, cube=True)))
 
 
@@ -301,9 +304,9 @@ def picard_iterate(
     Iterate 1 is advected by the zero pair, so it stays S_2 z0 for all time
     and is never advanced.  Iterates n >= 2 step through `step`'s RK4 on
     the 2/3 cube of their stacked coefficient pair, where the data and every
-    transport tendency live: a stage scatters its cube into one full buffer
-    per transport step, inverse-transforms it in one batch into the stage
-    pair's values, and gathers the cube of its two `advection` terms.
+    transport tendency live: a stage inverse-transforms its (2, d) cube
+    straight into the stage pair's values (the pruned box inverse), and
+    gathers the cube of its two `advection` terms.
 
     Difference norms are recorded in the inhomogeneous F^{s-1}_{p,q} norm of
     the pair at every grid time; sup over the grid is the reported per-n
@@ -337,12 +340,10 @@ def picard_iterate(
         # of `advectors`; returns the new y and y's own stage pairs
         stages = []
         ws = iter(advectors)
-        full = np.zeros((2, grid.dimension) + grid.spectral_shape, dtype=complex)
 
         def rhs(c):
-            _scatter(grid, c, full)
             zp, zm = (RealField(grid, values=v, solenoidal=f)
-                      for v, f in zip(_inverse(grid, full), flags))
+                      for v, f in zip(_inverse(grid, c, grid.dealias_limit), flags))
             wp, wm = next(ws)
             stages.append((zp, zm))
             k = np.stack([_gather(grid, advection(wm, zp).coeffs),
@@ -399,13 +400,14 @@ _SPLINE_ORDER = 5
 
 
 def _fourier_refine(v: RealField, factor: int) -> np.ndarray:
-    """Zero-padded spectral upsampling to a factor-times finer lattice."""
+    """Zero-padded spectral upsampling to a factor-times finer lattice: with
+    a zero row at +N/2 on each leading axis (the coarse Nyquist row is
+    -N/2), the coarse spectrum is the fine lattice's box of half-width N/2."""
     n, d = v.grid.points, v.grid.dimension
-    m = n * factor
-    out = np.zeros((v.ncomp,) + (m,) * (d - 1) + (m // 2 + 1,), dtype=complex)
-    wrapped = np.mod(np.fft.fftfreq(n, 1.0 / n).astype(int), m)
-    out[np.ix_(np.arange(v.ncomp), *[wrapped] * (d - 1), np.arange(n // 2 + 1))] = v.coeffs
-    return _inverse(Grid(d, m), out) * float(factor) ** d
+    box = v.coeffs
+    for axis in range(1, d):
+        box = np.insert(box, n // 2, 0.0, axis=axis)
+    return _inverse(Grid(d, n * factor), box, n // 2) * float(factor) ** d
 
 
 @dataclass

@@ -19,7 +19,8 @@ package: every other module transforms through them, so the layout (rfft
 over the trailing d axes, every leading axis a batch axis) is decided in one
 place.  `_inverse` also takes a box |xi_i| <= k of a spectrum that vanishes
 outside it and inverse-transforms it by pruned one-axis passes, with the
-bits of the full inverse.  Both reach scipy.fft as module attributes
+bits of the full inverse: dyadic blocks, Picard stages and the trajectory
+map's refinement all take it.  Both reach scipy.fft as module attributes
 (`sfft.rfftn`) at call time, which is what lets a transform counter patch
 those attributes.
 
@@ -33,7 +34,7 @@ j = -1..1 at 3D N=32; at 2D N=64 no one-component block does.
 and the MHD pressure gradient grad pi is it.  It runs on the full half
 spectrum or on the 2/3 cube, whose tables are gathered from the full ones;
 `_gather` and `_scatter` move coefficients between the two layouts (the
-cube is the box of half-width N // 3).
+cube is the box of half-width N // 3) by `Grid._box_blocks`' slices.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import itertools
 import math
 import zipfile
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -116,11 +117,12 @@ class Grid:
         (2k+1,)*(d-1) + (k+1,), its modes in fftfreq order."""
         return (2 * k + 1,) * (self.dimension - 1) + (k + 1,)
 
+    @lru_cache(maxsize=None)
     def _box_blocks(self, k: int) -> tuple:
         """The box |xi_i| <= k as (full, box) index pairs, one per
-        rectangular block.  The box is a product of index sets, {0..k} and
-        {N-k..N-1} on each leading axis and {0..k} on the last, so it is
-        2^(d-1) blocks, and slice copies move it."""
+        rectangular block, cached per (grid, k).  The box is a product of
+        index sets, {0..k} and {N-k..N-1} on each leading axis and {0..k} on
+        the last, so it is 2^(d-1) blocks, and slice copies move it."""
         n = self.points
         halves = ((slice(0, k + 1), slice(0, k + 1)),
                   (slice(n - k, n), slice(k + 1, 2 * k + 1)))
@@ -128,17 +130,6 @@ class Grid:
         return tuple(((...,) + tuple(f for f, _ in block) + last,
                       (...,) + tuple(c for _, c in block) + last)
                      for block in itertools.product(halves, repeat=self.dimension - 1))
-
-    @property
-    def _cube_shape(self) -> tuple:
-        """Shape of the 2/3 cube, the box of half-width K = N // 3."""
-        return self._box_shape(self.dealias_limit)
-
-    @cached_property
-    def _cube_blocks(self) -> tuple:
-        """`_box_blocks` of the 2/3 cube, which the RK4 step moves several
-        times per step."""
-        return self._box_blocks(self.dealias_limit)
 
     def coordinates(self):
         """d arrays of shape `shape` with the lattice coordinates."""
@@ -211,11 +202,13 @@ def _inverse(grid: Grid, coeffs: np.ndarray, k: int | None = None) -> np.ndarray
     first to last, then a real inverse over the last axis, which scales by
     N^-d.  The same passes run here, each on the columns the box touches
     only, zero-padded to N along its own axis; the columns it skips are
-    zero in irfftn too."""
+    zero in irfftn too.  The passes see the batch axes flattened to one."""
     if k is None:
         return sfft.irfftn(coeffs, s=grid.shape, axes=tuple(range(-grid.dimension, 0)))
     n, d = grid.points, grid.dimension
-    for axis in range(coeffs.ndim - d, coeffs.ndim - 1):
+    batch = coeffs.shape[:-d]
+    coeffs = coeffs.reshape((-1,) + coeffs.shape[-d:])
+    for axis in range(1, d):
         pad = np.zeros(coeffs.shape[:axis] + (n,) + coeffs.shape[axis + 1:], dtype=complex)
         head = (slice(None),) * axis
         pad[head + (slice(0, k + 1),)] = coeffs[head + (slice(0, k + 1),)]
@@ -223,7 +216,7 @@ def _inverse(grid: Grid, coeffs: np.ndarray, k: int | None = None) -> np.ndarray
         coeffs = sfft.ifft(pad, axis=axis, norm="forward", overwrite_x=True)
     out = sfft.irfft(coeffs, n=n, axis=-1, norm="forward")
     out *= 1.0 / float(n) ** d
-    return out
+    return out.reshape(batch + grid.shape)
 
 
 class RealField:
@@ -582,16 +575,15 @@ def _nonzero_inverse(grid: Grid, spectrum: np.ndarray, k: int | None = None):
 def _shell_block(grid: Grid, coeffs: np.ndarray, j: int, boxes: tuple):
     """The one dyadic-block kernel: Delta_j of coefficients (...) +
     spectral_shape as a new (...) + grid.shape array, or None for an empty
-    shell.  A shell with a box in `boxes` runs on it, the leading axes
-    flattened to one, with the bits of the full product and inverse."""
+    shell.  A shell with a box in `boxes` runs on it, with the bits of the
+    full product and inverse."""
     i = j - grid.j0
     if i >= len(boxes):
         return _nonzero_inverse(grid, coeffs * make_filter_bank(grid).phi[j])
     k = boxes[i].shape[-1] - 1
-    shell = _gather(grid, coeffs.reshape((-1,) + grid.spectral_shape), k)
+    shell = _gather(grid, coeffs, k)
     shell *= boxes[i]
-    blk = _nonzero_inverse(grid, shell, k)
-    return None if blk is None else blk.reshape(coeffs.shape[:-grid.dimension] + grid.shape)
+    return _nonzero_inverse(grid, shell, k)
 
 
 def _shell_blocks(grid: Grid, coeffs: np.ndarray):
@@ -827,12 +819,9 @@ def _gather(grid: Grid, full: np.ndarray, k: int | None = None) -> np.ndarray:
     """The box of half-width k (by default the 2/3 cube) of coefficients
     laid out (...) + spectral_shape, as a new (...) + box-shaped array, by
     one slice copy per block."""
-    if k is None:
-        k, blocks = grid.dealias_limit, grid._cube_blocks
-    else:
-        blocks = grid._box_blocks(k)
+    k = grid.dealias_limit if k is None else k
     out = np.empty(full.shape[:-grid.dimension] + grid._box_shape(k), dtype=full.dtype)
-    for f, c in blocks:
+    for f, c in grid._box_blocks(k):
         out[c] = full[f]
     return out
 
@@ -842,7 +831,7 @@ def _scatter(grid: Grid, cube: np.ndarray, out: np.ndarray | None = None) -> np.
     full array), whose other modes are left as they are; returns `out`."""
     if out is None:
         out = np.zeros(cube.shape[:-grid.dimension] + grid.spectral_shape, dtype=cube.dtype)
-    for f, c in grid._cube_blocks:
+    for f, c in grid._box_blocks(grid.dealias_limit):
         out[f] = cube[c]
     return out
 

@@ -626,6 +626,20 @@ picard: {{s: 2.5, p: 2, q: 2, n_max: {n_max}}}
         assert "integer multiple of dt" in capsys.readouterr().err
         assert not (tmp_path / "prun").exists()
 
+    @pytest.mark.parametrize("picard, key", [
+        ("s: 0.5, p: 2, q: 2", "picard.s"),
+        ("s: 1, p: 2, q: 2", "picard.s"),
+        ("s: 2.5, p: inf", "picard.p"),
+        ("s: 2.5, p: 2, q: 1", "picard.q"),
+    ])
+    def test_difference_norm_validated_before_output(self, tmp_path, capsys, picard, key):
+        # picard_iterate records the inhomogeneous F^(s-1)_(p,q) norm
+        with open(self._config(tmp_path, 2)) as fh:
+            text = fh.read().replace("s: 2.5, p: 2, q: 2", picard)
+        assert main(["picard", "--config", write(tmp_path / "m.yaml", text)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "prun").exists()
+
 
 class TestVerifyCli:
     def _config(self, tmp_path, ids="[bernstein]", extra=""):

@@ -591,6 +591,16 @@ class TestPicard:
                            n_max=n_max)
         assert sum(counts) == expected
 
+    @pytest.mark.parametrize("grid, n_max", [(sp.Grid(2, 64), 4), (sp.Grid(3, 16), 2)])
+    def test_stages_take_the_box_inverse(self, box_passes, grid, n_max):
+        # every stage of every advanced iterate inverse-transforms its (2, d)
+        # cube by d - 1 pruned passes; the p = q = 2 norms take none
+        zp, zm = _picard_pair(grid, 42)
+        n_steps = 5
+        mhd.picard_iterate(zp, zm, s=2.5, p=2, q=2, t_final=n_steps * 1e-3, dt=1e-3,
+                           n_max=n_max)
+        assert len(box_passes) == (n_max - 1) * n_steps * 4 * (grid.dimension - 1)
+
     def test_advection_calls(self, monkeypatch):
         # iterate 1 is never advanced, so no advector is the zero pair
         nonzero = []
@@ -666,6 +676,17 @@ class TestPicard:
                                dt=1e-3, n_max=1)
 
 
+def refine_oracle(v, factor):
+    """Zero-padded spectral upsampling by the full inverse: the coarse
+    spectrum scattered into a zeroed fine spectrum at its wrapped modes."""
+    n, d = v.grid.points, v.grid.dimension
+    m = n * factor
+    out = np.zeros((v.ncomp,) + (m,) * (d - 1) + (m // 2 + 1,), dtype=complex)
+    wrapped = np.mod(np.fft.fftfreq(n, 1.0 / n).astype(int), m)
+    out[np.ix_(np.arange(v.ncomp), *[wrapped] * (d - 1), np.arange(n // 2 + 1))] = v.coeffs
+    return sp._inverse(sp.Grid(d, m), out) * float(factor) ** d
+
+
 class TestTrajectory:
     def test_zero_velocity(self):
         tm = mhd.trajectory_map(sp.zero_field(G, 2), G, t_final=1.0, dt=0.25)
@@ -701,6 +722,17 @@ class TestTrajectory:
         v = sp.random_solenoidal(G, seed=20, decay=3.0, amplitude=0.3)
         tm = mhd.trajectory_map(v, G, t_final=0.5, dt=0.05)
         assert np.max(np.abs(tm.jacobian_determinant() - 1.0)) <= 5e-3
+
+    @pytest.mark.parametrize("d,n", [(2, 16), (2, 128), (3, 16)])
+    @pytest.mark.parametrize("factor", [2, mhd._REFINE])
+    def test_refine_matches_oracle(self, d, n, factor):
+        # white-noise values fill every mode, the Nyquist planes included
+        grid = sp.Grid(d, n)
+        v = sp.RealField(grid, values=np.random.default_rng(n + d).standard_normal(
+            (d,) + grid.shape))
+        assert np.abs(v.coeffs[..., n // 2]).min() > 0.0
+        assert np.abs(v.coeffs[:, n // 2]).min() > 0.0
+        assert np.array_equal(mhd._fourier_refine(v, factor), refine_oracle(v, factor))
 
     def test_steady_velocity_refined_once(self, monkeypatch):
         calls = []

@@ -235,6 +235,25 @@ class TestDyadicBlock:
             expect = sp._inverse(grid, c * bank.phi[j])
             assert np.array_equal(sp._inverse(grid, box, k), expect), j
 
+    @pytest.mark.parametrize("d,n", [(2, 128), (3, 32)])
+    def test_cube_inverse_restores_batch_axes(self, count_transforms, d, n):
+        # the (2, d) cube of a dealiased pair, one field's (d,) cube and one
+        # component's: the box inverse has the bits of the full inverse of
+        # the scattered spectrum, restores the batch axes, and counts one
+        # transform per batch entry
+        grid = sp.Grid(d, n)
+        pair = np.stack([sp.dealias(sp.random_solenoidal(grid, seed=s)).coeffs
+                         for s in (3, 4)])
+        cube = sp._gather(grid, pair)
+        counts = count_transforms()
+        for c in (cube, cube[1], cube[1, 0]):
+            expect = sp._inverse(grid, sp._scatter(grid, c))
+            counts.clear()
+            got = sp._inverse(grid, c, grid.dealias_limit)
+            assert counts == [math.prod(c.shape[:-d])]
+            assert got.shape == c.shape[:-d] + grid.shape
+            assert np.array_equal(got, expect)
+
     def test_nonfinite_mode_outside_every_box_poisons_every_shell(self, box_passes):
         # 2D N=128 inverse-transforms its leading shells from their boxes; a
         # NaN at a high mode, outside each box, still makes every shell NaN,
