@@ -38,6 +38,8 @@ from .config import (
     _check_verify_ids,
     _parse_pq,
     load_config,
+    parse_config,
+    snapshot_name,
 )
 from .spaces import NormSpec, norm_record, tl_norm
 from .spectral import (
@@ -190,7 +192,7 @@ def _cmd_simulate(args) -> int:
                         break
                 if m in snap_steps:
                     u, b = mhd.from_elsasser(state)
-                    name = f"t{snap_steps[m]:.6f}.npz"
+                    name = snapshot_name(snap_steps[m])
                     save_snapshot(u, os.path.join(snap_dir, "u_" + name), state.t)
                     save_snapshot(b, os.path.join(snap_dir, "b_" + name), state.t)
         finally:
@@ -231,12 +233,13 @@ def _cmd_picard(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = load_config(args.config, "verify")
     if getattr(args, "ids", None):
-        ids = tuple(part.strip() for part in args.ids.split(",") if part.strip())
+        ids = [part.strip() for part in args.ids.split(",") if part.strip()]
         _check_verify_ids(ids, "--ids")
         # config.yaml lists the ids that ran, with only their params, so it
         # parses again and reruns this run
-        cfg = replace(cfg, verify_ids=ids, verify_params={
-            iid: p for iid, p in cfg.verify_params.items() if iid in ids})
+        vmap = cfg.document["verify"]
+        vmap.update(ids=ids, params={iid: p for iid, p in vmap["params"].items() if iid in ids})
+        cfg = parse_config(cfg.to_yaml(), "verify")
     ids = cfg.verify_ids
     if not ids:
         raise ConfigError("nothing to verify: the inequality id list is empty")

@@ -3,6 +3,10 @@
 Every key is validated before any computation starts and unknown keys are
 errors, not warnings.  The documented schema (see README) is grouped into
 sections; each subcommand whitelists exactly the sections it consumes.
+
+The parsed document is the normalized config: `parse_config` writes every
+resolved value, or its default, back where it read it, and
+`RunConfig.to_yaml` dumps that document, so the schema is written once.
 """
 
 from __future__ import annotations
@@ -51,12 +55,13 @@ def _check_keys(mapping: dict, allowed, where: str):
 
 
 def _get(mapping, key, kind, where, default=None, required=False, finite=True):
-    """mapping[key], checked to be of type `kind`; a float must also be
-    finite unless `finite` is False."""
+    """mapping[key], checked to be of type `kind` (a float must also be
+    finite unless `finite` is False), or the default; written back into
+    mapping."""
     if key not in mapping:
         if required:
             raise ConfigError(f"missing key '{key}' in {where}")
-        return default
+        mapping[key] = default
     value = mapping[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
@@ -66,6 +71,7 @@ def _get(mapping, key, kind, where, default=None, required=False, finite=True):
         raise ConfigError(f"key '{key}' in {where} must be of type {kind.__name__}")
     if kind is float and finite and not math.isfinite(value):
         raise ConfigError(f"key '{key}' in {where} must be a finite number, got {value}")
+    mapping[key] = value
     return value
 
 
@@ -87,6 +93,14 @@ def _parse_pq(value, key, where, text=False) -> float:
     return float(value)
 
 
+def _get_pq(mapping, key, where, default=None) -> float:
+    """mapping[key] (or the default) read by `_parse_pq`, written back into
+    mapping with infinity spelled 'inf'."""
+    value = _parse_pq(mapping.get(key, default), key, where)
+    mapping[key] = "inf" if value == math.inf else value
+    return value
+
+
 def _check_verify_ids(ids, where):
     """Every id must be a known inequality id, and none may repeat."""
     for iid in ids:
@@ -98,8 +112,10 @@ def _check_verify_ids(ids, where):
         raise ConfigError(f"{where} {list(ids)} repeat an inequality id")
 
 
-def _parse_norm_spec(entry, where) -> NormSpec:
-    entry = _require_mapping(entry, where)
+def _parse_norm_spec(entry, where) -> tuple:
+    """(NormSpec, resolved entry) of one norms entry; the entry is resolved
+    in a copy, so an aliased entry dumps as a plain mapping, not an anchor."""
+    entry = dict(_require_mapping(entry, where))
     _check_keys(entry, ("s", "p", "q", "homogeneous"), where)
     for key in ("s", "p", "q"):
         if key not in entry:
@@ -107,10 +123,10 @@ def _parse_norm_spec(entry, where) -> NormSpec:
     try:
         return NormSpec(
             s=_get(entry, "s", float, where),
-            p=_parse_pq(entry["p"], "p", where),
-            q=_parse_pq(entry["q"], "q", where),
+            p=_get_pq(entry, "p", where),
+            q=_get_pq(entry, "q", where),
             homogeneous=_get(entry, "homogeneous", bool, where, default=True),
-        )
+        ), entry
     except ValueError as exc:
         raise ConfigError(f"invalid norm spec in {where}: {exc}") from exc
 
@@ -126,21 +142,25 @@ _LAB_PARAM_TYPES = {
 
 
 def _parse_lab_params(entry, where) -> dict:
-    """One id's verify.params overrides, each value type-checked so that a
-    bad one exits 2 before any trial runs; the lab rejects unknown keys."""
-    entry = _require_mapping(entry, where)
-    out = {}
-    for key, value in entry.items():
+    """One id's verify.params overrides, resolved in a copy, each value
+    type-checked so that a bad one exits 2 before any trial runs; the lab
+    rejects unknown keys."""
+    out = dict(_require_mapping(entry, where))
+    for key, value in out.items():
         if key == "n":
             raise ConfigError(f"key 'n' in {where} is not allowed: verify.resolutions, "
                               "or grid.points when it is empty, sets the resolution")
         if key in ("p", "q"):
             out[key] = _parse_pq(value, key, where)
         elif key in _LAB_PARAM_TYPES and not (key == "kmax" and value is None):
-            out[key] = _get(entry, key, _LAB_PARAM_TYPES[key], where)
-        else:
-            out[key] = value
+            _get(out, key, _LAB_PARAM_TYPES[key], where)
     return out
+
+
+def snapshot_name(t: float) -> str:
+    """The name, after its u_ or b_ prefix, of the snapshot files written
+    for the snapshots.times entry t."""
+    return f"t{t:.6f}.npz"
 
 
 @dataclass
@@ -167,6 +187,9 @@ class RunConfig:
     verify_resolutions: tuple = ()
     verify_growth_threshold: float = 1.2
     verify_params: dict = field(default_factory=dict)
+    # the parsed document, every value resolved: the normalized config,
+    # set by parse_config only
+    document: dict = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def grid(self) -> Grid:
@@ -174,63 +197,23 @@ class RunConfig:
 
     @property
     def snapshot_steps(self) -> dict:
-        """Nearest step -> snapshot time; two times on one step are an error."""
-        steps = {}
+        """Nearest step -> snapshot time; two times on one step, or with one
+        snapshot file name, are an error."""
+        steps, names = {}, {}
         for t in self.snapshot_times:
-            m = round(t / self.dt)
+            m, name = round(t / self.dt), snapshot_name(t)
             if m in steps:
                 raise ConfigError(f"snapshots.times entries {steps[m]!r} and {t!r} "
                                   f"both fall on step {m} (dt = {self.dt!r})")
-            steps[m] = t
+            if name in names:
+                raise ConfigError(f"snapshots.times entries {names[name]!r} and {t!r} "
+                                  f"both name their snapshot files u_{name} and b_{name}")
+            steps[m] = names[name] = t
         return steps
 
-    def normalized(self) -> dict:
-        """Fully resolved nested mapping; parsing its YAML dump reproduces
-        this config exactly."""
-        out = {
-            "subcommand": self.subcommand,
-            "seed": self.seed,
-            "grid": {"dimension": self.grid_dimension, "points": self.grid_points},
-            "output": self.output,
-        }
-        if self.subcommand in ("simulate", "picard"):
-            out["initial"] = {
-                "kind": self.initial_kind,
-                "amplitude": self.initial_amplitude,
-                "decay": self.initial_decay,
-            }
-            out["time"] = {"t_final": self.t_final, "dt": self.dt}
-        if self.subcommand == "simulate":
-            out["time"]["cadence"] = self.cadence
-            out["norms"] = [
-                {
-                    "s": spec.s,
-                    "p": "inf" if spec.p == math.inf else spec.p,
-                    "q": "inf" if spec.q == math.inf else spec.q,
-                    "homogeneous": spec.homogeneous,
-                }
-                for spec in self.norm_specs
-            ]
-            out["snapshots"] = {"times": list(self.snapshot_times)}
-        if self.subcommand == "picard":
-            out["picard"] = {
-                "s": self.picard_s,
-                "p": "inf" if self.picard_p == math.inf else self.picard_p,
-                "q": "inf" if self.picard_q == math.inf else self.picard_q,
-                "n_max": self.picard_n_max,
-            }
-        if self.subcommand == "verify":
-            out["verify"] = {
-                "ids": list(self.verify_ids),
-                "trials": self.verify_trials,
-                "resolutions": list(self.verify_resolutions),
-                "growth_threshold": self.verify_growth_threshold,
-                "params": self.verify_params,
-            }
-        return out
-
     def to_yaml(self) -> str:
-        return yaml.safe_dump(self.normalized(), sort_keys=True)
+        """The normalized config: parsing it again reproduces this config."""
+        return yaml.safe_dump(self.document, sort_keys=True)
 
 
 def parse_config(text: str, subcommand: str) -> RunConfig:
@@ -241,9 +224,7 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed YAML: {exc}") from exc
-    if data is None:
-        data = {}
-    data = _require_mapping(data, "the config document")
+    data = _require_mapping({} if data is None else data, "the config document")
     sections = _SECTIONS[subcommand]
     allowed = tuple(sections["required"]) + tuple(sections["optional"])
     _check_keys(data, allowed, "the config document")
@@ -251,8 +232,8 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         if key not in data:
             raise ConfigError(f"missing section '{key}' for subcommand '{subcommand}'")
 
-    declared = _get(data, "subcommand", str, "the config document")
-    if declared is not None and declared != subcommand:
+    declared = _get(data, "subcommand", str, "the config document", default=subcommand)
+    if declared != subcommand:
         raise ConfigError(
             f"config declares subcommand '{declared}' but '{subcommand}' was invoked"
         )
@@ -273,6 +254,9 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         output=_get(data, "output", str, "the config document", required=True),
         seed=_get(data, "seed", int, "the config document", default=0),
     )
+    cfg.document = data
+    if cfg.seed < 0:
+        raise ConfigError(f"seed = {cfg.seed} must be a non-negative integer")
 
     if subcommand in ("simulate", "picard"):
         init = _require_mapping(data["initial"], "section 'initial'")
@@ -306,11 +290,10 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         norms = data.get("norms", [])
         if not isinstance(norms, list):
             raise ConfigError("section 'norms' must be a list")
-        cfg.norm_specs = tuple(
-            _parse_norm_spec(entry, f"norms[{i}]") for i, entry in enumerate(norms)
-        )
-        snaps = data.get("snapshots", {"times": []})
-        snaps = _require_mapping(snaps, "section 'snapshots'")
+        parsed = [_parse_norm_spec(entry, f"norms[{i}]") for i, entry in enumerate(norms)]
+        cfg.norm_specs = tuple(spec for spec, _ in parsed)
+        data["norms"] = [entry for _, entry in parsed]
+        snaps = _require_mapping(data.get("snapshots", {}), "section 'snapshots'")
         _check_keys(snaps, ("times",), "section 'snapshots'")
         times = snaps.get("times", [])
         if not isinstance(times, list):
@@ -324,18 +307,15 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
                     f"snapshots.times entry {t!r} lies outside [0, t_final = {cfg.t_final!r}]"
                 )
         cfg.snapshot_times = tuple(float(t) for t in times)
-        cfg.snapshot_steps  # raises on two times that fall on one step
+        data["snapshots"] = {"times": list(cfg.snapshot_times)}
+        cfg.snapshot_steps  # raises on two times on one step or with one file name
 
     if subcommand == "picard":
         pmap = _require_mapping(data["picard"], "section 'picard'")
         _check_keys(pmap, ("s", "p", "q", "n_max"), "section 'picard'")
         cfg.picard_s = _get(pmap, "s", float, "section 'picard'", required=True)
-        cfg.picard_p = _parse_pq(
-            pmap.get("p", 2.0), "p", "section 'picard'"
-        )
-        cfg.picard_q = _parse_pq(
-            pmap.get("q", 2.0), "q", "section 'picard'"
-        )
+        cfg.picard_p = _get_pq(pmap, "p", "section 'picard'", default=2.0)
+        cfg.picard_q = _get_pq(pmap, "q", "section 'picard'", default=2.0)
         # picard_iterate records the difference norm in inhomogeneous F^(s-1)_(p,q)
         if not cfg.picard_s > 1.0:
             raise ConfigError(f"picard.s = {cfg.picard_s!r} must exceed 1: the "
@@ -344,26 +324,23 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
             NormSpec(cfg.picard_s - 1.0, cfg.picard_p, cfg.picard_q, homogeneous=False)
         except ValueError as exc:
             raise ConfigError(f"invalid picard.p, picard.q: {exc}") from exc
-        n_max = _get(pmap, "n_max", int, "section 'picard'", required=True)
+        n_max = cfg.picard_n_max = _get(pmap, "n_max", int, "section 'picard'", required=True)
         limit = grid.j_max - 2
         if not 1 <= n_max <= limit:
             raise ConfigError(
                 f"picard n_max = {n_max} violates 1 <= n_max <= j_max - 2 = {limit} "
                 f"(low-pass truncation must stay inside the grid's dyadic range)"
             )
-        cfg.picard_n_max = n_max
 
     if subcommand == "verify":
         vmap = _require_mapping(data["verify"], "section 'verify'")
-        _check_keys(
-            vmap,
-            ("ids", "trials", "resolutions", "growth_threshold", "params"),
-            "section 'verify'",
-        )
+        _check_keys(vmap, ("ids", "trials", "resolutions", "growth_threshold", "params"),
+                    "section 'verify'")
         ids = vmap.get("ids", [])
         if not isinstance(ids, list):
             raise ConfigError("verify.ids must be a list")
         cfg.verify_ids = tuple(str(i) for i in ids)
+        vmap["ids"] = list(cfg.verify_ids)
         _check_verify_ids(cfg.verify_ids, "verify.ids")
         cfg.verify_trials = _get(vmap, "trials", int, "section 'verify'", default=200)
         if cfg.verify_trials < 1:
@@ -379,22 +356,19 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"invalid verify.resolutions entry {n}: {exc}") from exc
         cfg.verify_resolutions = tuple(res)
-        if len(set(cfg.verify_resolutions)) < len(cfg.verify_resolutions):
-            raise ConfigError(
-                f"verify.resolutions {list(cfg.verify_resolutions)} repeat a resolution"
-            )
-        cfg.verify_growth_threshold = _get(
+        vmap["resolutions"] = list(res)
+        if len(set(res)) < len(res):
+            raise ConfigError(f"verify.resolutions {res} repeat a resolution")
+        threshold = cfg.verify_growth_threshold = _get(
             vmap, "growth_threshold", float, "section 'verify'", default=1.2, finite=False
         )
-        threshold = cfg.verify_growth_threshold
         if not (math.isfinite(threshold) and threshold > 0):
             raise ConfigError(
                 f"verify.growth_threshold = {threshold} must be a finite positive number"
             )
-        params = vmap.get("params", {})
-        params = _require_mapping(params, "verify.params")
+        params = _require_mapping(vmap.get("params", {}), "verify.params")
         _check_keys(params, cfg.verify_ids, "verify.params")
-        cfg.verify_params = {
+        cfg.verify_params = vmap["params"] = {
             key: _parse_lab_params(val, f"verify.params.{key}") for key, val in params.items()
         }
 

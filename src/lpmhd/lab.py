@@ -369,6 +369,16 @@ def _job(inequality_id: str, params: dict | None):
         raise HypothesisError(
             "inequality 'bernstein' requires direction in {forward, reverse}"
         )
+    for key, low in (("k", 0), ("family", 1), ("kmax", 1)):
+        if p.get(key) is not None and not p[key] >= low:
+            raise HypothesisError(
+                f"inequality '{inequality_id}' requires {key} >= {low}, got {p[key]!r}"
+            )
+    if inequality_id == "vector-maximal" and not (1 < p["p"] < INF and 1 < p["q"] <= INF):
+        raise HypothesisError(
+            "inequality 'vector-maximal' requires 1 < p < inf and 1 < q <= inf, "
+            f"got (p, q) = ({p['p']!r}, {p['q']!r})"
+        )
     bound, remark = _S_BOUND.get(inequality_id, (None, ""))
     if bound is not None and not p["s"] > bound:
         raise HypothesisError(

@@ -775,18 +775,19 @@ def _leray_factors(grid: Grid) -> np.ndarray:
     return out
 
 
-def _leray_complement(grid: Grid, c: np.ndarray, cube: bool = False) -> np.ndarray:
+def _leray_complement(grid: Grid, c: np.ndarray) -> np.ndarray:
     """The gradient part xi_a |xi|^-2 (xi . c), 0 at the mean mode, of
-    stacked vector coefficients c, shape (..., d) + spectral_shape (or
-    + the cube's shape, with `cube`), as a new array of that shape: the
-    component axis is the one just before the spectral axes, and every axis
-    before it is a batch axis."""
+    stacked vector coefficients c, shape (..., d) + spectral_shape or
+    + the cube's shape (told apart by the last axis, N // 2 + 1 against
+    N // 3 + 1), as a new array of that shape: the component axis is the
+    one just before the spectral axes, and every axis before it is a batch
+    axis."""
     d = grid.dimension
-    if cube:
+    if c.shape[-1] == grid.spectral_shape[-1]:
+        freqs, factors = frequencies(grid), _leray_factors(grid)
+    else:
         tables = _cube_tables(grid)
         freqs, factors = tables.xi, tables.leray
-    else:
-        freqs, factors = frequencies(grid), _leray_factors(grid)
     parts = [c[(..., a) + (slice(None),) * d] for a in range(d)]
     dot = freqs[0] * parts[0]
     term = np.empty_like(dot)

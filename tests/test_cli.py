@@ -333,6 +333,213 @@ picard: {{s: 2.5, p: 2, q: 2, n_max: {n}}}
         with pytest.raises(ConfigError, match="n_max"):
             parse_config(text.format(n=4), "picard")  # j_max - 2 = 3 at N=64
 
+    @pytest.mark.parametrize("subcommand", ["simulate", "picard", "verify"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, subcommand):
+        # a negative seed used to reach numpy's SeedSequence: a traceback, exit 1
+        text = {
+            "simulate": SIM_TEMPLATE.format(out=tmp_path / "run", kind="random", amp=1.0),
+            "picard": f"""
+seed: 7
+output: {tmp_path / 'run'}
+grid: {{dimension: 2, points: 16}}
+initial: {{kind: random}}
+time: {{t_final: 0.01, dt: 0.001}}
+picard: {{s: 2.5, n_max: 1}}
+""",
+            "verify": f"""
+seed: 7
+output: {tmp_path / 'run'}
+grid: {{dimension: 2, points: 16}}
+verify: {{ids: [bernstein], trials: 1}}
+""",
+        }[subcommand].replace("seed: 7", "seed: -3")
+        with pytest.raises(ConfigError, match="seed = -3"):
+            parse_config(text, subcommand)
+        assert main([subcommand, "--config", write(tmp_path / "c.yaml", text)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: seed = -3 must be a non-negative integer"
+        ]
+        assert not (tmp_path / "run").exists()
+
+
+# config.yaml bytes of fully defaulted configs, one per subcommand, and of an
+# input whose two norms entries alias one mapping: the parsed document is
+# written back in place, so these pin the write-back against the schema
+_DEFAULTED_YAML = {
+    "simulate": (
+        """
+output: o
+grid: {dimension: 2, points: 16}
+initial: {kind: random}
+time: {t_final: 1, dt: 0.5}
+norms: [{s: 1, p: inf, q: inf}]
+""",
+        """\
+grid:
+  dimension: 2
+  points: 16
+initial:
+  amplitude: 1.0
+  decay: 3.0
+  kind: random
+norms:
+- homogeneous: true
+  p: inf
+  q: inf
+  s: 1.0
+output: o
+seed: 0
+snapshots:
+  times: []
+subcommand: simulate
+time:
+  cadence: 1
+  dt: 0.5
+  t_final: 1.0
+""",
+    ),
+    "picard": (
+        """
+output: o
+grid: {dimension: 2, points: 64}
+initial: {kind: orszag-tang}
+time: {t_final: 1, dt: 0.5}
+picard: {s: 2, p: inf, q: inf, n_max: 2}
+""",
+        """\
+grid:
+  dimension: 2
+  points: 64
+initial:
+  amplitude: 1.0
+  decay: 3.0
+  kind: orszag-tang
+output: o
+picard:
+  n_max: 2
+  p: inf
+  q: inf
+  s: 2.0
+seed: 0
+subcommand: picard
+time:
+  dt: 0.5
+  t_final: 1.0
+""",
+    ),
+    "verify": (
+        """
+output: o
+grid: {dimension: 2, points: 16}
+verify: {ids: [bernstein, vector-maximal],
+         params: {bernstein: {kmax: null}, vector-maximal: {q: inf}}}
+""",
+        """\
+grid:
+  dimension: 2
+  points: 16
+output: o
+seed: 0
+subcommand: verify
+verify:
+  growth_threshold: 1.2
+  ids:
+  - bernstein
+  - vector-maximal
+  params:
+    bernstein:
+      kmax: null
+    vector-maximal:
+      q: .inf
+  resolutions: []
+  trials: 200
+""",
+    ),
+}
+
+_ALIASED_NORMS_YAML = """\
+grid:
+  dimension: 2
+  points: 16
+initial:
+  amplitude: 1.0
+  decay: 3.0
+  kind: random
+norms:
+- homogeneous: true
+  p: 2.0
+  q: 2.0
+  s: 1.0
+- homogeneous: true
+  p: 2.0
+  q: 2.0
+  s: 1.0
+output: o
+seed: 0
+snapshots:
+  times: []
+subcommand: simulate
+time:
+  cadence: 1
+  dt: 0.5
+  t_final: 1.0
+"""
+
+
+class TestConfigYaml:
+    @pytest.mark.parametrize("subcommand", sorted(_DEFAULTED_YAML))
+    def test_defaulted_bytes(self, subcommand):
+        text, expected = _DEFAULTED_YAML[subcommand]
+        assert parse_config(text, subcommand).to_yaml() == expected
+
+    def test_aliased_norms_dump_plain(self):
+        text = """
+output: o
+grid: {dimension: 2, points: 16}
+initial: {kind: random}
+time: {t_final: 1, dt: 0.5}
+norms: [&n {s: 1, p: 2, q: 2}, *n]
+"""
+        assert parse_config(text, "simulate").to_yaml() == _ALIASED_NORMS_YAML
+
+    def test_cli_ids_config_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        text = """
+output: vrun
+seed: 5
+grid: {dimension: 2, points: 16}
+verify:
+  ids: [product, bernstein, vector-maximal]
+  trials: 1
+  params: {bernstein: {k: 2, kmax: null}, product: {s: 2},
+           vector-maximal: {q: inf, family: 2}}
+"""
+        args = ["verify", "--config", write(tmp_path / "v.yaml", text),
+                "--ids", "vector-maximal, bernstein"]
+        assert main(args) == 0
+        assert (tmp_path / "vrun" / "config.yaml").read_text() == """\
+grid:
+  dimension: 2
+  points: 16
+output: vrun
+seed: 5
+subcommand: verify
+verify:
+  growth_threshold: 1.2
+  ids:
+  - vector-maximal
+  - bernstein
+  params:
+    bernstein:
+      k: 2
+      kmax: null
+    vector-maximal:
+      family: 2
+      q: .inf
+  resolutions: []
+  trials: 1
+"""
+
 
 class TestSimulate:
     def test_alfven_energy_constant(self, tmp_path):
@@ -482,6 +689,29 @@ class TestSimulate:
         assert capsys.readouterr().err.splitlines() == [
             "error: snapshots.times entries 0.0051 and 0.0054 both fall on step 5 "
             "(dt = 0.001)"
+        ]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "times, t_final, first, second",
+        [("[1.0e-7, 2.0e-7]", "3.0e-7", "1e-07", "2e-07"),
+         ("[0, 4.0e-7]", "4.0e-7", "0.0", "4e-07")],
+        ids=["1e-7-2e-7", "0-4e-7"],
+    )
+    def test_snapshot_names_collide_exit_2(self, tmp_path, capsys, times, t_final,
+                                           first, second):
+        # two steps whose times format alike used to overwrite one snapshot file
+        text = f"""
+output: {tmp_path / 'run'}
+grid: {{dimension: 2, points: 16}}
+initial: {{kind: orszag-tang}}
+time: {{t_final: {t_final}, dt: 1.0e-7}}
+snapshots: {{times: {times}}}
+"""
+        assert main(["simulate", "--config", write(tmp_path / "s.yaml", text)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: snapshots.times entries {first} and {second} both name their "
+            "snapshot files u_t0.000000.npz and b_t0.000000.npz"
         ]
         assert not (tmp_path / "run").exists()
 
@@ -714,6 +944,17 @@ verify: {{ids: [bernstein, commutator-A2], trials: 1, resolutions: [16, 32]}}
             assert [r["points"] for r in sweep["reports"]] == [16, 32]
         rows = list(csv.reader((tmp_path / "vrun" / "summary.csv").open(newline="")))
         assert [json.loads(row[1])["d"] for row in rows[1:]] == [3, 3]
+
+    def test_param_outside_domain_exit_2(self, tmp_path, capsys):
+        # family: 0 used to end in numpy's "need at least one array to stack"
+        cfg = self._config(
+            tmp_path, ids="[vector-maximal]", extra=", params: {vector-maximal: {family: 0}}"
+        )
+        assert main(["verify", "--config", cfg]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: inequality 'vector-maximal' requires family >= 1, got 0"
+        ]
+        assert not (tmp_path / "vrun").exists()
 
     def test_params_q_inf_runs(self, tmp_path):
         cfg = self._config(

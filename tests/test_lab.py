@@ -26,6 +26,14 @@ class TestValidation:
             ("term-II", {"s": 0.0}, "s > 0"),
             ("term-IV", {"s": -1.5}, "s > -1"),
             ("pressure-3.11", {"s": 1.0}, "s > 1"),
+            ("bernstein", {"k": -1}, "k >= 0"),
+            ("bernstein", {"kmax": 0}, "kmax >= 1"),
+            ("vector-maximal", {"family": 0}, "family >= 1"),
+            ("vector-maximal", {"p": 0}, "1 < p < inf"),
+            ("vector-maximal", {"p": 1.0}, "1 < p < inf"),
+            ("vector-maximal", {"p": math.inf}, "1 < p < inf"),
+            ("vector-maximal", {"q": 0.5}, "1 < q <= inf"),
+            ("vector-maximal", {"q": 1.0}, "1 < q <= inf"),
         ],
     )
     def test_hypotheses_named(self, iid, params, needle):
