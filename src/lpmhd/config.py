@@ -42,16 +42,15 @@ _SECTIONS = {
 }
 
 
-def _require_mapping(obj, where: str) -> dict:
+def _require_mapping(obj, where: str, allowed=None) -> dict:
+    """obj, checked to be a mapping whose keys all lie in `allowed` (any
+    keys when it is None)."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be a key-value mapping")
-    return obj
-
-
-def _check_keys(mapping: dict, allowed, where: str):
-    unknown = set(mapping) - set(allowed)
+    unknown = set(obj) - set(obj if allowed is None else allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+    return obj
 
 
 def _get(mapping, key, kind, where, default=None, required=False, finite=True):
@@ -115,8 +114,7 @@ def _check_verify_ids(ids, where):
 def _parse_norm_spec(entry, where) -> tuple:
     """(NormSpec, resolved entry) of one norms entry; the entry is resolved
     in a copy, so an aliased entry dumps as a plain mapping, not an anchor."""
-    entry = dict(_require_mapping(entry, where))
-    _check_keys(entry, ("s", "p", "q", "homogeneous"), where)
+    entry = dict(_require_mapping(entry, where, ("s", "p", "q", "homogeneous")))
     for key in ("s", "p", "q"):
         if key not in entry:
             raise ConfigError(f"missing key '{key}' in {where}")
@@ -224,10 +222,9 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed YAML: {exc}") from exc
-    data = _require_mapping({} if data is None else data, "the config document")
     sections = _SECTIONS[subcommand]
-    allowed = tuple(sections["required"]) + tuple(sections["optional"])
-    _check_keys(data, allowed, "the config document")
+    data = _require_mapping({} if data is None else data, "the config document",
+                            sections["required"] + sections["optional"])
     for key in sections["required"]:
         if key not in data:
             raise ConfigError(f"missing section '{key}' for subcommand '{subcommand}'")
@@ -238,8 +235,7 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
             f"config declares subcommand '{declared}' but '{subcommand}' was invoked"
         )
 
-    grid_map = _require_mapping(data["grid"], "section 'grid'")
-    _check_keys(grid_map, ("dimension", "points"), "section 'grid'")
+    grid_map = _require_mapping(data["grid"], "section 'grid'", ("dimension", "points"))
     dimension = _get(grid_map, "dimension", int, "section 'grid'", required=True)
     points = _get(grid_map, "points", int, "section 'grid'", required=True)
     try:
@@ -259,8 +255,8 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         raise ConfigError(f"seed = {cfg.seed} must be a non-negative integer")
 
     if subcommand in ("simulate", "picard"):
-        init = _require_mapping(data["initial"], "section 'initial'")
-        _check_keys(init, ("kind", "amplitude", "decay"), "section 'initial'")
+        init = _require_mapping(data["initial"], "section 'initial'",
+                                ("kind", "amplitude", "decay"))
         kind = _get(init, "kind", str, "section 'initial'", required=True)
         if kind not in INITIAL_DATA:
             raise ConfigError(
@@ -271,8 +267,7 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         cfg.initial_decay = _get(init, "decay", float, "section 'initial'", default=3.0)
 
         time_keys = ("t_final", "dt", "cadence") if subcommand == "simulate" else ("t_final", "dt")
-        tmap = _require_mapping(data["time"], "section 'time'")
-        _check_keys(tmap, time_keys, "section 'time'")
+        tmap = _require_mapping(data["time"], "section 'time'", time_keys)
         cfg.t_final = _get(tmap, "t_final", float, "section 'time'", required=True)
         cfg.dt = _get(tmap, "dt", float, "section 'time'", required=True)
         if cfg.t_final <= 0 or cfg.dt <= 0:
@@ -293,8 +288,14 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         parsed = [_parse_norm_spec(entry, f"norms[{i}]") for i, entry in enumerate(norms)]
         cfg.norm_specs = tuple(spec for spec, _ in parsed)
         data["norms"] = [entry for _, entry in parsed]
-        snaps = _require_mapping(data.get("snapshots", {}), "section 'snapshots'")
-        _check_keys(snaps, ("times",), "section 'snapshots'")
+        # a record keeps one value per label: two norms must not share one
+        first = {}
+        for i, spec in enumerate(cfg.norm_specs):
+            i0 = first.setdefault(spec.label, i)
+            if cfg.norm_specs[i0] != spec:
+                raise ConfigError(f"norms[{i0}] and norms[{i}] are different norms that "
+                                  f"share the column norm_{spec.label}")
+        snaps = _require_mapping(data.get("snapshots", {}), "section 'snapshots'", ("times",))
         times = snaps.get("times", [])
         if not isinstance(times, list):
             raise ConfigError("snapshots.times must be a list")
@@ -311,8 +312,7 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         cfg.snapshot_steps  # raises on two times on one step or with one file name
 
     if subcommand == "picard":
-        pmap = _require_mapping(data["picard"], "section 'picard'")
-        _check_keys(pmap, ("s", "p", "q", "n_max"), "section 'picard'")
+        pmap = _require_mapping(data["picard"], "section 'picard'", ("s", "p", "q", "n_max"))
         cfg.picard_s = _get(pmap, "s", float, "section 'picard'", required=True)
         cfg.picard_p = _get_pq(pmap, "p", "section 'picard'", default=2.0)
         cfg.picard_q = _get_pq(pmap, "q", "section 'picard'", default=2.0)
@@ -333,9 +333,8 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
             )
 
     if subcommand == "verify":
-        vmap = _require_mapping(data["verify"], "section 'verify'")
-        _check_keys(vmap, ("ids", "trials", "resolutions", "growth_threshold", "params"),
-                    "section 'verify'")
+        vmap = _require_mapping(data["verify"], "section 'verify'",
+                                ("ids", "trials", "resolutions", "growth_threshold", "params"))
         ids = vmap.get("ids", [])
         if not isinstance(ids, list):
             raise ConfigError("verify.ids must be a list")
@@ -366,8 +365,7 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
             raise ConfigError(
                 f"verify.growth_threshold = {threshold} must be a finite positive number"
             )
-        params = _require_mapping(vmap.get("params", {}), "verify.params")
-        _check_keys(params, cfg.verify_ids, "verify.params")
+        params = _require_mapping(vmap.get("params", {}), "verify.params", cfg.verify_ids)
         cfg.verify_params = vmap["params"] = {
             key: _parse_lab_params(val, f"verify.params.{key}") for key, val in params.items()
         }

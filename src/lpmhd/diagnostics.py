@@ -73,11 +73,10 @@ def _curl_shell_sups(grid, wu, wb):
     per-shell lists ||Delta_j curl u||_inf, ||Delta_j curl b||_inf.  Each
     shell is one block of all 2*nc curl components from the shell sweep
     (`spectral._shell_blocks`); pointwise magnitudes sum the squares of the
-    first nc (u), the last nc (b) or all of them (the integrand), with |.|
-    for the 1-component curls of 2D.  A shell whose spectrum is exactly
-    zero, such as shell j_max of a dealiased 2D state, has sups 0.0, the
-    value its inverse would give, without a transform; a non-finite
-    coefficient makes every sup NaN.
+    first nc (u), the last nc (b) or all of them (the integrand).  A shell
+    whose spectrum is exactly zero, such as shell j_max of a dealiased 2D
+    state, has sups 0.0, the value its inverse would give, without a
+    transform; a non-finite coefficient makes every sup NaN.
     """
     nc = wu.ncomp
     stacked = np.concatenate([wu.coeffs, wb.coeffs])
@@ -87,15 +86,12 @@ def _curl_shell_sups(grid, wu, wb):
             for sups in (sup_all, sup_u, sup_b):
                 sups.append(0.0)
             continue
-        if nc == 1:
-            sup_u.append(float(np.abs(blk[0]).max()))
-            sup_b.append(float(np.abs(blk[1]).max()))
         np.square(blk, out=blk)
         total = blk[:nc].sum(axis=0)
-        if nc > 1:
-            # sqrt is monotone, so sqrt(max) equals max(sqrt) exactly
-            sup_u.append(math.sqrt(total.max()))
-            sup_b.append(math.sqrt(blk[nc:].sum(axis=0).max()))
+        # sqrt is monotone, so sqrt(max) equals max(sqrt) exactly; for the
+        # one-component curls of 2D, sqrt(x^2) is |x| while x^2 stays normal
+        sup_u.append(math.sqrt(total.max()))
+        sup_b.append(math.sqrt(blk[nc:].sum(axis=0).max()))
         # numpy sums axis 0 row after row, so adding the b rows to the u
         # sum in order gives the bits of blk.sum(axis=0)
         for row in blk[nc:]:
@@ -218,8 +214,6 @@ def gronwall_check(records, norm_label: str):
     y = np.array([r.norms[norm_label] for r in records])
     g = np.array([r.grad_sup_z_plus + r.grad_sup_z_minus for r in records])
     t = np.array([r.t for r in records])
-    if len(records) == 1:
-        return 0.0, 0.0
     big_g = np.concatenate(
         [[0.0], np.cumsum(0.5 * np.diff(t) * (g[1:] + g[:-1]))]
     )

@@ -369,6 +369,9 @@ def _job(inequality_id: str, params: dict | None):
         raise HypothesisError(
             "inequality 'bernstein' requires direction in {forward, reverse}"
         )
+    if not p["amplitude"] > 0:  # the draws' L2 norm: at 0 every ratio is 0/0
+        raise HypothesisError(f"inequality '{inequality_id}' requires amplitude > 0, "
+                              f"got {p['amplitude']!r}")
     for key, low in (("k", 0), ("family", 1), ("kmax", 1)):
         if p.get(key) is not None and not p[key] >= low:
             raise HypothesisError(

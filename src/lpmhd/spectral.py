@@ -117,19 +117,23 @@ class Grid:
         (2k+1,)*(d-1) + (k+1,), its modes in fftfreq order."""
         return (2 * k + 1,) * (self.dimension - 1) + (k + 1,)
 
+    def _box_axis(self, k: int) -> tuple:
+        """The (full, box) slice pairs of one leading axis of the box
+        |xi_i| <= k: modes 0..k, then -k..-1, in fftfreq order both sides."""
+        n = self.points
+        return ((slice(0, k + 1), slice(0, k + 1)), (slice(n - k, n), slice(k + 1, 2 * k + 1)))
+
     @lru_cache(maxsize=None)
     def _box_blocks(self, k: int) -> tuple:
         """The box |xi_i| <= k as (full, box) index pairs, one per
         rectangular block, cached per (grid, k).  The box is a product of
-        index sets, {0..k} and {N-k..N-1} on each leading axis and {0..k} on
-        the last, so it is 2^(d-1) blocks, and slice copies move it."""
-        n = self.points
-        halves = ((slice(0, k + 1), slice(0, k + 1)),
-                  (slice(n - k, n), slice(k + 1, 2 * k + 1)))
+        index sets, `_box_axis` on each leading axis and {0..k} on the last,
+        so it is 2^(d-1) blocks, and slice copies move it."""
         last = (slice(0, k + 1),)
         return tuple(((...,) + tuple(f for f, _ in block) + last,
                       (...,) + tuple(c for _, c in block) + last)
-                     for block in itertools.product(halves, repeat=self.dimension - 1))
+                     for block in itertools.product(self._box_axis(k),
+                                                    repeat=self.dimension - 1))
 
     def coordinates(self):
         """d arrays of shape `shape` with the lattice coordinates."""
@@ -211,12 +215,26 @@ def _inverse(grid: Grid, coeffs: np.ndarray, k: int | None = None) -> np.ndarray
     for axis in range(1, d):
         pad = np.zeros(coeffs.shape[:axis] + (n,) + coeffs.shape[axis + 1:], dtype=complex)
         head = (slice(None),) * axis
-        pad[head + (slice(0, k + 1),)] = coeffs[head + (slice(0, k + 1),)]
-        pad[head + (slice(n - k, n),)] = coeffs[head + (slice(k + 1, None),)]
+        for f, c in grid._box_axis(k):
+            pad[head + (f,)] = coeffs[head + (c,)]
         coeffs = sfft.ifft(pad, axis=axis, norm="forward", overwrite_x=True)
     out = sfft.irfft(coeffs, n=n, axis=-1, norm="forward")
     out *= 1.0 / float(n) ** d
     return out.reshape(batch + grid.shape)
+
+
+def _stored(array, dtype, shape: tuple, name: str) -> np.ndarray:
+    """`array` as a field stores one representation: of `dtype`, with the
+    component axis added to a bare `shape` array, contiguous and read-only.
+    Any other shape is an error that names the representation."""
+    out = np.asarray(array, dtype=dtype)
+    if out.shape == shape:
+        out = out[np.newaxis]
+    if out.shape[1:] != shape:
+        raise SpectralError(f"{name} shape {out.shape} does not match grid {shape}")
+    out = np.ascontiguousarray(out)
+    out.flags.writeable = False
+    return out
 
 
 class RealField:
@@ -239,27 +257,10 @@ class RealField:
             raise SpectralError("RealField needs values or coefficients")
         self.grid = grid
         if values is not None:
-            values = np.asarray(values, dtype=float)
-            if values.shape == grid.shape:
-                values = values[np.newaxis]
-            if values.ndim != grid.dimension + 1 or values.shape[1:] != grid.shape:
-                raise SpectralError(
-                    f"value shape {values.shape} does not match grid {grid.shape}"
-                )
-            values = np.ascontiguousarray(values)
-            values.flags.writeable = False
+            values = _stored(values, float, grid.shape, "value")
             self.ncomp = values.shape[0]
         if coeffs is not None:
-            coeffs = np.asarray(coeffs, dtype=complex)
-            if coeffs.shape == grid.spectral_shape:
-                coeffs = coeffs[np.newaxis]
-            if coeffs.ndim != grid.dimension + 1 or coeffs.shape[1:] != grid.spectral_shape:
-                raise SpectralError(
-                    f"coefficient shape {coeffs.shape} does not match grid "
-                    f"{grid.spectral_shape}"
-                )
-            coeffs = np.ascontiguousarray(coeffs)
-            coeffs.flags.writeable = False
+            coeffs = _stored(coeffs, complex, grid.spectral_shape, "coefficient")
             if values is not None and coeffs.shape[0] != self.ncomp:
                 raise SpectralError("component count mismatch between representations")
             self.ncomp = coeffs.shape[0]
@@ -312,25 +313,15 @@ class RealField:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _check_compatible(self, other: "RealField"):
+    def __add__(self, other):
         if self.grid != other.grid:
             raise SpectralError("grid mismatch")
         if self.ncomp != other.ncomp:
             raise SpectralError("component count mismatch")
-
-    def __add__(self, other):
-        self._check_compatible(other)
+        sol = self.solenoidal and other.solenoidal
         if self._coeffs is not None and other._coeffs is not None:
-            return RealField(
-                self.grid,
-                coeffs=self._coeffs + other._coeffs,
-                solenoidal=self.solenoidal and other.solenoidal,
-            )
-        return RealField(
-            self.grid,
-            values=self.values + other.values,
-            solenoidal=self.solenoidal and other.solenoidal,
-        )
+            return RealField(self.grid, coeffs=self._coeffs + other._coeffs, solenoidal=sol)
+        return RealField(self.grid, values=self.values + other.values, solenoidal=sol)
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -510,24 +501,24 @@ def make_filter_bank(grid: Grid) -> FilterBank:
     return FilterBank(grid=grid, phi=phi, chi=chi)
 
 
+def _filtered(f: RealField, table: str, j, name: str) -> RealField:
+    """f times the multiplier j of the filter bank's `table` ("phi" or
+    "chi"); an index that is no key of that table, such as 0.5, is an
+    error that names the table's range."""
+    mults = getattr(make_filter_bank(f.grid), table)
+    if j not in mults:
+        raise SpectralError(f"{name} index {j} outside [{min(mults)}, {max(mults)}]")
+    return apply_multiplier(f, mults[j])
+
+
 def dyadic_block(f: RealField, j: int) -> RealField:
     """Frequency-annulus projection Delta_j f."""
-    bank = make_filter_bank(f.grid)
-    if not bank.j0 <= j <= bank.j_max:
-        raise SpectralError(
-            f"dyadic block index {j} outside [{bank.j0}, {bank.j_max}]"
-        )
-    return apply_multiplier(f, bank.phi[j])
+    return _filtered(f, "phi", j, "dyadic block")
 
 
 def low_pass(f: RealField, j: int) -> RealField:
     """Frequency-ball projection S_j f; j = j_max+1 recovers f exactly."""
-    bank = make_filter_bank(f.grid)
-    if not bank.j0 <= j <= bank.j_max + 1:
-        raise SpectralError(
-            f"low-pass index {j} outside [{bank.j0}, {bank.j_max + 1}]"
-        )
-    return apply_multiplier(f, bank.chi[j])
+    return _filtered(f, "chi", j, "low-pass")
 
 
 @lru_cache(maxsize=None)
@@ -937,8 +928,9 @@ def random_solenoidal(
     kmax: int | None = None,
     amplitude: float = 1.0,
 ) -> RealField:
-    """Leray-projected random band-limited vector field, renormalized to the
-    requested L2 amplitude (spectral norm, so resolution-independent)."""
+    """Leray-projected random band-limited vector field, rescaled to the
+    requested L2 amplitude: divided by the root of the grid mean of |v|^2,
+    computed from the values."""
     raw = random_band_limited(
         grid, seed, ncomp=grid.dimension, decay=decay, kmax=kmax, amplitude=1.0
     )

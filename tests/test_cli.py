@@ -715,6 +715,25 @@ snapshots: {{times: {times}}}
         ]
         assert not (tmp_path / "run").exists()
 
+    def test_norm_labels_collide_exit_2(self, tmp_path, capsys):
+        # both entries format as F[s=1.5|p=2|q=2|hom]; the record kept one
+        # value, and both columns read the second norm's
+        text = f"""
+output: {tmp_path / 'run'}
+grid: {{dimension: 2, points: 16}}
+initial: {{kind: orszag-tang}}
+time: {{t_final: 0.001, dt: 0.001}}
+norms:
+  - {{s: 1.5, p: 2, q: 2}}
+  - {{s: 1.5000001, p: 2, q: 2}}
+"""
+        assert main(["simulate", "--config", write(tmp_path / "n.yaml", text)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: norms[0] and norms[1] are different norms that share the column "
+            "norm_F[s=1.5|p=2|q=2|hom]"
+        ]
+        assert not (tmp_path / "run").exists()
+
     def test_io_failure(self, tmp_path):
         text = SIM_TEMPLATE.format(out="/dev/null/nope", kind="orszag-tang", amp=1.0)
         cfg = write(tmp_path / "bad.yaml", text)
@@ -953,6 +972,17 @@ verify: {{ids: [bernstein, commutator-A2], trials: 1, resolutions: [16, 32]}}
         assert main(["verify", "--config", cfg]) == 2
         assert capsys.readouterr().err.splitlines() == [
             "error: inequality 'vector-maximal' requires family >= 1, got 0"
+        ]
+        assert not (tmp_path / "vrun").exists()
+
+    def test_zero_amplitude_exit_2(self, tmp_path, capsys):
+        # all-zero draws used to end in a ZeroDivisionError traceback (exit 1)
+        cfg = self._config(
+            tmp_path, ids="[riesz-bounded]", extra=", params: {riesz-bounded: {amplitude: 0}}"
+        )
+        assert main(["verify", "--config", cfg]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: inequality 'riesz-bounded' requires amplitude > 0, got 0.0"
         ]
         assert not (tmp_path / "vrun").exists()
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import threading
 
@@ -273,6 +274,16 @@ class TestGronwall:
         rec = diag.record(mhd.to_elsasser(u, b), SPECS)
         c, violation = diag.gronwall_check([rec], SPECS[0].label)
         assert c == 0.0 and violation == 0.0
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_single_record_any_norm_value(self, value):
+        # the general fit has no pair to fit on one record: (0.0, 0.0) even
+        # when y - envelope is NaN (inf - inf warns, as on any stream)
+        u, b = mhd.orszag_tang(G)
+        rec = diag.record(mhd.to_elsasser(u, b), SPECS)
+        rec = dataclasses.replace(rec, norms={SPECS[0].label: value})
+        assert diag.gronwall_check([rec], SPECS[0].label) == (0.0, 0.0)
 
     def test_empty_stream(self):
         with pytest.raises(sp.SpectralError):

@@ -34,6 +34,14 @@ class TestValidation:
             ("vector-maximal", {"p": math.inf}, "1 < p < inf"),
             ("vector-maximal", {"q": 0.5}, "1 < q <= inf"),
             ("vector-maximal", {"q": 1.0}, "1 < q <= inf"),
+            ("riesz-bounded", {"n": 16, "amplitude": 0.0}, "amplitude > 0"),
+            ("product", {"n": 16, "amplitude": 0.0}, "amplitude > 0"),
+            ("vector-maximal", {"n": 16, "amplitude": 0.0}, "amplitude > 0"),
+            ("pressure-3.11", {"n": 16, "amplitude": 0.0}, "amplitude > 0"),
+            ("commutator-A2", {"n": 16, "amplitude": 0.0}, "amplitude > 0"),
+            ("term-IV", {"n": 16, "amplitude": 0.0}, "amplitude > 0"),
+            ("majorant", {"n": 16, "amplitude": 0.0}, "amplitude > 0"),
+            ("bernstein", {"n": 16, "amplitude": -1.0}, "amplitude > 0"),
         ],
     )
     def test_hypotheses_named(self, iid, params, needle):

@@ -182,6 +182,9 @@ class TestDyadicBlock:
             sp.dyadic_block(f, G64.j_max + 1)
         with pytest.raises(sp.SpectralError):
             sp.dyadic_block(f, G64.j0 - 1)
+        # a non-integer index used to pass the range check, then raise KeyError
+        with pytest.raises(sp.SpectralError, match="outside"):
+            sp.dyadic_block(f, 0.5)
 
     def test_block_composition_exact_zero(self):
         f = sp.random_band_limited(G64, seed=2)
@@ -303,6 +306,8 @@ class TestLowPass:
         f = sp.random_band_limited(G64, seed=5)
         with pytest.raises(sp.SpectralError):
             sp.low_pass(f, G64.j_max + 2)
+        with pytest.raises(sp.SpectralError, match="outside"):
+            sp.low_pass(f, 0.5)
 
 
 class TestSupportIdentity:
