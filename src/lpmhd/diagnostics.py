@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -208,11 +208,14 @@ def gronwall_check(records, norm_label: str):
     y(t) <= y(0) exp(C int_0^t (||grad z+||_inf + ||grad z-||_inf) dtau)
     over the recorded stream; returns (C, max_violation) where the violation
     is measured against the fitted envelope (zero up to round-off by
-    construction)."""
+    construction).  A stream of two or more records whose norm or gradient
+    sup turns non-finite has no envelope: it returns (nan, nan)."""
     if not records:
         raise SpectralError("gronwall check needs at least one record")
     y = np.array([r.norms[norm_label] for r in records])
     g = np.array([r.grad_sup_z_plus + r.grad_sup_z_minus for r in records])
+    if len(records) > 1 and not (np.isfinite(y).all() and np.isfinite(g).all()):
+        return math.nan, math.nan
     t = np.array([r.t for r in records])
     big_g = np.concatenate(
         [[0.0], np.cumsum(0.5 * np.diff(t) * (g[1:] + g[:-1]))]
@@ -232,31 +235,23 @@ def gronwall_check(records, norm_label: str):
 # ---------------------------------------------------------------------------
 
 
-# the scalar DiagnosticsRecord fields, in column order
-_SCALARS = (
-    "t",
-    "energy",
-    "cross_helicity",
-    "grad_sup_z_plus",
-    "grad_sup_z_minus",
-    "blowup_integrand",
-    "blowup_integral",
-)
+# the DiagnosticsRecord fields by annotation (a string in this module), in
+# column order: the float fields, then the norms, then the per-shell tuples
+_SCALARS = tuple(f.name for f in fields(DiagnosticsRecord) if f.type == "float")
+_SHELLS = tuple(f.name for f in fields(DiagnosticsRecord) if f.type == "tuple")
 
 
 def csv_columns(grid, specs=()) -> list:
     cols = list(_SCALARS)
     cols += [f"norm_{spec.label}" for spec in specs]
-    cols += [f"block_sup_curl_u_j{j}" for j in grid.js]
-    cols += [f"block_sup_curl_b_j{j}" for j in grid.js]
+    cols += [f"{name}_j{j}" for name in _SHELLS for j in grid.js]
     return cols
 
 
 def record_row(rec: DiagnosticsRecord, specs=()) -> list:
     row = [getattr(rec, name) for name in _SCALARS]
     row += [rec.norms[spec.label] for spec in specs]
-    row += list(rec.block_sup_curl_u)
-    row += list(rec.block_sup_curl_b)
+    row += [sup for name in _SHELLS for sup in getattr(rec, name)]
     return row
 
 

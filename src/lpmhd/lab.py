@@ -30,7 +30,7 @@ import io
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache
 from itertools import combinations_with_replacement
 
@@ -91,17 +91,8 @@ class InequalityReport:
         return bool(np.all(np.isfinite(self.ratios)) and np.all(self.ratios >= 0))
 
     def to_dict(self) -> dict:
-        return {
-            "inequality_id": self.inequality_id,
-            "params": self.params,
-            "dimension": self.dimension,
-            "points": self.points,
-            "trials": self.trials,
-            "seed": self.seed,
-            "max_ratio": self.max_ratio,
-            "growth_factor": self.growth_factor,
-            "ratios": [float(r) for r in self.ratios],
-        }
+        return {**asdict(self), "max_ratio": self.max_ratio,
+                "ratios": [float(r) for r in self.ratios]}
 
 
 def _draw(p, grid, kmax, seed, trial, stream=0, sampler=random_band_limited):
@@ -201,7 +192,7 @@ def _vector_maximal(jobs, grid, kmax, seed, trial):
 def _majorant(p, grid, kmax, seed, trial):
     f = _draw(p, grid, kmax, seed, trial)
     mf = maximal_function(f).values[0]
-    best = np.abs(f.values[0]).copy()
+    best = np.abs(f.values[0])
     eps = grid.spacing
     while eps <= math.pi / 2.0:
         np.maximum(best, np.abs(gaussian_convolve(f, eps).values[0]), out=best)
@@ -412,13 +403,12 @@ def run_inequalities(jobs, trials: int = 200, seed: int = 0) -> list:
                 ratios[pos].append(ratio)
     reports = []
     for (iid, _, p), r in zip(merged, ratios):
-        grid = Grid(p["d"], p["n"])
         reports.append(
             InequalityReport(
                 inequality_id=iid,
                 params=dict(p),
-                dimension=grid.dimension,
-                points=grid.points,
+                dimension=p["d"],
+                points=p["n"],
                 trials=trials,
                 seed=seed,
                 ratios=np.array(r),

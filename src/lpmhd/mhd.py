@@ -50,7 +50,6 @@ from .spectral import (
     _require_solenoidal,
     _scatter,
     dealias,
-    from_function,
     jacobian,
     low_pass,
     random_solenoidal,
@@ -501,33 +500,20 @@ def taylor_green(grid: Grid, amplitude: float = 1.0):
     """2D Taylor-Green vortex velocity with zero magnetic field."""
     if grid.dimension != 2:
         raise SpectralError("taylor-green initial data is 2D")
-    u = from_function(
-        grid,
-        lambda x, y: -amplitude * np.cos(x) * np.sin(y),
-        lambda x, y: amplitude * np.sin(x) * np.cos(y),
-    )
-    u = RealField(grid, values=u.values, solenoidal=True)
-    return u, zero_field(grid, 2)
+    x, y = grid.coordinates()
+    u = np.stack([-amplitude * np.cos(x) * np.sin(y), amplitude * np.sin(x) * np.cos(y)])
+    return RealField(grid, values=u, solenoidal=True), zero_field(grid, 2)
 
 
 def orszag_tang(grid: Grid, amplitude: float = 1.0):
     """Orszag-Tang-type 2D MHD data."""
     if grid.dimension != 2:
         raise SpectralError("orszag-tang initial data is 2D")
-    u = from_function(
-        grid,
-        lambda x, y: -amplitude * np.sin(y),
-        lambda x, y: amplitude * np.sin(x),
-    )
-    b = from_function(
-        grid,
-        lambda x, y: -amplitude * np.sin(y),
-        lambda x, y: amplitude * np.sin(2.0 * x),
-    )
-    return (
-        RealField(grid, values=u.values, solenoidal=True),
-        RealField(grid, values=b.values, solenoidal=True),
-    )
+    x, y = grid.coordinates()
+    u = np.stack([-amplitude * np.sin(y), amplitude * np.sin(x)])
+    b = np.stack([-amplitude * np.sin(y), amplitude * np.sin(2.0 * x)])
+    return (RealField(grid, values=u, solenoidal=True),
+            RealField(grid, values=b, solenoidal=True))
 
 
 def alfven_state(grid: Grid, seed: int = 0, amplitude: float = 1.0, decay: float = 3.0):

@@ -73,11 +73,11 @@ from .spectral import (
     _forward,
     _masked_product,
     _nonzero_inverse,
+    _partial,
     _require_solenoidal,
     _shell_block,
     dealias,
     dealias_mask,
-    frequencies,
     make_filter_bank,
 )
 
@@ -269,10 +269,9 @@ class _CommutatorWorkspace:
         self.shape = (g.ncomp,) + grid.spectral_shape
         self.bank = make_filter_bank(grid)
         self.d = grid.dimension
-        freqs = frequencies(grid)
         self.f = [_Blocks(grid, f.coeffs[i], telescoped=True) for i in range(self.d)]
         self.dg = [
-            _Blocks(grid, 1j * freqs[i] * g.coeffs, telescoped=True) for i in range(self.d)
+            _Blocks(grid, _partial(grid, g.coeffs, i), telescoped=True) for i in range(self.d)
         ]
         # S_{j_max+1} is the identity on the lattice
         self.top = grid.j_max + 1

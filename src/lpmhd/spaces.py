@@ -128,8 +128,8 @@ def norm_record(field_id: str, spec: NormSpec, value: float) -> dict:
     return {
         "field-id": field_id,
         "s": spec.s,
-        "p": None if spec.p == INF else spec.p,
-        "q": None if spec.q == INF else spec.q,
+        "p": float(spec.p),
+        "q": float(spec.q),
         "homogeneous": spec.homogeneous,
         "value": value,
     }
@@ -169,7 +169,7 @@ def maximal_function(f: RealField) -> RealField:
     ladder.  Exact lattice convolutions, no dealiasing involved."""
     if not f.is_scalar:
         raise SpectralError("maximal function expects a scalar field")
-    best = np.abs(f.values[0]).copy()
+    best = np.abs(f.values[0])
     kernels = _ball_kernels(f.grid)
     spec_abs = _forward(f.grid, best)
     for kern in kernels:

@@ -24,11 +24,14 @@ map's refinement all take it.  Both reach scipy.fft as module attributes
 (`sfft.rfftn`) at call time, which is what lets a transform counter patch
 those attributes.
 
+`_partial` is the one first-order symbol, i xi_b c: `jacobian`, `divergence`,
+`curl`, the gradient sups and paracalc's d_i g form every entry with it.
+
 `_shell_block` is the one dyadic-block kernel, `_block_boxes` its box rule.
 It serves the shell sweep `_shell_blocks` (`block_magnitudes`, the record)
 and paracalc's block caches (the commutator workspace, the Bony operators).
-The workspace's blocks take their box for j = -1..3 at 2D N=128 and
-j = -1..1 at 3D N=32; at 2D N=64 no one-component block does.
+A record's and the workspace's blocks take their box for j = -1..3 at 2D
+N=128 and j = -1..1 at 3D N=32; at 2D N=64 no one-component block does.
 
 `_leray_complement` is the one Leray kernel: `leray_project` subtracts it,
 and the MHD pressure gradient grad pi is it.  It runs on the full half
@@ -144,17 +147,11 @@ class Grid:
 @lru_cache(maxsize=None)
 def frequencies(grid: Grid):
     """Integer frequency arrays, each shaped to broadcast over spectral_shape."""
-    d, n = grid.dimension, grid.points
-    full = np.fft.fftfreq(n, 1.0 / n)
-    half = np.arange(n // 2 + 1, dtype=float)
-    out = []
-    for axis in range(d):
-        f = half if axis == d - 1 else full
-        shape = [1] * d
-        shape[axis] = f.size
-        arr = f.reshape(shape).copy()
+    n = grid.points
+    axes = [np.fft.fftfreq(n, 1.0 / n)] * (grid.dimension - 1)
+    out = np.meshgrid(*axes, np.arange(n // 2 + 1, dtype=float), indexing="ij", sparse=True)
+    for arr in out:
         arr.flags.writeable = False
-        out.append(arr)
     return tuple(out)
 
 
@@ -168,9 +165,8 @@ def radius(grid: Grid) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def dealias_mask(grid: Grid) -> np.ndarray:
-    mask = np.ones((1,) * grid.dimension, dtype=bool)
-    for f in frequencies(grid):
-        mask = mask & (np.abs(f) <= grid.dealias_limit)
+    xi = np.abs(np.broadcast_arrays(*frequencies(grid)))
+    mask = np.logical_and.reduce(xi <= grid.dealias_limit)
     mask.flags.writeable = False
     return mask
 
@@ -674,47 +670,37 @@ def gradient(f: RealField) -> RealField:
     return jacobian(f)
 
 
+def _partial(grid: Grid, c: np.ndarray, b: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The first-order symbol: coefficients of d_b of the spectrum c (any
+    leading axes), i xi_b c, written into `out` when one is given."""
+    return np.multiply(1j * frequencies(grid)[b], c, out=out)
+
+
 def divergence(v: RealField) -> RealField:
     if not v.is_vector:
         raise SpectralError("divergence expects a vector field")
-    freqs = frequencies(v.grid)
-    c = v.coeffs
-    out = sum(1j * freqs[a] * c[a] for a in range(v.grid.dimension))
+    out = sum(_partial(v.grid, v.coeffs[a], a) for a in range(v.grid.dimension))
     return RealField(v.grid, coeffs=out[np.newaxis])
 
 
 def curl(v: RealField) -> RealField:
-    """Scalar d1 v2 - d2 v1 in 2D; the full vector curl in 3D."""
+    """Scalar d1 v2 - d2 v1 in 2D; the full vector curl in 3D.  Each
+    component is d_b v_a - d_a v_b for one (a, b) of the dimension's pairs."""
     if not v.is_vector:
         raise SpectralError("curl expects a vector field")
-    freqs = frequencies(v.grid)
-    c = v.coeffs
-    if v.grid.dimension == 2:
-        out = (1j * freqs[0] * c[1] - 1j * freqs[1] * c[0])[np.newaxis]
-    else:
-        out = np.stack(
-            [
-                1j * freqs[1] * c[2] - 1j * freqs[2] * c[1],
-                1j * freqs[2] * c[0] - 1j * freqs[0] * c[2],
-                1j * freqs[0] * c[1] - 1j * freqs[1] * c[0],
-            ]
-        )
-    return RealField(v.grid, coeffs=out)
+    grid, c = v.grid, v.coeffs
+    pairs = {2: ((1, 0),), 3: ((2, 1), (0, 2), (1, 0))}[grid.dimension]
+    out = np.stack([_partial(grid, c[a], b) - _partial(grid, c[b], a) for a, b in pairs])
+    return RealField(grid, coeffs=out)
 
 
 def jacobian(v: RealField) -> RealField:
     """All component gradients d_b v_a stacked into one (ncomp*d)-component
     field; its pointwise magnitude is the Frobenius norm of grad v."""
-    freqs = frequencies(v.grid)
-    c = v.coeffs
-    out = np.stack(
-        [
-            1j * freqs[b] * c[a]
-            for a in range(v.ncomp)
-            for b in range(v.grid.dimension)
-        ]
-    )
-    return RealField(v.grid, coeffs=out)
+    grid, c = v.grid, v.coeffs
+    out = np.stack([_partial(grid, c[a], b)
+                    for a in range(v.ncomp) for b in range(grid.dimension)])
+    return RealField(grid, coeffs=out)
 
 
 def _gradient_sup(grid: Grid, coeffs: np.ndarray) -> float:
@@ -727,9 +713,8 @@ def _gradient_sup(grid: Grid, coeffs: np.ndarray) -> float:
     buf = np.empty(grid.spectral_shape, dtype=complex)
     total = None
     for c in coeffs:
-        for xi in frequencies(grid):
-            np.multiply(1j * xi, c, out=buf)
-            row = _inverse(grid, buf)
+        for b in range(grid.dimension):
+            row = _inverse(grid, _partial(grid, c, b, out=buf))
             np.square(row, out=row)
             if total is None:
                 total = row
@@ -747,11 +732,9 @@ def riesz(f: RealField, axis: int) -> RealField:
     """Riesz transform, multiplier i xi_l / |xi| with the mean mode sent to 0."""
     if not f.is_scalar:
         raise SpectralError("riesz expects a scalar field")
-    freqs = frequencies(f.grid)
     r = radius(f.grid)
-    safe = np.where(r == 0.0, 1.0, r)
-    mult = 1j * freqs[axis] / safe
-    mult = np.where(r == 0.0, 0.0, mult)
+    mult = np.divide(1j * frequencies(f.grid)[axis], r,
+                     out=np.zeros(r.shape, dtype=complex), where=r != 0.0)
     return apply_multiplier(f, mult, solenoidal=False)
 
 
@@ -843,8 +826,7 @@ class _CubeTables(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _cube_tables(grid: Grid) -> _CubeTables:
-    xi = _gather(grid, np.stack([np.broadcast_to(f, grid.spectral_shape)
-                                 for f in frequencies(grid)]))
+    xi = _gather(grid, np.stack(np.broadcast_arrays(*frequencies(grid))))
     tables = _CubeTables(xi, -1j * xi, _gather(grid, _leray_factors(grid)))
     for table in tables:
         table.flags.writeable = False
@@ -859,20 +841,14 @@ def _cube_tables(grid: Grid) -> _CubeTables:
 @lru_cache(maxsize=None)
 def _half_lattice_modes(dimension: int, kmax: int):
     """Deterministically ordered representatives of the conjugate mode pairs
-    with 0 < |xi|_inf <= kmax (lexicographically positive half); cached and
-    read-only."""
+    with 0 < |xi|_inf <= kmax: the lexicographically positive half, whose
+    first nonzero entry is positive (xi = 0 has none); cached and read-only."""
     axes = [np.arange(-kmax, kmax + 1)] * dimension
     mesh = np.meshgrid(*axes, indexing="ij")
     flat = np.stack([m.ravel() for m in mesh], axis=1)
-    keep = np.zeros(len(flat), dtype=bool)
-    for a in range(dimension):
-        higher_zero = np.ones(len(flat), dtype=bool)
-        for b in range(a):
-            higher_zero &= flat[:, b] == 0
-        keep |= higher_zero & (flat[:, a] > 0)
-    modes = flat[keep]
-    order = np.lexsort(tuple(modes[:, a] for a in reversed(range(dimension))))
-    modes = modes[order]
+    first = flat[np.arange(len(flat)), (flat != 0).argmax(axis=1)]
+    modes = flat[first > 0]
+    modes = modes[np.lexsort(tuple(modes[:, a] for a in reversed(range(dimension))))]
     modes.flags.writeable = False
     return modes
 

@@ -1162,7 +1162,15 @@ class TestSnapshotTools:
         assert main(["norm", "--field", str(path), "--s", "0",
                      "--p", "inf", "--q", "inf", "--homogeneous"]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["p"] is None and out["q"] is None
+        assert out["p"] == "inf" and out["q"] == "inf"
+
+    def test_norm_inf_q_finite_p(self, tmp_path, capsys):
+        # an infinite exponent is spelled "inf", as in reports and config.yaml
+        _, f, path = self._snapshot(tmp_path)
+        assert main(["norm", "--field", str(path), "--s", "0.5",
+                     "--p", "3", "--q", "inf"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["p"] == 3.0 and out["q"] == "inf"
 
     @pytest.mark.parametrize("pq", ["2", "inf"])
     def test_norm_non_finite_exit_4(self, tmp_path, capsys, pq):

@@ -285,6 +285,22 @@ class TestGronwall:
         rec = dataclasses.replace(rec, norms={SPECS[0].label: value})
         assert diag.gronwall_check([rec], SPECS[0].label) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("field", ["norm", "grad"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_stream(self, field, value):
+        # a stream whose norm or gradient sup turns non-finite has no
+        # envelope: (nan, nan), as Python floats
+        u, b = mhd.orszag_tang(sp.Grid(2, 32))
+        stream = run_stream(mhd.to_elsasser(u, b), 1, 2e-3)
+        last = stream.records[-1]
+        if field == "norm":
+            last = dataclasses.replace(last, norms={SPECS[0].label: value})
+        else:
+            last = dataclasses.replace(last, grad_sup_z_minus=value)
+        c, violation = diag.gronwall_check([stream.records[0], last], SPECS[0].label)
+        assert type(c) is float and type(violation) is float
+        assert math.isnan(c) and math.isnan(violation)
+
     def test_empty_stream(self):
         with pytest.raises(sp.SpectralError):
             diag.gronwall_check([], SPECS[0].label)

@@ -7,6 +7,7 @@ import pytest
 from lpmhd import mhd
 from lpmhd import spectral as sp
 from lpmhd.spaces import NormSpec, lp_norm, tl_norm
+from oracles import orszag_tang_by_function, taylor_green_by_function
 
 G = sp.Grid(2, 64)
 
@@ -84,6 +85,22 @@ def picard_oracle(z0_plus, z0_minus, s, p, q, t_final, dt, n_max):
         for n in range(1, n_max + 1):
             diffs[n, m + 1] = diff_norm(states[n], states[n - 1])
     return [(diffs[n], states[n]) for n in range(1, n_max + 1)]
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 0.3])
+@pytest.mark.parametrize("n", [64, 128])
+def test_initial_data_matches_sampled_functions(n, amplitude):
+    # the catalog's 2D data have the bits of `from_function` sampling and
+    # are flagged solenoidal
+    grid = sp.Grid(2, n)
+    u, b = mhd.taylor_green(grid, amplitude)
+    assert u.solenoidal and b.solenoidal
+    assert np.array_equal(u.values, taylor_green_by_function(grid, amplitude))
+    assert not b.values.any()
+    u, b = mhd.orszag_tang(grid, amplitude)
+    assert u.solenoidal and b.solenoidal
+    for got, want in zip((u, b), orszag_tang_by_function(grid, amplitude), strict=True):
+        assert np.array_equal(got.values, want)
 
 
 class TestElsasser:

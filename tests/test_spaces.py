@@ -326,6 +326,6 @@ def test_ball_average_normalized():
 def test_norm_record_shape():
     rec = norm_record("snap", NormSpec(0.0, INF, INF), 1.25)
     assert rec == {
-        "field-id": "snap", "s": 0.0, "p": None, "q": None,
+        "field-id": "snap", "s": 0.0, "p": math.inf, "q": math.inf,
         "homogeneous": True, "value": 1.25,
     }

@@ -12,7 +12,16 @@ from hypothesis import strategies as st
 import lpmhd
 from lpmhd import spaces
 from lpmhd import spectral as sp
-from oracles import partition_defect
+from oracles import (
+    curl_coeffs,
+    dealias_mask_by_axis,
+    divergence_coeffs,
+    frequencies_by_axis,
+    half_lattice_modes_by_mask,
+    jacobian_coeffs,
+    partition_defect,
+    riesz_coeffs,
+)
 
 
 G64 = sp.Grid(2, 64)
@@ -374,6 +383,46 @@ class TestDerivatives:
         got = sp.jacobian_sup_norm(sp.RealField(grid, coeffs=coeffs))
         assert repr(got) == repr(want)
         assert math.isnan(got) == nan
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+DERIVED_GRIDS = [sp.Grid(2, 64), sp.Grid(2, 128), sp.Grid(3, 16), sp.Grid(3, 32)]
+
+
+@pytest.mark.parametrize("grid", DERIVED_GRIDS, ids=["2d-64", "2d-128", "3d-16", "3d-32"])
+class TestDerivedForms:
+    """The lattice tables and first-order operators, each derived from one
+    source, have the bits of their explicit forms (tests/oracles.py)."""
+
+    def test_lattice_tables(self, grid):
+        freqs = sp.frequencies(grid)
+        assert len(freqs) == grid.dimension
+        assert all(same_bits(f, g) for f, g in zip(freqs, frequencies_by_axis(grid)))
+        assert same_bits(sp.dealias_mask(grid), dealias_mask_by_axis(grid))
+
+    @pytest.mark.parametrize("kmax", [1, 3, 7, None], ids=["1", "3", "7", "N/3"])
+    def test_half_lattice_modes(self, grid, kmax):
+        kmax = grid.dealias_limit if kmax is None else kmax
+        want = half_lattice_modes_by_mask(grid.dimension, kmax)
+        assert same_bits(sp._half_lattice_modes(grid.dimension, kmax), want)
+
+    @pytest.mark.parametrize("backing", ["coeffs", "values"])
+    @pytest.mark.parametrize("kmax", [1, 3, 7, None], ids=["1", "3", "7", "N/3"])
+    def test_first_order_operators(self, grid, kmax, backing):
+        v = sp.random_band_limited(grid, seed=31, ncomp=grid.dimension, kmax=kmax)
+        if backing == "values":
+            v = sp.RealField(grid, values=v.values)
+        assert (v._coeffs is None) == (backing == "values")
+        assert same_bits(sp.curl(v).coeffs, curl_coeffs(v))
+        assert same_bits(sp.divergence(v).coeffs, divergence_coeffs(v))
+        assert same_bits(sp.jacobian(v).coeffs, jacobian_coeffs(v))
+        f = v.component(0)
+        for axis in range(grid.dimension):
+            assert same_bits(sp.riesz(f, axis).coeffs, riesz_coeffs(f, axis))
 
 
 class TestRiesz:
