@@ -3,18 +3,23 @@ norms, the blow-up integrand sup_j ||Delta_j (curl u, curl b)||_inf with its
 running trapezoid integral, per-block curl sup norms, and the Gronwall
 envelope fit.
 
-A record decomposes the stacked curls (curl u, curl b) once, through the
-shell sweep `spectral._shell_blocks`: one batched inverse transform per
-nonempty dyadic shell, pruned to the shell's box for the small leading
-shells, yields the per-shell sups of curl u and curl b and the stacked sup
-whose maximum over shells is the blow-up integrand.  The stream continues
-the trapezoid integral from the previous record's integrand, so nothing is
-evaluated twice.  The gradient sup norms take one inverse per gradient
-component (`spectral._gradient_sup`).  On grids of 2^15 points or more
-(3D N >= 32, 2D N >= 256) they run on one helper thread that `record`
-starts and joins before it returns, while the calling thread runs the shell
-sweep; there is no option for it.  The record reads (caches) the state's
-grid values, which the next RK4 step reuses.
+A record runs serially from the 2/3 cube |xi_i| <= N/3 when both Elsasser
+fields vanish outside it, as every state of a run does (the initial data
+are dealiased and the RK4 tendency lives on the cube): one check of the
+half spectrum's slabs past the cube decides it, the pair is gathered to the
+cube once, and no full-size spectrum is formed.  A state reaching past the
+cube, a NaN outside it included, runs the same body on the full half
+spectrum; the kernels tell the two layouts apart by the last axis.  The
+curls come from the pair's (u, b), and the shell sweep
+`spectral._shell_blocks` decomposes the stacked (curl u, curl b) once: one
+batched pruned inverse per nonempty dyadic shell, from the shell's box or
+the whole cube, yields the per-shell sups of curl u and curl b and the
+stacked sup whose maximum over shells is the blow-up integrand.  The
+gradient sup norms take one pruned inverse per field component, of its d
+gradient rows (`spectral._gradient_sup`).  Both layouts give the same bits.
+The stream continues the trapezoid integral from the previous record's
+integrand, so nothing is evaluated twice.  The record reads (caches) the
+state's grid values, which the next RK4 step reuses.
 
 The blow-up monitor only reports; it never terminates a run.  CSV columns
 are emitted in the fixed order documented by `csv_columns`, one row per
@@ -24,15 +29,17 @@ record (`csv_header` and `csv_line` let a run stream them as it goes).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .mhd import ElsasserState, from_elsasser
+from .mhd import ElsasserState, _from_elsasser, from_elsasser
 from .spaces import tl_norm
 from .spectral import (
     SpectralError,
+    _cube_supported,
+    _curl,
+    _gather,
     _gradient_sup,
     _shell_blocks,
     curl,
@@ -65,8 +72,9 @@ def curl_pair(state: ElsasserState):
 
 
 def _curl_shell_sups(grid, wu, wb):
-    """Decompose the stacked curls (curl u, curl b) into dyadic blocks once
-    and read every block quantity of a record from that single pass.
+    """Decompose the stacked curls (curl u, curl b), coefficient arrays
+    (nc,) + either layout, into dyadic blocks once and read every block
+    quantity of a record from that single pass.
 
     Returns (integrand, sup_u, sup_b): the homogeneous F^0_{inf,inf} norm
     sup_j ||Delta_j (curl u, curl b)||_inf of the stacked curls, and the
@@ -78,8 +86,8 @@ def _curl_shell_sups(grid, wu, wb):
     state, has sups 0.0, the value its inverse would give, without a
     transform; a non-finite coefficient makes every sup NaN.
     """
-    nc = wu.ncomp
-    stacked = np.concatenate([wu.coeffs, wb.coeffs])
+    nc = len(wu)
+    stacked = np.concatenate([wu, wb])
     sup_all, sup_u, sup_b = [], [], []
     for blk in _shell_blocks(grid, stacked):
         if blk is None:
@@ -99,14 +107,6 @@ def _curl_shell_sups(grid, wu, wb):
         sup_all.append(math.sqrt(total.max()))
     # np.max, unlike max(), propagates a NaN from a non-finite state
     return float(np.max(sup_all)), sup_u, sup_b
-
-
-# The smallest grid (in points) whose record runs the gradient sups on a
-# helper thread.  Below it the two threads' short numpy calls hand the GIL
-# back and forth, and the threaded record is slower (interleaved medians,
-# serial against threaded: 2D N=64 1.09 -> 2.03 ms, 2D N=128 2.97 -> 3.35,
-# 3D N=16 2.94 -> 3.50; 3D N=32 18.6 -> 14.0, 2D N=256 13.3 -> 9.9).
-_HELPER_POINTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -132,34 +132,19 @@ def record(
     the blow-up integrand continues from `prev` by the trapezoid rule
     (0 when there is no previous record).
 
-    On a grid of at least `_HELPER_POINTS` points the two gradient sups
-    run on one helper thread while this thread sweeps the curl shells and
-    reads the energies; the two halves share no array, and the transforms
-    and ufuncs they run release the GIL.  The helper is joined before the
-    record is assembled, and an exception on it is raised here.  It gets
-    coefficient arrays already computed, so it never fills a field's lazy
-    cache, and every transform still runs whole on one thread, so every
-    value keeps its bits.  The curls are formed before the helper starts
-    and the norms after the join, so while the helper runs this thread runs
-    only the sweep and the energies."""
+    When both Elsasser fields vanish outside the 2/3 cube the pair is
+    gathered to it, and the curls, shell blocks and gradient sups are
+    computed from the cube; otherwise from the full half spectrum, by the
+    same code and with the same bits.  The energies read the state's values
+    (`RealField.values`), which stay cached for the next RK4 step."""
     grid = state.grid
-    wu, wb = curl_pair(state)
     pair = (state.z_plus.coeffs, state.z_minus.coeffs)
-
-    def sweep():
-        return _curl_shell_sups(grid, wu, wb), _energy_and_cross_helicity(state)
-
-    def grads():
-        return [_gradient_sup(grid, c) for c in pair]
-
-    if grid.points**grid.dimension < _HELPER_POINTS:
-        (b_t, sup_u, sup_b), (e, h) = sweep()
-        grad_plus, grad_minus = grads()
-    else:
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            future = helper.submit(grads)
-            (b_t, sup_u, sup_b), (e, h) = sweep()
-            grad_plus, grad_minus = future.result()
+    if all(_cube_supported(grid, c) for c in pair):
+        pair = tuple(_gather(grid, c) for c in pair)
+    u, b = _from_elsasser(*pair)
+    b_t, sup_u, sup_b = _curl_shell_sups(grid, _curl(grid, u), _curl(grid, b))
+    e, h = _energy_and_cross_helicity(state)
+    grad_plus, grad_minus = (_gradient_sup(grid, c) for c in pair)
     integral = 0.0
     if prev is not None:
         integral = prev.blowup_integral + 0.5 * (state.t - prev.t) * (

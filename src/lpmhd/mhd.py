@@ -91,9 +91,15 @@ def to_elsasser(u: RealField, b: RealField) -> ElsasserState:
 
 def from_elsasser(state: ElsasserState):
     """(z+, z-) -> (u, b); exact inverse of to_elsasser."""
-    u = 0.5 * (state.z_plus + state.z_minus)
-    b = 0.5 * (state.z_plus - state.z_minus)
-    return u, b
+    return _from_elsasser(state.z_plus, state.z_minus)
+
+
+def _from_elsasser(zp, zm):
+    """(u, b) = ((z+ + z-) / 2, (z+ - z-) / 2) of two fields or of two
+    coefficient arrays, by one arithmetic: a field's difference is its sum
+    with -1.0 times the other, spelled out here so that arrays take the
+    same bits."""
+    return 0.5 * (zp + zm), 0.5 * (zp + (-1.0) * zm)
 
 
 # ---------------------------------------------------------------------------

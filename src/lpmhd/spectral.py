@@ -30,14 +30,20 @@ those attributes.
 `_shell_block` is the one dyadic-block kernel, `_block_boxes` its box rule.
 It serves the shell sweep `_shell_blocks` (`block_magnitudes`, the record)
 and paracalc's block caches (the commutator workspace, the Bony operators).
-A record's and the workspace's blocks take their box for j = -1..3 at 2D
-N=128 and j = -1..1 at 3D N=32; at 2D N=64 no one-component block does.
+On the full half spectrum a record's and the workspace's blocks take their
+box for j = -1..3 at 2D N=128 and j = -1..1 at 3D N=32; at 2D N=64 no
+one-component block does.  On the 2/3 cube every shell whose box lies in
+the cube takes it (j = -1..4 at 2D N=128, j = -1..2 at 3D N=32), and the
+other shells invert the whole cube.
 
 `_leray_complement` is the one Leray kernel: `leray_project` subtracts it,
 and the MHD pressure gradient grad pi is it.  It runs on the full half
 spectrum or on the 2/3 cube, whose tables are gathered from the full ones;
 `_gather` and `_scatter` move coefficients between the two layouts (the
-cube is the box of half-width N // 3) by `Grid._box_blocks`' slices.
+cube is the box of half-width N // 3) by `Grid._box_blocks`' slices.  The
+shell sweep, `_partial`, `_curl` and `_gradient_sup` take either layout
+too, told apart by the last axis (`_cube_width`): the diagnostics record
+runs on the cube when `_cube_supported` finds the state inside it.
 """
 
 from __future__ import annotations
@@ -120,22 +126,24 @@ class Grid:
         (2k+1,)*(d-1) + (k+1,), its modes in fftfreq order."""
         return (2 * k + 1,) * (self.dimension - 1) + (k + 1,)
 
-    def _box_axis(self, k: int) -> tuple:
-        """The (full, box) slice pairs of one leading axis of the box
-        |xi_i| <= k: modes 0..k, then -k..-1, in fftfreq order both sides."""
-        n = self.points
+    def _box_axis(self, k: int, n: int | None = None) -> tuple:
+        """The (source, box) slice pairs of one leading axis of the box
+        |xi_i| <= k: modes 0..k, then -k..-1, in fftfreq order both sides.
+        The source axis holds n modes (by default N, the full lattice; the
+        cube's axis holds 2 (N // 3) + 1)."""
+        n = self.points if n is None else n
         return ((slice(0, k + 1), slice(0, k + 1)), (slice(n - k, n), slice(k + 1, 2 * k + 1)))
 
     @lru_cache(maxsize=None)
-    def _box_blocks(self, k: int) -> tuple:
-        """The box |xi_i| <= k as (full, box) index pairs, one per
-        rectangular block, cached per (grid, k).  The box is a product of
+    def _box_blocks(self, k: int, n: int | None = None) -> tuple:
+        """The box |xi_i| <= k as (source, box) index pairs, one per
+        rectangular block, cached per (grid, k, n).  The box is a product of
         index sets, `_box_axis` on each leading axis and {0..k} on the last,
         so it is 2^(d-1) blocks, and slice copies move it."""
         last = (slice(0, k + 1),)
         return tuple(((...,) + tuple(f for f, _ in block) + last,
                       (...,) + tuple(c for _, c in block) + last)
-                     for block in itertools.product(self._box_axis(k),
+                     for block in itertools.product(self._box_axis(k, n),
                                                     repeat=self.dimension - 1))
 
     def coordinates(self):
@@ -538,16 +546,24 @@ def _shell_boxes(grid: Grid) -> tuple:
 
 
 def _block_boxes(grid: Grid, coeffs: np.ndarray) -> tuple:
-    """The leading `_shell_boxes` that the blocks of `coeffs` (...) +
-    spectral_shape take: a shell takes its box when m (modes - 4 box modes)
-    >= 2^12, m the product of the leading axes, a margin that pays for the
-    box path's extra calls (fitted to per-shell timings in CHANGES.md).  A
-    NaN makes every full shell product NaN (NaN * 0 is NaN) but may lie
-    outside a box, so a non-finite spectrum takes no box (the check sums
-    the coefficients: an overflow only costs the boxes)."""
+    """The leading `_shell_boxes` that the blocks of `coeffs` take.  On the
+    full half spectrum (...) + spectral_shape a shell takes its box when
+    m (modes - 4 box modes) >= 2^12, m the product of the leading axes, a
+    margin that pays for the box path's extra calls (fitted to per-shell
+    timings in CHANGES.md).  On the 2/3 cube every shell whose box fits in
+    the cube takes it, since the rest run pruned too, from the whole cube.
+    A NaN makes every whole-layout shell product NaN (NaN * 0 is NaN) but
+    may lie outside a box, so a non-finite spectrum takes no box (the
+    check sums the coefficients: an overflow only costs the boxes)."""
+    k = _cube_width(grid, coeffs)
     m, modes = math.prod(coeffs.shape[:-grid.dimension]), math.prod(grid.spectral_shape)
-    boxes = tuple(itertools.takewhile(lambda phi: m * (modes - 4 * phi.size) >= 2**12,
-                                      _shell_boxes(grid)))
+
+    def takes(phi):
+        if k is None:
+            return m * (modes - 4 * phi.size) >= 2**12
+        return phi.shape[-1] <= k + 1
+
+    boxes = tuple(itertools.takewhile(takes, _shell_boxes(grid)))
     return boxes if not boxes or np.isfinite(coeffs.sum()) else ()
 
 
@@ -560,13 +576,16 @@ def _nonzero_inverse(grid: Grid, spectrum: np.ndarray, k: int | None = None):
 
 
 def _shell_block(grid: Grid, coeffs: np.ndarray, j: int, boxes: tuple):
-    """The one dyadic-block kernel: Delta_j of coefficients (...) +
-    spectral_shape as a new (...) + grid.shape array, or None for an empty
-    shell.  A shell with a box in `boxes` runs on it, with the bits of the
-    full product and inverse."""
+    """The one dyadic-block kernel: Delta_j of coefficients (...) + either
+    layout of `_cube_width` as a new (...) + grid.shape array, or None for
+    an empty shell.  A shell with a box in `boxes` runs on it, and a cube's
+    other shells on the whole cube, with the bits of the full product and
+    inverse."""
     i = j - grid.j0
     if i >= len(boxes):
-        return _nonzero_inverse(grid, coeffs * make_filter_bank(grid).phi[j])
+        k = _cube_width(grid, coeffs)
+        phi = make_filter_bank(grid).phi[j] if k is None else _cube_tables(grid).phi[i]
+        return _nonzero_inverse(grid, coeffs * phi, k)
     k = boxes[i].shape[-1] - 1
     shell = _gather(grid, coeffs, k)
     shell *= boxes[i]
@@ -672,8 +691,10 @@ def gradient(f: RealField) -> RealField:
 
 def _partial(grid: Grid, c: np.ndarray, b: int, out: np.ndarray | None = None) -> np.ndarray:
     """The first-order symbol: coefficients of d_b of the spectrum c (any
-    leading axes), i xi_b c, written into `out` when one is given."""
-    return np.multiply(1j * frequencies(grid)[b], c, out=out)
+    leading axes, either layout of `_cube_width`), i xi_b c, written into
+    `out` when one is given."""
+    xi = frequencies(grid) if _cube_width(grid, c) is None else _cube_tables(grid).xi
+    return np.multiply(1j * xi[b], c, out=out)
 
 
 def divergence(v: RealField) -> RealField:
@@ -683,15 +704,19 @@ def divergence(v: RealField) -> RealField:
     return RealField(v.grid, coeffs=out[np.newaxis])
 
 
+def _curl(grid: Grid, c: np.ndarray) -> np.ndarray:
+    """The curl of stacked vector coefficients c, (d,) + either layout of
+    `_cube_width`, as a new (1,) or (3,) + that layout array: component
+    d_b c_a - d_a c_b for each (a, b) of the dimension's pairs."""
+    pairs = {2: ((1, 0),), 3: ((2, 1), (0, 2), (1, 0))}[grid.dimension]
+    return np.stack([_partial(grid, c[a], b) - _partial(grid, c[b], a) for a, b in pairs])
+
+
 def curl(v: RealField) -> RealField:
-    """Scalar d1 v2 - d2 v1 in 2D; the full vector curl in 3D.  Each
-    component is d_b v_a - d_a v_b for one (a, b) of the dimension's pairs."""
+    """Scalar d1 v2 - d2 v1 in 2D; the full vector curl in 3D."""
     if not v.is_vector:
         raise SpectralError("curl expects a vector field")
-    grid, c = v.grid, v.coeffs
-    pairs = {2: ((1, 0),), 3: ((2, 1), (0, 2), (1, 0))}[grid.dimension]
-    out = np.stack([_partial(grid, c[a], b) - _partial(grid, c[b], a) for a, b in pairs])
-    return RealField(grid, coeffs=out)
+    return RealField(v.grid, coeffs=_curl(v.grid, v.coeffs))
 
 
 def jacobian(v: RealField) -> RealField:
@@ -705,21 +730,25 @@ def jacobian(v: RealField) -> RealField:
 
 def _gradient_sup(grid: Grid, coeffs: np.ndarray) -> float:
     """max over the grid of the Frobenius norm of the component gradients
-    d_b c_a of stacked coefficients (ncomp,) + spectral_shape.  One gradient
-    component at a time is built into a reused buffer and inverse-
-    transformed, and its square is added in (a, b) order: numpy sums axis 0
+    d_b c_a of stacked coefficients (ncomp,) + either layout of
+    `_cube_width` (the cube's is a pruned inverse).  The d rows of one
+    component are built into a reused buffer and inverse-transformed in one
+    batch, and their squares are added in (a, b) order: numpy sums axis 0
     row after row, so this gives the bits of the sum over one batched
-    inverse of all ncomp*d components, with a working set of three arrays."""
-    buf = np.empty(grid.spectral_shape, dtype=complex)
+    inverse of all ncomp*d components, with a working set of two d-row
+    batches."""
+    k, d = _cube_width(grid, coeffs), grid.dimension
+    buf = np.empty((d,) + coeffs.shape[1:], dtype=complex)
     total = None
     for c in coeffs:
-        for b in range(grid.dimension):
-            row = _inverse(grid, _partial(grid, c, b, out=buf))
-            np.square(row, out=row)
-            if total is None:
-                total = row
-            else:
-                total += row
+        for b in range(d):
+            _partial(grid, c, b, out=buf[b])
+        rows = _inverse(grid, buf, k)
+        np.square(rows, out=rows)
+        if total is None:
+            total, rows = rows[0], rows[1:]
+        for row in rows:
+            total += row
     return float(np.sqrt(total.max()))
 
 
@@ -757,7 +786,7 @@ def _leray_complement(grid: Grid, c: np.ndarray) -> np.ndarray:
     one just before the spectral axes, and every axis before it is a batch
     axis."""
     d = grid.dimension
-    if c.shape[-1] == grid.spectral_shape[-1]:
+    if _cube_width(grid, c) is None:
         freqs, factors = frequencies(grid), _leray_factors(grid)
     else:
         tables = _cube_tables(grid)
@@ -790,14 +819,35 @@ def leray_project(v: RealField) -> RealField:
 # ---------------------------------------------------------------------------
 
 
-def _gather(grid: Grid, full: np.ndarray, k: int | None = None) -> np.ndarray:
+def _cube_width(grid: Grid, c: np.ndarray) -> int | None:
+    """The layout of coefficients c, told apart by the last axis (N // 2 + 1
+    against N // 3 + 1): None for (...) + spectral_shape, N // 3 for the
+    2/3 cube (...) + `grid._box_shape(N // 3)`.  It is the half-width that
+    `_inverse` takes to invert c."""
+    return None if c.shape[-1] == grid.spectral_shape[-1] else grid.dealias_limit
+
+
+def _cube_supported(grid: Grid, c: np.ndarray) -> bool:
+    """Whether coefficients c, laid out (...) + spectral_shape, are exactly
+    zero outside the 2/3 cube (a NaN is not zero).  The outside is d slabs,
+    one per axis, of the modes with |xi_i| > N // 3 on that axis; each is
+    checked as a view, with no copy."""
+    k, n, d = grid.dealias_limit, grid.points, grid.dimension
+    for axis in range(d):
+        past = slice(k + 1, None) if axis == d - 1 else slice(k + 1, n - k)
+        if c[(...,) + (slice(None),) * axis + (past,) + (slice(None),) * (d - 1 - axis)].any():
+            return False
+    return True
+
+
+def _gather(grid: Grid, src: np.ndarray, k: int | None = None) -> np.ndarray:
     """The box of half-width k (by default the 2/3 cube) of coefficients
-    laid out (...) + spectral_shape, as a new (...) + box-shaped array, by
-    one slice copy per block."""
+    laid out (...) + spectral_shape or on the cube (`_cube_width`), as a
+    new (...) + box-shaped array, by one slice copy per block."""
     k = grid.dealias_limit if k is None else k
-    out = np.empty(full.shape[:-grid.dimension] + grid._box_shape(k), dtype=full.dtype)
-    for f, c in grid._box_blocks(k):
-        out[c] = full[f]
+    out = np.empty(src.shape[:-grid.dimension] + grid._box_shape(k), dtype=src.dtype)
+    for f, c in grid._box_blocks(k, src.shape[-grid.dimension]):
+        out[c] = src[f]
     return out
 
 
@@ -815,19 +865,22 @@ class _CubeTables(NamedTuple):
     """Multiplier tables on the 2/3 cube, each (d,) + the cube's shape: xi_a
     and the Leray factors xi_a |xi|^-2, gathered from the full-lattice
     tables (so each entry has the bits of its full-lattice twin), and the
-    factors -i xi_j of -d_j.  The cube is the 2/3 mask, so a product's
-    coefficients gathered to it and multiplied by `derivative` are its
-    dealiased derivatives."""
+    factors -i xi_j of -d_j; and phi_j for j in grid.js, gathered from the
+    filter bank, (n_shells,) + the cube's shape.  The cube is the 2/3 mask,
+    so a product's coefficients gathered to it and multiplied by
+    `derivative` are its dealiased derivatives."""
 
     xi: np.ndarray
     derivative: np.ndarray
     leray: np.ndarray
+    phi: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def _cube_tables(grid: Grid) -> _CubeTables:
     xi = _gather(grid, np.stack(np.broadcast_arrays(*frequencies(grid))))
-    tables = _CubeTables(xi, -1j * xi, _gather(grid, _leray_factors(grid)))
+    phi = np.stack([make_filter_bank(grid).phi[j] for j in grid.js])
+    tables = _CubeTables(xi, -1j * xi, _gather(grid, _leray_factors(grid)), _gather(grid, phi))
     for table in tables:
         table.flags.writeable = False
     return tables

@@ -1,10 +1,15 @@
 """Reference quantities that only the tests read: the partition-of-unity
 defect of a filter bank, the L_inf operator-norm bound of the dyadic
-blocks, and the explicit forms of lattice tables, first-order operators and
-initial data that the package derives from one source."""
+blocks, the explicit forms of lattice tables, first-order operators and
+initial data that the package derives from one source, and a frozen
+diagnostics record."""
+
+import math
 
 import numpy as np
 
+from lpmhd.diagnostics import DiagnosticsRecord
+from lpmhd.spaces import tl_norm
 from lpmhd.spectral import FilterBank, _inverse, from_function, make_filter_bank
 
 
@@ -107,3 +112,46 @@ def orszag_tang_by_function(grid, amplitude=1.0):
     b = from_function(grid, lambda x, y: -amplitude * np.sin(y),
                       lambda x, y: amplitude * np.sin(2.0 * x))
     return u.values, b.values
+
+
+def diagnostics_record(state, specs=(), prev=None):
+    """The diagnostics record of `state` from full-lattice forms only,
+    frozen to the bits the record has always had: (u, b) by field
+    arithmetic, the curls written out, every dyadic block of the stacked
+    curls one full inverse of its full product, each gradient sup one
+    batched inverse of the Jacobian summed over axis 0, and the energies
+    from the grid values."""
+    grid = state.grid
+    zp, zm = state.z_plus, state.z_minus
+    u, b = 0.5 * (zp + zm), 0.5 * (zp - zm)
+    curls = np.concatenate([curl_coeffs(u), curl_coeffs(b)])
+    nc = len(curls) // 2
+    sup_all, sup_u, sup_b = [], [], []
+    for j in grid.js:
+        sq = np.square(_inverse(grid, curls * make_filter_bank(grid).phi[j]))
+        sup_all.append(math.sqrt(sq.sum(axis=0).max()))
+        sup_u.append(math.sqrt(sq[:nc].sum(axis=0).max()))
+        sup_b.append(math.sqrt(sq[nc:].sum(axis=0).max()))
+    integrand = float(np.max(sup_all))
+
+    def grad_sup(z):
+        return float(np.sqrt(np.square(_inverse(grid, jacobian_coeffs(z))).sum(axis=0).max()))
+
+    ep = float(np.mean(np.sum(zp.values**2, axis=0)))
+    em = float(np.mean(np.sum(zm.values**2, axis=0)))
+    integral = 0.0
+    if prev is not None:
+        integral = prev.blowup_integral + 0.5 * (state.t - prev.t) * (
+            prev.blowup_integrand + integrand)
+    return DiagnosticsRecord(
+        t=state.t,
+        energy=0.5 * (ep + em),
+        cross_helicity=0.25 * (ep - em),
+        grad_sup_z_plus=grad_sup(zp),
+        grad_sup_z_minus=grad_sup(zm),
+        blowup_integrand=integrand,
+        blowup_integral=integral,
+        block_sup_curl_u=tuple(sup_u),
+        block_sup_curl_b=tuple(sup_b),
+        norms={spec.label: tl_norm(zp, spec) + tl_norm(zm, spec) for spec in specs},
+    )

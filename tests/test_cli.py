@@ -1390,10 +1390,7 @@ def test_layer_table_rows_run(monkeypatch):
 
 def test_traced_counts_repeat(tmp_path, monkeypatch):
     # the benchmark fails a traced op whose counts differ from the previous
-    # op's; a record's helper thread runs transforms beside the calling
-    # thread's spans, which must not make any count depend on timing (a
-    # helper that entered a traced boundary failed this check in 4 of 5
-    # tries)
+    # op's: a traced run counts the same calls and transforms in every op
     spans = _load_perfbench("spans", monkeypatch)
     workloads = _load_perfbench("workloads", monkeypatch)
     for name in ("monitor-3d", "simulate-ot2d"):

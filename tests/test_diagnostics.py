@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from lpmhd import diagnostics as diag
 from lpmhd import mhd
 from lpmhd import spectral as sp
 from lpmhd.spaces import NormSpec, lp_norm, tl_norm
-from oracles import block_kernel_constant
+from oracles import block_kernel_constant, diagnostics_record
 
 G = sp.Grid(2, 64)
 SPECS = (NormSpec(1.5, 2, 2, homogeneous=False),)
@@ -100,62 +99,40 @@ def _with_nan(state):
     return mhd.ElsasserState(*pair, state.t)
 
 
-class TestHelperThread:
+class TestLayouts:
     @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
     @pytest.mark.parametrize(
         "grid", [sp.Grid(2, 64), sp.Grid(2, 128), sp.Grid(3, 16), sp.Grid(3, 32)],
         ids=["2d-64", "2d-128", "3d-16", "3d-32"],
     )
-    def test_threaded_record_matches_serial(self, grid, nan, monkeypatch):
-        # the same two records, with the gradient sups on the helper thread
-        # at every grid size and on the calling thread at none: every CSV
-        # field has the same repr
+    def test_cube_and_full_layouts_match_oracle(self, grid, nan, monkeypatch):
+        # the same two records from the 2/3 cube and, with the support check
+        # turned off, from the full half spectrum: every CSV field has the
+        # repr of the frozen full-lattice record (the NaN lies inside the
+        # cube, which then takes no sub-box)
         state = mhd.to_elsasser(*mhd.random_pair(grid, seed=27))
         states = [state, mhd.step(state, 1e-3)]
         if nan:
             states = [_with_nan(s) for s in states]
+        assert all(sp._cube_supported(grid, z.coeffs)
+                   for s in states for z in (s.z_plus, s.z_minus))
         specs = SPECS + (NormSpec(2.5, 3, 2),)
-        threads = []
-        gradient_sup = diag._gradient_sup
 
-        def spy(grid, coeffs):
-            threads.append(threading.current_thread())
-            return gradient_sup(grid, coeffs)
-
-        monkeypatch.setattr(diag, "_gradient_sup", spy)
-        lines = {}
-        for name, points in (("threaded", 0), ("serial", math.inf)):
-            monkeypatch.setattr(diag, "_HELPER_POINTS", points)
-            prev, lines[name] = None, []
+        def lines(record):
+            prev, out = None, []
             for s in states:
-                prev = diag.record(s, specs, prev)
-                lines[name].append(diag.csv_line(prev, specs).rstrip("\n").split(","))
-        main = threading.main_thread()
-        assert [t is main for t in threads] == [False] * 4 + [True] * 4
-        assert lines["threaded"] == lines["serial"]
+                prev = record(s, specs, prev)
+                out.append(diag.csv_line(prev, specs).rstrip("\n").split(","))
+            return out
+
+        cube = lines(diag.record)
+        monkeypatch.setattr(diag, "_cube_supported", lambda grid, c: False)
+        full = lines(diag.record)
+        assert cube == full == lines(diagnostics_record)
         if nan:
-            rec = lines["threaded"][-1]
             columns = diag.csv_columns(grid, specs)
-            sups = [v for c, v in zip(columns, rec) if "sup" in c or "blowup" in c]
+            sups = [v for c, v in zip(columns, cube[-1]) if "sup" in c or "blowup" in c]
             assert sups and all(v == "nan" for v in sups)
-
-    @pytest.mark.parametrize("where", ["helper", "caller"])
-    def test_exception_propagates_and_no_thread_is_left(self, where, monkeypatch):
-        # 3D N=32 runs the helper; an exception on either thread comes out
-        # of record, and the helper is joined first
-        grid = sp.Grid(3, 32)
-        assert grid.points**grid.dimension >= diag._HELPER_POINTS
-        state = mhd.to_elsasser(*mhd.random_pair(grid, seed=28))
-        baseline = threading.active_count()
-
-        def fail(*args):
-            raise RuntimeError(where)
-
-        name = "_gradient_sup" if where == "helper" else "_curl_shell_sups"
-        monkeypatch.setattr(diag, name, fail)
-        with pytest.raises(RuntimeError, match=where):
-            diag.record(state, SPECS)
-        assert threading.active_count() == baseline
 
 
 class TestSinglePass:

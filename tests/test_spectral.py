@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lpmhd
-from lpmhd import spaces
+from lpmhd import mhd, spaces
 from lpmhd import spectral as sp
 from oracles import (
     curl_coeffs,
@@ -247,6 +247,29 @@ class TestDyadicBlock:
             expect = sp._inverse(grid, c * bank.phi[j])
             assert np.array_equal(sp._inverse(grid, box, k), expect), j
 
+    @pytest.mark.parametrize("d,n", [(2, 64), (3, 16)])
+    def test_cube_support_check(self, d, n):
+        # True exactly when every mode with some |xi_i| > N // 3 is zero: a
+        # state reaching N/2 - 1, a NaN outside the cube and a lone Nyquist
+        # mode are outside; dealiased data and an RK4 step of a dealiased
+        # state are inside
+        grid = sp.Grid(d, n)
+        wide = [sp.random_solenoidal(grid, seed=s, kmax=n // 2 - 1) for s in (3, 4)]
+        assert not sp._cube_supported(grid, wide[0].coeffs)
+        inside = [sp.dealias(z) for z in wide]
+        assert all(sp._cube_supported(grid, z.coeffs) for z in inside)
+        stepped = mhd.step(mhd.ElsasserState(*inside), 1e-3)
+        assert all(sp._cube_supported(grid, z.coeffs)
+                   for z in (stepped.z_plus, stepped.z_minus))
+        for where in ((1,) + (n // 3 + 1,) * d, (0,) * d + (n // 2,)):
+            c = inside[0].coeffs.copy()
+            c[where] = np.nan
+            assert not sp._cube_supported(grid, c)
+        for axis in range(d):
+            nyquist = np.zeros((1,) + grid.spectral_shape, dtype=complex)
+            nyquist[(0,) + (0,) * axis + (n // 2,) + (0,) * (d - 1 - axis)] = 1.0
+            assert not sp._cube_supported(grid, nyquist), axis
+
     @pytest.mark.parametrize("d,n", [(2, 128), (3, 32)])
     def test_cube_inverse_restores_batch_axes(self, count_transforms, d, n):
         # the (2, d) cube of a dealiased pair, one field's (d,) cube and one
@@ -371,18 +394,23 @@ class TestDerivatives:
         ids=["2d-64", "2d-128", "3d-16", "3d-32"],
     )
     def test_gradient_sup_matches_batched_inverse(self, grid, nan):
-        # one gradient component at a time, squares added in (a, b) order,
-        # has the bits of one batched inverse of every component summed
-        # over axis 0
-        v = sp.random_solenoidal(grid, seed=8, kmax=grid.points // 2 - 1)
-        coeffs = v.coeffs.copy()
-        if nan:
-            coeffs[(1,) + (3,) * grid.dimension] = np.nan
-        grads = sp._inverse(grid, sp.jacobian(sp.RealField(grid, coeffs=coeffs)).coeffs)
-        want = float(np.sqrt(np.square(grads).sum(axis=0).max()))
-        got = sp.jacobian_sup_norm(sp.RealField(grid, coeffs=coeffs))
-        assert repr(got) == repr(want)
-        assert math.isnan(got) == nan
+        # one component's d gradient rows at a time, squares added in (a, b)
+        # order, has the bits of one batched inverse of every component
+        # summed over axis 0: on the full half spectrum, and on a dealiased
+        # field's 2/3 cube, whose rows are pruned inverses
+        wide = sp.random_solenoidal(grid, seed=8, kmax=grid.points // 2 - 1)
+        for v in (wide, sp.dealias(wide)):
+            coeffs = v.coeffs.copy()
+            if nan:
+                coeffs[(1,) + (3,) * grid.dimension] = np.nan
+            grads = sp._inverse(grid, sp.jacobian(sp.RealField(grid, coeffs=coeffs)).coeffs)
+            want = float(np.sqrt(np.square(grads).sum(axis=0).max()))
+            if v is wide:
+                got = sp.jacobian_sup_norm(sp.RealField(grid, coeffs=coeffs))
+            else:
+                got = sp._gradient_sup(grid, sp._gather(grid, coeffs))
+            assert repr(got) == repr(want)
+            assert math.isnan(got) == nan
 
 
 def same_bits(a, b):
