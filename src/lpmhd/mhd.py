@@ -12,18 +12,19 @@ either rate -d_j M_ij or -d_j M_ji, the part the Leray projection removes,
 so it is formed once per tendency, by the same kernel as `leray_project`
 (`spectral._leray_complement`), and subtracted from both halves.
 A dealiased tendency is zero outside the 2/3 cube |xi_i| <= N/3, so its
-arithmetic runs on the cube alone: the dyads' coefficients are gathered to
-the cube (which dealiases them) and differentiated by the cached cube table
--i xi_j.  `step` keeps its RK4 stages on the cube of the pair, and
-`mhd_tendency`, `pressure_gradient` and `advection` scatter the same cube
-kernel's output into zeroed full arrays.  `pressure_gradient` returns grad
-pi as a field for the lab's pressure estimate.  The linearized Picard
-systems define their per-iterate pressures the same way, as the Leray
-complement of the advection term, and step through the nonlinear system's
-RK4 on the cube (iterate 1, advected by the zero pair, is held fixed),
-each stage inverse-transformed straight from its cube by the box inverse
-(`spectral._inverse` with k = N // 3), which also refines the trajectory
-map's velocity snapshots.
+arithmetic runs on the cube alone: the dyads are forward-transformed to the
+cube only (which dealiases them) and differentiated by the cached cube
+table -i xi_j.  `step` keeps its RK4 stages on the cube of the pair and,
+when the pair vanishes outside the cube, inverse-transforms them straight
+from it; `mhd_tendency`, `pressure_gradient` and `advection` scatter the
+same cube kernel's output into zeroed full arrays.  `pressure_gradient`
+returns grad pi as a field for the lab's pressure estimate.  The
+linearized Picard systems define their per-iterate pressures the same way,
+as the Leray complement of the advection term, and step through the
+nonlinear system's RK4 on the cube (iterate 1, advected by the zero pair,
+is held fixed), each stage inverse-transformed straight from its cube by
+the box inverse (`spectral._inverse` with k = N // 3), which also refines
+the trajectory map's velocity snapshots.
 There is no explicit dissipation: products are 2/3-dealiased and runs are
 meant to stay smooth.
 """
@@ -42,6 +43,7 @@ from .spectral import (
     Grid,
     RealField,
     SpectralError,
+    _cube_supported,
     _cube_tables,
     _forward,
     _gather,
@@ -110,8 +112,10 @@ def _from_elsasser(zp, zm):
 def _dyads(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Products a_i b_j of stacked values a (m,) + shape and b (n,) + shape,
     as their coefficients on the 2/3 cube, shape (m, n) + the cube's shape,
-    from one batched forward transform: gathering the cube dealiases them."""
-    return _gather(grid, _forward(grid, a[:, np.newaxis] * b[np.newaxis, :]))
+    from one batched forward transform pruned to the cube (the bits of the
+    cube gathered from the full transform): keeping the cube dealiases
+    them."""
+    return _forward(grid, a[:, np.newaxis] * b[np.newaxis, :], grid.dealias_limit)
 
 
 def _divergence(grid: Grid, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -224,26 +228,41 @@ def step(state: ElsasserState, dt: float) -> ElsasserState:
     """One classical RK4 step of the nonlinear system.
 
     RK4 runs on the 2/3 cube of the stacked (2, d) coefficient array of the
-    pair, where every tendency lives.  The pair is copied once into a full
-    stacked buffer, whose modes outside the cube pass through the step
-    unchanged: each stage writes its cube into the buffer, inverse-transforms
-    the buffer in one batch, and gathers the cube of the d^2 dyads from one
-    batched forward transform.  The first stage and the CFL check both read
-    the values of the input state, so they are transformed at most once.
+    pair, where every tendency lives; each stage gathers the cube of the d^2
+    dyads from one batched forward transform pruned to the cube.  The new
+    cube is written into a copy of the input coefficients, so the modes
+    outside the cube pass through the step unchanged.  When the pair has no
+    mode outside the cube (`_cube_supported`; every state `simulate` steps),
+    each stage is inverse-transformed straight from its cube by the box
+    inverse, and the input's values, unless both fields hold them, come
+    from one batched box inverse that is cached on the fields.  An input
+    reaching past the cube writes each stage into the copy and
+    inverse-transforms the full buffer.  The first stage and the CFL check
+    both read the values of the input state, so they are transformed at
+    most once.  Either path has the bits of the other.
     """
     _require_dt(dt)
-    _warn_cfl(state, dt, "z")
     grid = state.grid
     zp, zm = state.z_plus, state.z_minus
     full = np.stack([zp.coeffs, zm.coeffs])
+    cube = _gather(grid, full)
+    k = grid.dealias_limit if _cube_supported(grid, full) else None
+    if k is not None and (zp._values is None or zm._values is None):
+        # the values `RealField.values` would cache, from the pair's cube
+        values = _inverse(grid, cube, k)
+        values.flags.writeable = False
+        zp._values, zm._values = values
+    _warn_cfl(state, dt, "z")
 
     def rhs(y):
-        _scatter(grid, y, full)
+        if k is None:  # the stage's cube, written into the full buffer
+            y = _scatter(grid, y, full)
+        values = _inverse(grid, y, k)
         del y  # the stage's cube is freed before the dyads are formed
-        return _cube_rhs(grid, *_inverse(grid, full))
+        return _cube_rhs(grid, *values)
 
     k1 = _cube_rhs(grid, zp.values, zm.values)
-    _scatter(grid, _rk4(_gather(grid, full), k1, dt, rhs), full)
+    _scatter(grid, _rk4(cube, k1, dt, rhs), full)
     return ElsasserState(
         RealField(grid, coeffs=full[0], solenoidal=zp.solenoidal),
         RealField(grid, coeffs=full[1], solenoidal=zm.solenoidal),

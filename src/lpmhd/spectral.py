@@ -17,12 +17,15 @@ true product.
 `_forward` and `_inverse` are the only transform entry points of the
 package: every other module transforms through them, so the layout (rfft
 over the trailing d axes, every leading axis a batch axis) is decided in one
-place.  `_inverse` also takes a box |xi_i| <= k of a spectrum that vanishes
-outside it and inverse-transforms it by pruned one-axis passes, with the
-bits of the full inverse: dyadic blocks, Picard stages and the trajectory
-map's refinement all take it.  Both reach scipy.fft as module attributes
-(`sfft.rfftn`) at call time, which is what lets a transform counter patch
-those attributes.
+place.  Both take a half-width k.  `_inverse` then reads the box
+|xi_i| <= k of a spectrum that vanishes outside it and inverse-transforms
+it by pruned one-axis passes, with the bits of the full inverse: dyadic
+blocks, the RK4 and Picard stages and the trajectory map's refinement all
+take it.  `_forward` then returns that box only, by the same pruning, with
+the bits of the box gathered from the full transform: the MHD dyads take
+it with the 2/3 cube's half-width.  Both reach scipy.fft as module
+attributes (`sfft.rfftn`) at call time, which is what lets a transform
+counter patch those attributes.
 
 `_partial` is the one first-order symbol, i xi_b c: `jacobian`, `divergence`,
 `curl`, the gradient sups and paracalc's d_i g form every entry with it.
@@ -195,9 +198,40 @@ def spectral_weights(grid: Grid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _forward(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """rfft over the trailing d axes; every leading axis is a batch axis."""
-    return sfft.rfftn(values, axes=tuple(range(-grid.dimension, 0)))
+def _forward(grid: Grid, values: np.ndarray, k: int | None = None) -> np.ndarray:
+    """rfft over the trailing d axes; every leading axis is a batch axis.
+
+    With k (k < N/2), only the box |xi_i| <= k is returned, laid out
+    (...) + `grid._box_shape(k)` as `_gather` writes it, by a pruned
+    transform with the bits of `_gather(grid, _forward(grid, values), k)`.
+    rfftn runs a real transform over the last axis, then unscaled complex
+    transforms over the leading axes, first to last.  The same passes run
+    here, in place on views of the one rfft output: each keeps the box's
+    k + 1 last-axis columns and the box rows of the axes already
+    transformed, so leading axis a takes 2^(a-1) views.  The passes see the
+    batch axes flattened to one."""
+    if k is None:
+        return sfft.rfftn(values, axes=tuple(range(-grid.dimension, 0)))
+    d = grid.dimension
+    batch = values.shape[:-d]
+    out = sfft.rfft(values.reshape((-1,) + grid.shape), axis=-1)
+    del values  # a caller's temporary is freed before the box is gathered
+    rows = [f for f, _ in grid._box_axis(k)]
+    for axis in range(1, d):
+        tail = (slice(None),) * (d - axis) + (slice(0, k + 1),)
+        for head in itertools.product(rows, repeat=axis - 1):
+            _pass_in_place(sfft.fft, out[(slice(None),) + head + tail], axis)
+    return _gather(grid, out, k).reshape(batch + grid._box_shape(k))
+
+
+def _pass_in_place(transform, view: np.ndarray, axis: int, **kwargs) -> None:
+    """One complex pass of `transform` (scipy.fft's fft or ifft) along
+    `axis`, written into `view`: scipy transforms an overwritable complex
+    input in place, and a result that does not share memory with the view
+    is copied back."""
+    out = transform(view, axis=axis, overwrite_x=True, **kwargs)
+    if not np.may_share_memory(out, view):
+        view[...] = out
 
 
 def _inverse(grid: Grid, coeffs: np.ndarray, k: int | None = None) -> np.ndarray:
@@ -208,20 +242,26 @@ def _inverse(grid: Grid, coeffs: np.ndarray, k: int | None = None) -> np.ndarray
     writes it, and the inverse is a pruned transform with the bits of the
     full one.  irfftn runs unscaled complex inverses over the leading axes,
     first to last, then a real inverse over the last axis, which scales by
-    N^-d.  The same passes run here, each on the columns the box touches
-    only, zero-padded to N along its own axis; the columns it skips are
-    zero in irfftn too.  The passes see the batch axes flattened to one."""
+    N^-d.  The same passes run here, each in place on the columns the box
+    touches only, zero-padded to N along its own axis; the columns it skips
+    are zero in irfftn too.  The last leading pass runs on the box columns
+    of a zeroed (m, N, .., N, N/2+1) buffer, so the real inverse pads
+    nothing.  The passes see the batch axes flattened to one."""
     if k is None:
         return sfft.irfftn(coeffs, s=grid.shape, axes=tuple(range(-grid.dimension, 0)))
     n, d = grid.points, grid.dimension
     batch = coeffs.shape[:-d]
     coeffs = coeffs.reshape((-1,) + coeffs.shape[-d:])
     for axis in range(1, d):
-        pad = np.zeros(coeffs.shape[:axis] + (n,) + coeffs.shape[axis + 1:], dtype=complex)
+        width = n // 2 + 1 if axis == d - 1 else k + 1
+        pad = np.zeros(coeffs.shape[:axis] + (n,) + coeffs.shape[axis + 1:-1] + (width,),
+                       dtype=complex)
+        cols = pad[..., :k + 1]
         head = (slice(None),) * axis
         for f, c in grid._box_axis(k):
-            pad[head + (f,)] = coeffs[head + (c,)]
-        coeffs = sfft.ifft(pad, axis=axis, norm="forward", overwrite_x=True)
+            cols[head + (f,)] = coeffs[head + (c,)]
+        _pass_in_place(sfft.ifft, cols, axis, norm="forward")
+        coeffs = pad
     out = sfft.irfft(coeffs, n=n, axis=-1, norm="forward")
     out *= 1.0 / float(n) ** d
     return out.reshape(batch + grid.shape)

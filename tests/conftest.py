@@ -16,12 +16,14 @@ def pinned_allocator():
 @pytest.fixture
 def count_transforms(monkeypatch):
     """Return a function that starts counting transforms: it wraps
-    scipy.fft rfftn/irfftn and returns the list that then receives the
-    number of scalar N^d transforms (the batch size) of every call.
+    scipy.fft rfftn/irfftn and rfft/irfft, and returns the list that then
+    receives the number of scalar N^d transforms (the batch size) of every
+    call.
 
-    A box inverse (`spectral._inverse` with a half-width k) of m components
-    counts m: its one irfft, over the last axis of an (m, N, .., N, k+1)
-    array with n=N, is counted, and its ifft passes are not."""
+    A pruned transform (`spectral._forward` or `_inverse` with a half-width
+    k) of m components counts m: its one rfft or irfft, over the last axis
+    of an (m, N, .., N, .) array with N points per transform, is counted,
+    and its fft or ifft passes are not."""
 
     def start():
         import scipy.fft
@@ -43,13 +45,16 @@ def count_transforms(monkeypatch):
 
             monkeypatch.setattr(scipy.fft, name, counted)
 
-        irfft = scipy.fft.irfft
+        def boxed(original):
+            def counted(x, *args, **kwargs):
+                # the last-axis pass over an (m, N, .., N, .) array
+                counts.append(math.prod(x.shape[:-1]) // x.shape[1] ** (x.ndim - 2))
+                return original(x, *args, **kwargs)
 
-        def counted_box(x, n, *args, **kwargs):
-            counts.append(math.prod(x.shape[:-1]) // n ** (x.ndim - 2))
-            return irfft(x, n, *args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(scipy.fft, "irfft", counted_box)
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(scipy.fft, name, boxed(getattr(scipy.fft, name)))
         return counts
 
     return start

@@ -1,16 +1,27 @@
 """Reference quantities that only the tests read: the partition-of-unity
 defect of a filter bank, the L_inf operator-norm bound of the dyadic
 blocks, the explicit forms of lattice tables, first-order operators and
-initial data that the package derives from one source, and a frozen
-diagnostics record."""
+initial data that the package derives from one source, a frozen
+diagnostics record and a frozen RK4 step."""
 
 import math
 
 import numpy as np
 
 from lpmhd.diagnostics import DiagnosticsRecord
+from lpmhd.mhd import ElsasserState, _divergence, _rk4
 from lpmhd.spaces import tl_norm
-from lpmhd.spectral import FilterBank, _inverse, from_function, make_filter_bank
+from lpmhd.spectral import (
+    FilterBank,
+    RealField,
+    _forward,
+    _gather,
+    _inverse,
+    _leray_complement,
+    _scatter,
+    from_function,
+    make_filter_bank,
+)
 
 
 def partition_defect(bank: FilterBank) -> float:
@@ -154,4 +165,34 @@ def diagnostics_record(state, specs=(), prev=None):
         block_sup_curl_u=tuple(sup_u),
         block_sup_curl_b=tuple(sup_b),
         norms={spec.label: tl_norm(zp, spec) + tl_norm(zm, spec) for spec in specs},
+    )
+
+
+def elsasser_step(state, dt):
+    """One RK4 step of the Elsasser system by the full-buffer path, frozen
+    to the bits the step has always had: the pair copied into a full
+    stacked buffer, each stage's cube written into it and inverse-transformed
+    by one full irfftn, the dyads' cube gathered from one full rfftn, and
+    the new cube written into the buffer, whose other modes pass through."""
+    grid = state.grid
+    zp, zm = state.z_plus, state.z_minus
+    full = np.stack([zp.coeffs, zm.coeffs])
+
+    def tendency(a, b):
+        m = _gather(grid, _forward(grid, a[:, np.newaxis] * b[np.newaxis, :]))
+        out = np.empty((2,) + m.shape[1:], dtype=m.dtype)
+        for side, dyads in zip(out, (m, m.swapaxes(0, 1))):
+            _divergence(grid, dyads, side)
+        out -= _leray_complement(grid, out[0])
+        return out
+
+    def rhs(y):
+        return tendency(*_inverse(grid, _scatter(grid, y, full)))
+
+    k1 = tendency(zp.values, zm.values)
+    _scatter(grid, _rk4(_gather(grid, full), k1, dt, rhs), full)
+    return ElsasserState(
+        RealField(grid, coeffs=full[0], solenoidal=zp.solenoidal),
+        RealField(grid, coeffs=full[1], solenoidal=zm.solenoidal),
+        state.t + dt,
     )

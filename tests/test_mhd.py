@@ -7,7 +7,7 @@ import pytest
 from lpmhd import mhd
 from lpmhd import spectral as sp
 from lpmhd.spaces import NormSpec, lp_norm, tl_norm
-from oracles import orszag_tang_by_function, taylor_green_by_function
+from oracles import elsasser_step, orszag_tang_by_function, taylor_green_by_function
 
 G = sp.Grid(2, 64)
 
@@ -360,6 +360,25 @@ def _pair_reaching_outside_cube(grid, seed):
     return mhd.to_elsasser(u, b)
 
 
+def _assert_steps_match_oracle(grid, pair, cached):
+    """Three steps of the coefficient pair by `mhd.step` and by the frozen
+    full-buffer step have equal bytes.  Each side starts from its own
+    coefficient-only fields, whose values are cached first if `cached`."""
+
+    def start():
+        fields = [sp.RealField(grid, coeffs=c, solenoidal=True) for c in pair]
+        if cached:
+            for f in fields:
+                f.values
+        return mhd.ElsasserState(*fields)
+
+    got, expect = start(), start()
+    for _ in range(3):
+        got, expect = mhd.step(got, 1e-3), elsasser_step(expect, 1e-3)
+        for a, b in ((got.z_plus, expect.z_plus), (got.z_minus, expect.z_minus)):
+            assert a.coeffs.tobytes() == b.coeffs.tobytes()
+
+
 CUBE_GRIDS = pytest.mark.parametrize(
     "grid", [sp.Grid(2, 64), sp.Grid(2, 128), sp.Grid(3, 16), sp.Grid(3, 32)],
     ids=["2d-64", "2d-128", "3d-16", "3d-32"],
@@ -430,6 +449,54 @@ class TestCube:
             assert after.coeffs[:, outside].tobytes() == before.coeffs[:, outside].tobytes()
         for rate in mhd.mhd_tendency(state):
             assert np.all(rate.coeffs[:, outside] == 0.0)
+
+    @CUBE_GRIDS
+    @pytest.mark.parametrize("case", ["dealiased", "nan-in-cube", "outside-cube"])
+    @pytest.mark.parametrize("cached", [False, True], ids=["coeffs-only", "cached-values"])
+    def test_matches_frozen_step(self, grid, case, cached):
+        # three steps have the bytes of the full-buffer step frozen in the
+        # oracles, whether the input's values come from the fields or from
+        # the step's own inverse; a NaN inside the cube keeps the cube path
+        if case == "outside-cube":
+            state = _pair_reaching_outside_cube(grid, 78)
+        else:
+            u, b = mhd.random_pair(grid, seed=78, amplitude=0.3)
+            state = mhd.to_elsasser(sp.dealias(u), sp.dealias(b))
+        pair = [state.z_plus.coeffs, state.z_minus.coeffs]
+        if case == "nan-in-cube":
+            pair[0] = pair[0].copy()
+            pair[0][(1,) + (2,) * grid.dimension] = np.nan
+        assert sp._cube_supported(grid, np.stack(pair)) == (case != "outside-cube")
+        _assert_steps_match_oracle(grid, pair, cached)
+
+    def test_dealiased_orszag_tang_keeps_signed_zeros(self):
+        # dealiasing Orszag-Tang leaves -0.0 at modes outside the cube; the
+        # step passes them through byte for byte
+        grid = sp.Grid(2, 128)
+        state = mhd.to_elsasser(*(sp.dealias(f) for f in mhd.orszag_tang(grid)))
+        pair = [state.z_plus.coeffs, state.z_minus.coeffs]
+        outside = ~np.broadcast_to(sp.dealias_mask(grid), grid.spectral_shape)
+        assert any(np.signbit(c[:, outside].real).any() for c in pair)
+        assert sp._cube_supported(grid, np.stack(pair))
+        for cached in (False, True):
+            _assert_steps_match_oracle(grid, pair, cached)
+
+    @pytest.mark.parametrize("grid", [sp.Grid(2, 64), sp.Grid(3, 16)], ids=["2d-64", "3d-16"])
+    def test_cube_step_runs_no_full_transform(self, grid, monkeypatch):
+        import scipy.fft
+
+        u, b = mhd.random_pair(grid, seed=80, amplitude=0.3)
+        state = mhd.to_elsasser(u, b)
+        coeff_only = mhd.ElsasserState(*(
+            sp.RealField(grid, coeffs=z.coeffs, solenoidal=True)
+            for z in (state.z_plus, state.z_minus)))
+
+        def full_transform(*args, **kwargs):
+            raise AssertionError("full transform called")
+
+        for name in ("rfftn", "irfftn"):
+            monkeypatch.setattr(scipy.fft, name, full_transform)
+        mhd.step(coeff_only, 1e-3)
 
 
 class TestStep:

@@ -317,6 +317,63 @@ class TestDyadicBlock:
         assert np.max(np.abs(lhs.values - rhs.values)) <= 1e-12 * max(scale, 1.0)
 
 
+PRUNED_GRIDS = pytest.mark.parametrize(
+    "d,n", [(2, 64), (2, 128), (3, 16), (3, 32)], ids=["2d-64", "2d-128", "3d-16", "3d-32"])
+
+
+def _pruned_forward_cases(grid, batch):
+    """Random values of each batch shape, once finite and once with a NaN,
+    with the cube's half-width and a smaller one."""
+    rng = np.random.default_rng(90)
+    shape = (5,) if batch == "m" else (grid.dimension,) * 2
+    x = rng.standard_normal(shape + grid.shape)
+    poisoned = x.copy()
+    poisoned[(0,) * len(shape) + (3,) * grid.dimension] = np.nan
+    for values in (x, poisoned):
+        for k in (grid.dealias_limit, grid.dealias_limit // 2):
+            yield values, k
+
+
+class TestPrunedForward:
+    @PRUNED_GRIDS
+    @pytest.mark.parametrize("batch", ["m", "dd"])
+    def test_matches_gathered_full_forward(self, count_transforms, d, n, batch):
+        # the box of half-width k has the bytes of the box gathered from the
+        # full forward transform, and counts one transform per batch entry
+        grid = sp.Grid(d, n)
+        counts = count_transforms()
+        for values, k in _pruned_forward_cases(grid, batch):
+            expect = sp._gather(grid, sp._forward(grid, values), k)
+            counts.clear()
+            got = sp._forward(grid, values, k)
+            assert counts == [math.prod(values.shape[:-d])]
+            assert got.shape == values.shape[:-d] + grid._box_shape(k)
+            assert got.tobytes() == expect.tobytes()
+
+    @PRUNED_GRIDS
+    def test_copies_back_a_pass_that_is_not_in_place(self, monkeypatch, d, n):
+        # with fft and ifft returning fresh arrays (overwrite_x dropped), the
+        # pruned forward and the box inverse still have the full bytes
+        import scipy.fft
+
+        grid = sp.Grid(d, n)
+        k = grid.dealias_limit
+        cases = [x for x, box in _pruned_forward_cases(grid, "dd") if box == k]
+        cubes = [sp._gather(grid, sp._forward(grid, x), k) for x in cases]
+        values = [sp._inverse(grid, sp._scatter(grid, c)) for c in cubes]
+        for name in ("fft", "ifft"):
+            # overwrite_x is dropped: a new array comes back, x is kept
+            def fresh(x, *args, _transform=getattr(scipy.fft, name), overwrite_x=None, **kw):
+                out = _transform(x, *args, **kw)
+                assert not np.may_share_memory(out, x)
+                return out
+
+            monkeypatch.setattr(scipy.fft, name, fresh)
+        for x, cube, v in zip(cases, cubes, values, strict=True):
+            assert sp._forward(grid, x, k).tobytes() == cube.tobytes()
+            assert sp._inverse(grid, cube, k).tobytes() == v.tobytes()
+
+
 class TestLowPass:
     def test_constant_passes(self):
         f = sp.from_function(G64, lambda x, y: np.full_like(x, -1.5))
