@@ -50,6 +50,22 @@ from blocks already transformed; only S_{j0} a is inverse-transformed.  The
 values of f_i and of the whole d_i g are their top low passes S_{j_max+1},
 so they too are sums of blocks.
 
+Layout.  The workspace and the Bony operators' caches dealias their inputs
+and pick one layout for the pair (`_on_one_layout`).  A finite dealiased
+spectrum is exactly zero outside the 2/3 cube |xi_i| <= N/3, so a pair
+whose coefficients are all finite is gathered to the cube once (f, g, and
+d_i g formed there), and everything after runs on cube arrays: the blocks
+take the cube's box rule, the low passes, the multipliers phi_k and chi_j
+and the term I and II factors read the filter bank gathered to the cube
+(`spectral._layout_bank`), every inverse is a pruned one of the cube's
+half-width, every product sum is forward-transformed to the cube alone
+(the cube is the dealias mask), and the window sums add cube arrays.  The
+public functions scatter each cube result into a zeroed full array once.
+The cube entries have the bits of the full-lattice computation, and the
+modes outside it are +0.  A pair with a NaN or an infinity stays on the
+full half spectrum, where a NaN outside the cube still reaches every
+product: a gather would drop it.
+
 P_K and the transform are linear, so the commutator adds up in physical
 space the products that feed one output and forward-transforms each sum
 once: f . grad g, each direct shell, each per-shell entry of the
@@ -70,23 +86,54 @@ from .spectral import (
     RealField,
     SpectralError,
     _block_boxes,
+    _cube_width,
     _forward,
-    _masked_product,
+    _gather,
+    _layout_bank,
     _nonzero_inverse,
     _partial,
     _require_solenoidal,
+    _scatter,
     _shell_block,
     dealias,
     dealias_mask,
-    make_filter_bank,
 )
+
+
+def _on_one_layout(grid, *coeffs) -> list:
+    """Dealiased spectra on one layout: all gathered to the 2/3 cube when
+    all are finite, since a finite dealiased spectrum is exactly zero
+    outside it, and otherwise all left on the full half spectrum, because a
+    gather would drop a NaN outside the cube (the check sums the
+    coefficients: an overflow only costs the cube)."""
+    if all(np.isfinite(c.sum()) for c in coeffs):
+        return [_gather(grid, c) for c in coeffs]
+    return list(coeffs)
+
+
+def _field(grid, c: np.ndarray) -> RealField:
+    """A result as a field on the full half spectrum, a cube one scattered
+    into zeros (a bare spectrum gains the component axis)."""
+    return RealField(grid, coeffs=c if _cube_width(grid, c) is None else _scatter(grid, c))
+
+
+def _projected(grid, values: np.ndarray, k) -> np.ndarray:
+    """P_K of physical values, as coefficients on the layout of half-width
+    k (`_cube_width`): on the 2/3 cube the pruned forward, the cube being
+    the dealias mask; on the full half spectrum the full forward times the
+    mask.  The cube entries are the same bits either way."""
+    piece = _forward(grid, values, k)
+    if k is None:
+        piece *= dealias_mask(grid)
+    return piece
 
 
 def _add_products(acc: np.ndarray, grid, pairs):
     """acc += P_K(sum of a * b over the pairs), skipping pairs with an empty
-    factor.  P_K and the transform are linear, so the products are added up
-    in physical space and the sum is forward-transformed once; a single
-    pair gives the bits of ``P_K(a * b)``."""
+    factor, with acc on either layout.  P_K and the transform are linear, so
+    the products are added up in physical space and the sum is
+    forward-transformed once; a single pair gives the bits of
+    ``P_K(a * b)``."""
     total = None
     for a, b in pairs:
         if a is None or b is None:
@@ -96,27 +143,30 @@ def _add_products(acc: np.ndarray, grid, pairs):
         else:
             total += a * b
     if total is not None:
-        piece = _forward(grid, total)
-        piece *= dealias_mask(grid)
-        acc += piece
+        acc += _projected(grid, total, _cube_width(grid, acc))
 
 
 class _Blocks:
-    """The dyadic blocks of one spectrum a, batched over its leading axes:
+    """The dyadic blocks of one spectrum a, batched over its leading axes
+    and laid out on the 2/3 cube or the full half spectrum (`_cube_width`):
     ``block(j)`` gives the values of Delta_j a and ``low(j)`` those of S_j a,
     each computed on first use and held as None when its coefficients are
     identically zero.  A block is one inverse transform (`_shell_block`,
-    from its box for the shells `_block_boxes` picks), and so is a low
-    pass unless `telescoped`: then S_j a = S_{j-1} a + Delta_{j-1} a for
-    j > j0, summed in physical space.  That is exact on the multipliers,
+    from its box for the shells `_block_boxes` picks for the layout: on the
+    cube every shell box inside it, the rest from the whole cube), and so
+    is a low pass unless `telescoped`: then S_j a = S_{j-1} a + Delta_{j-1} a
+    for j > j0, summed in physical space.  That is exact on the multipliers,
     phi_{j-1} = chi_j - chi_{j-1}, and equal to the transform of chi_j a up
-    to round-off.  The memos are plain dicts, so a dropped cache holds no
-    reference cycle and is freed at once."""
+    to round-off.  A low pass reads chi_j on the layout (`_layout_bank`)
+    and is inverted with its half-width.  The memos are plain dicts, so a
+    dropped cache holds no reference cycle and is freed at once."""
 
     def __init__(self, grid, coeffs: np.ndarray, telescoped: bool = False):
         self.grid = grid
         self.coeffs = coeffs
         self.telescoped = telescoped
+        self.width = _cube_width(grid, coeffs)
+        self.bank = _layout_bank(grid, coeffs)
         self._boxes = _block_boxes(grid, coeffs)
         self._blocks, self._lows = {}, {}
 
@@ -131,8 +181,8 @@ class _Blocks:
                 parts = [x for x in (self.low(j - 1), self.block(j - 1)) if x is not None]
                 self._lows[j] = sum(parts[1:], parts[0]) if parts else None
             else:
-                chi = make_filter_bank(self.grid).chi[j]
-                self._lows[j] = _nonzero_inverse(self.grid, chi * self.coeffs)
+                chi = self.bank.chi[j]
+                self._lows[j] = _nonzero_inverse(self.grid, chi * self.coeffs, self.width)
         return self._lows[j]
 
 
@@ -167,12 +217,15 @@ def _sum_pieces(factors, pairs, js) -> np.ndarray:
 
 
 def _scalar_blocks(u: RealField, v: RealField):
-    """One block cache per dealiased argument of a Bony operator."""
+    """One block cache per dealiased argument of a Bony operator, both on
+    one layout (`_on_one_layout`)."""
     if u.grid != v.grid:
         raise SpectralError("grid mismatch between paraproduct arguments")
     if not (u.is_scalar and v.is_scalar):
         raise SpectralError("paraproduct operations expect scalar fields")
-    return _Blocks(u.grid, dealias(u).coeffs[0]), _Blocks(v.grid, dealias(v).coeffs[0])
+    grid = u.grid
+    a, b = _on_one_layout(grid, dealias(u).coeffs[0], dealias(v).coeffs[0])
+    return _Blocks(grid, a), _Blocks(grid, b)
 
 
 def _paraproduct(a: _Blocks, b: _Blocks) -> np.ndarray:
@@ -189,8 +242,8 @@ def _base_terms(a: _Blocks, b: _Blocks) -> np.ndarray:
 
     def product(x, y):
         if x is None or y is None:
-            return np.zeros(grid.spectral_shape, dtype=complex)
-        return _masked_product(grid, x, y)
+            return np.zeros(a.coeffs.shape, dtype=complex)
+        return _projected(grid, x * y, a.width)
 
     p0a, p0b = a.low(j0), b.low(j0)
     s1a, s1b = a.low(j0 + 1), b.low(j0 + 1)
@@ -200,20 +253,20 @@ def _base_terms(a: _Blocks, b: _Blocks) -> np.ndarray:
 
 def paraproduct(u: RealField, v: RealField) -> RealField:
     """T_u v = sum_{j=j0+1}^{j_max} S_{j-1}u Delta_j v, dealiased."""
-    return RealField(u.grid, coeffs=_paraproduct(*_scalar_blocks(u, v))[np.newaxis])
+    return _field(u.grid, _paraproduct(*_scalar_blocks(u, v)))
 
 
 def remainder(u: RealField, v: RealField) -> RealField:
     """R(u, v) = sum_j Delta_j u (Delta_{j-1}+Delta_j+Delta_{j+1}) v over the
     available shell range, dealiased; symmetric in (u, v)."""
-    return RealField(u.grid, coeffs=_remainder(*_scalar_blocks(u, v))[np.newaxis])
+    return _field(u.grid, _remainder(*_scalar_blocks(u, v)))
 
 
 def bony_reconstruction(u: RealField, v: RealField) -> RealField:
     """T_u v + T_v u + R(u, v) + base terms; equals the dealiased product."""
     a, b = _scalar_blocks(u, v)
     total = _paraproduct(a, b) + _paraproduct(b, a) + _remainder(a, b) + _base_terms(a, b)
-    return RealField(u.grid, coeffs=total[np.newaxis])
+    return _field(u.grid, total)
 
 
 # ---------------------------------------------------------------------------
@@ -257,22 +310,28 @@ class _CommutatorWorkspace:
     blocks of every f_i and of every d_i g, with telescoped low passes, so
     assembling all k reuses the same physical-space factors and never
     transforms an empty block.  The components of g ride a leading batch
-    axis, so f's blocks are transformed once whatever g's component count."""
+    axis, so f's blocks are transformed once whatever g's component count.
+
+    The dealiased pair takes one layout (`_on_one_layout`): a finite pair
+    is gathered to the 2/3 cube once, and every product, multiplier, window
+    sum and family array is then a cube array, the products forward-
+    transformed and the term I and II factors inverted by pruned
+    transforms of the cube's half-width; a non-finite pair stays on the
+    full half spectrum.  The families come out on that layout."""
 
     def __init__(self, f: RealField, g: RealField):
         _require_solenoidal(f, "advecting field f")
         if f.grid != g.grid:
             raise SpectralError("grid mismatch between f and g")
-        f, g = dealias(f), dealias(g)
         grid = f.grid
+        fc, gc = _on_one_layout(grid, dealias(f).coeffs, dealias(g).coeffs)
         self.grid = grid
-        self.shape = (g.ncomp,) + grid.spectral_shape
-        self.bank = make_filter_bank(grid)
+        self.shape = gc.shape
+        self.width = _cube_width(grid, gc)
+        self.bank = _layout_bank(grid, gc)
         self.d = grid.dimension
-        self.f = [_Blocks(grid, f.coeffs[i], telescoped=True) for i in range(self.d)]
-        self.dg = [
-            _Blocks(grid, _partial(grid, g.coeffs, i), telescoped=True) for i in range(self.d)
-        ]
+        self.f = [_Blocks(grid, fc[i], telescoped=True) for i in range(self.d)]
+        self.dg = [_Blocks(grid, _partial(grid, gc, i), telescoped=True) for i in range(self.d)]
         # S_{j_max+1} is the identity on the lattice
         self.top = grid.j_max + 1
 
@@ -324,7 +383,7 @@ class _CommutatorWorkspace:
                 low = self.f[i].low(kp - 1)
                 if low is not None:
                     coeffs = bank.phi[k] * bank.phi[kp] * self.dg[i].coeffs
-                    yield low, _nonzero_inverse(grid, coeffs)
+                    yield low, _nonzero_inverse(grid, coeffs, self.width)
 
     def _term_ii_pairs(self, k):
         """Factors of sum_{k'>=k-2} S_{k'+2}(Delta_k d_i g) Delta_{k'} f_i; for
@@ -336,7 +395,7 @@ class _CommutatorWorkspace:
                 blk = self.f[i].block(kp)
                 if blk is not None:
                     coeffs = bank.chi[kp + 2] * bank.phi[k] * self.dg[i].coeffs
-                    yield _nonzero_inverse(grid, coeffs), blk
+                    yield _nonzero_inverse(grid, coeffs, self.width), blk
         for i in range(self.d):
             dg_k = self.dg[i].block(k)
             if dg_k is not None:
@@ -396,7 +455,7 @@ def commutator_family(f: RealField, g: RealField) -> dict:
     shell k, sharing factor transforms; the reference values for the split.
     One shell is ``commutator_family(f, g)[k]``."""
     family = _workspace(f, g).direct_family()
-    return {k: RealField(f.grid, coeffs=acc) for k, acc in family.items()}
+    return {k: _field(f.grid, acc) for k, acc in family.items()}
 
 
 def commutator_split_family(f: RealField, g: RealField) -> dict:
@@ -404,6 +463,6 @@ def commutator_split_family(f: RealField, g: RealField) -> dict:
     ``[k].total`` reconstructs ``commutator_family(f, g)[k]`` exactly."""
     family = _workspace(f, g).split_family()
     return {
-        k: CommutatorSplit(k, *(RealField(f.grid, coeffs=t) for t in terms))
+        k: CommutatorSplit(k, *(_field(f.grid, t) for t in terms))
         for k, terms in family.items()
     }

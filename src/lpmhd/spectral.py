@@ -33,11 +33,15 @@ counter patch those attributes.
 `_shell_block` is the one dyadic-block kernel, `_block_boxes` its box rule.
 It serves the shell sweep `_shell_blocks` (`block_magnitudes`, the record)
 and paracalc's block caches (the commutator workspace, the Bony operators).
-On the full half spectrum a record's and the workspace's blocks take their
-box for j = -1..3 at 2D N=128 and j = -1..1 at 3D N=32; at 2D N=64 no
-one-component block does.  On the 2/3 cube every shell whose box lies in
-the cube takes it (j = -1..4 at 2D N=128, j = -1..2 at 3D N=32), and the
-other shells invert the whole cube.
+The rule depends on the layout.  On the full half spectrum
+(`block_magnitudes`, and paracalc's pairs with a non-finite coefficient) a
+shell takes its box when it pays for the box path's extra calls: j =
+-1..3 at 2D N=128 and j = -1..1 at 3D N=32 for one to six components; at
+2D N=64 none for one component.  On the 2/3 cube (the record, and
+every finite paracalc pair) every shell whose box lies in the cube takes
+it (j = -1..4 at 2D N=128, j = -1..2 at 3D N=32), and the other shells
+invert the whole cube, with phi_j from the filter bank gathered to the
+cube (`_layout_bank`).
 
 `_leray_complement` is the one Leray kernel: `leray_project` subtracts it,
 and the MHD pressure gradient grad pi is it.  It runs on the full half
@@ -46,7 +50,8 @@ spectrum or on the 2/3 cube, whose tables are gathered from the full ones;
 cube is the box of half-width N // 3) by `Grid._box_blocks`' slices.  The
 shell sweep, `_partial`, `_curl` and `_gradient_sup` take either layout
 too, told apart by the last axis (`_cube_width`): the diagnostics record
-runs on the cube when `_cube_supported` finds the state inside it.
+runs on the cube when `_cube_supported` finds the state inside it, and
+paracalc's block caches whenever their dealiased pair is finite.
 """
 
 from __future__ import annotations
@@ -623,9 +628,8 @@ def _shell_block(grid: Grid, coeffs: np.ndarray, j: int, boxes: tuple):
     inverse."""
     i = j - grid.j0
     if i >= len(boxes):
-        k = _cube_width(grid, coeffs)
-        phi = make_filter_bank(grid).phi[j] if k is None else _cube_tables(grid).phi[i]
-        return _nonzero_inverse(grid, coeffs * phi, k)
+        phi = _layout_bank(grid, coeffs).phi[j]
+        return _nonzero_inverse(grid, coeffs * phi, _cube_width(grid, coeffs))
     k = boxes[i].shape[-1] - 1
     shell = _gather(grid, coeffs, k)
     shell *= boxes[i]
@@ -905,25 +909,44 @@ class _CubeTables(NamedTuple):
     """Multiplier tables on the 2/3 cube, each (d,) + the cube's shape: xi_a
     and the Leray factors xi_a |xi|^-2, gathered from the full-lattice
     tables (so each entry has the bits of its full-lattice twin), and the
-    factors -i xi_j of -d_j; and phi_j for j in grid.js, gathered from the
-    filter bank, (n_shells,) + the cube's shape.  The cube is the 2/3 mask,
-    so a product's coefficients gathered to it and multiplied by
-    `derivative` are its dealiased derivatives."""
+    factors -i xi_j of -d_j.  The cube is the 2/3 mask, so a product's
+    coefficients gathered to it and multiplied by `derivative` are its
+    dealiased derivatives."""
 
     xi: np.ndarray
     derivative: np.ndarray
     leray: np.ndarray
-    phi: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def _cube_tables(grid: Grid) -> _CubeTables:
     xi = _gather(grid, np.stack(np.broadcast_arrays(*frequencies(grid))))
-    phi = np.stack([make_filter_bank(grid).phi[j] for j in grid.js])
-    tables = _CubeTables(xi, -1j * xi, _gather(grid, _leray_factors(grid)), _gather(grid, phi))
+    tables = _CubeTables(xi, -1j * xi, _gather(grid, _leray_factors(grid)))
     for table in tables:
         table.flags.writeable = False
     return tables
+
+
+@lru_cache(maxsize=None)
+def _cube_bank(grid: Grid) -> FilterBank:
+    """The filter bank gathered to the 2/3 cube: every phi_j and chi_j with
+    the bits of its full-lattice twin, read-only."""
+    bank = make_filter_bank(grid)
+
+    def gathered(table):
+        out = {j: _gather(grid, m) for j, m in table.items()}
+        for m in out.values():
+            m.flags.writeable = False
+        return out
+
+    return FilterBank(grid=grid, phi=gathered(bank.phi), chi=gathered(bank.chi))
+
+
+def _layout_bank(grid: Grid, c: np.ndarray) -> FilterBank:
+    """The filter bank on the layout of coefficients c (`_cube_width`):
+    `make_filter_bank`'s on the full half spectrum, `_cube_bank` on the
+    cube."""
+    return make_filter_bank(grid) if _cube_width(grid, c) is None else _cube_bank(grid)
 
 
 # ---------------------------------------------------------------------------

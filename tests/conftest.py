@@ -64,14 +64,16 @@ def count_transforms(monkeypatch):
 def box_passes(monkeypatch):
     """List that receives one entry per scipy.fft.ifft call: the leading-axis
     passes of box inverses (`spectral._inverse` with a half-width k), so a
-    test can see that the box path ran."""
+    test can see that the box path ran.  The entry is the last-axis width
+    of the pass's input, the box's k + 1 columns, so a test can also see
+    which box it was."""
     import scipy.fft
 
     passes, ifft = [], scipy.fft.ifft
 
-    def counted(*args, **kwargs):
-        passes.append(1)
-        return ifft(*args, **kwargs)
+    def counted(x, *args, **kwargs):
+        passes.append(x.shape[-1])
+        return ifft(x, *args, **kwargs)
 
     monkeypatch.setattr(scipy.fft, "ifft", counted)
     return passes

@@ -2,7 +2,8 @@
 defect of a filter bank, the L_inf operator-norm bound of the dyadic
 blocks, the explicit forms of lattice tables, first-order operators and
 initial data that the package derives from one source, a frozen
-diagnostics record and a frozen RK4 step."""
+diagnostics record, a frozen RK4 step, and the frozen full-lattice
+commutator families and Bony operators."""
 
 import math
 
@@ -18,7 +19,11 @@ from lpmhd.spectral import (
     _gather,
     _inverse,
     _leray_complement,
+    _nonzero_inverse,
+    _partial,
     _scatter,
+    dealias,
+    dealias_mask,
     from_function,
     make_filter_bank,
 )
@@ -196,3 +201,159 @@ def elsasser_step(state, dt):
         RealField(grid, coeffs=full[1], solenoidal=zm.solenoidal),
         state.t + dt,
     )
+
+
+# ---------------------------------------------------------------------------
+# paracalc on the full half spectrum
+# ---------------------------------------------------------------------------
+
+
+class _FullBlocks:
+    """Delta_j a and S_j a of a full half spectrum a, each one full inverse
+    of its filter-bank product on first use (a low pass above j0 summed
+    from the blocks when telescoped), None when its product is zero."""
+
+    def __init__(self, grid, coeffs, telescoped=False):
+        self.grid, self.coeffs, self.telescoped = grid, coeffs, telescoped
+        self.bank = make_filter_bank(grid)
+        self._blocks, self._lows = {}, {}
+
+    def block(self, j):
+        if j not in self._blocks:
+            self._blocks[j] = _nonzero_inverse(self.grid, self.bank.phi[j] * self.coeffs)
+        return self._blocks[j]
+
+    def low(self, j):
+        if j not in self._lows:
+            if self.telescoped and j > self.grid.j0:
+                parts = [x for x in (self.low(j - 1), self.block(j - 1)) if x is not None]
+                self._lows[j] = sum(parts[1:], parts[0]) if parts else None
+            else:
+                self._lows[j] = _nonzero_inverse(self.grid, self.bank.chi[j] * self.coeffs)
+        return self._lows[j]
+
+
+def _masked_forward(grid, values):
+    piece = _forward(grid, values)
+    piece *= dealias_mask(grid)
+    return piece
+
+
+def _add_full_products(acc, grid, pairs):
+    """acc += the full rfftn of the sum of the pairs' products, times the
+    mask; a pair with an empty factor is skipped."""
+    total = None
+    for a, b in pairs:
+        if a is not None and b is not None:
+            total = a * b if total is None else total + a * b
+    if total is not None:
+        acc += _masked_forward(grid, total)
+
+
+def _low_block(a, b, j):
+    return a.low(j - 1), b.block(j)
+
+
+def _block_tilde(a, b, j):
+    grid = a.grid
+    blk = a.block(j)
+    if blk is None:
+        return None, None
+    near = [b.block(j + d) for d in (-1, 0, 1) if grid.j0 <= j + d <= grid.j_max]
+    tilde = [t for t in near if t is not None]
+    return blk, (sum(tilde) if tilde else None)
+
+
+def _full_pieces(factors, pairs, js):
+    shape = np.broadcast_shapes(*(x.coeffs.shape for pair in pairs for x in pair))
+    acc = np.zeros(shape, dtype=complex)
+    grid = pairs[0][0].grid
+    for j in js:
+        _add_full_products(acc, grid, (factors(a, b, j) for a, b in pairs))
+    return acc
+
+
+def commutator_families(f, g):
+    """(direct, split) of (f, g) by the full-lattice workspace, frozen to
+    the bits the families have always had: the dealiased pair on the full
+    half spectrum, every product sum one full rfftn times the mask, every
+    block, chi low pass and term I and II factor one full inverse of its
+    filter-bank product, and the low passes above j0 telescoped.  direct
+    maps k to its coefficients, split maps k to (I, II, III, IV)."""
+    grid, d = f.grid, f.grid.dimension
+    f, g = dealias(f), dealias(g)
+    bank, shape, top = make_filter_bank(grid), g.coeffs.shape, grid.j_max + 1
+    fb = [_FullBlocks(grid, f.coeffs[i], telescoped=True) for i in range(d)]
+    gb = [_FullBlocks(grid, _partial(grid, g.coeffs, i), telescoped=True) for i in range(d)]
+
+    whole = np.zeros(shape, dtype=complex)
+    _add_full_products(whole, grid, ((fb[i].low(top), gb[i].low(top)) for i in range(d)))
+    direct = {}
+    for k in grid.js:
+        acc = np.zeros(shape, dtype=complex)
+        _add_full_products(acc, grid, ((fb[i].low(top), gb[i].block(k)) for i in range(d)))
+        acc -= bank.phi[k] * whole
+        direct[k] = acc
+
+    fg, gf = list(zip(fb, gb)), list(zip(gb, fb))
+    highs = range(grid.j0 + 1, grid.j_max + 1)
+    p1 = {kp: _full_pieces(_low_block, fg, [kp]) for kp in highs}
+    q = {kp: _full_pieces(_low_block, gf, [kp]) for kp in highs}
+    p2 = {kp: _full_pieces(_block_tilde, fg, [kp]) for kp in grid.js}
+
+    def term_i_pairs(k):
+        for kp in range(max(grid.j0 + 1, k - 1), min(grid.j_max, k + 1) + 1):
+            for i in range(d):
+                low = fb[i].low(kp - 1)
+                if low is not None:
+                    yield low, _nonzero_inverse(grid, bank.phi[k] * bank.phi[kp] * gb[i].coeffs)
+
+    def term_ii_pairs(k):
+        for kp in range(max(grid.j0, k - 2), min(grid.j_max, k - 1) + 1):
+            for i in range(d):
+                blk = fb[i].block(kp)
+                if blk is not None:
+                    coeffs = bank.chi[kp + 2] * bank.phi[k] * gb[i].coeffs
+                    yield _nonzero_inverse(grid, coeffs), blk
+        for i in range(d):
+            dg_k = gb[i].block(k)
+            if dg_k is not None:
+                f_i, low = fb[i].low(top), fb[i].low(k)
+                yield dg_k, (f_i if low is None else f_i - low)
+
+    split = {}
+    for k in grid.js:
+        phi_k = bank.phi[k]
+        near = range(max(grid.j0 + 1, k - 4), min(grid.j_max, k + 4) + 1)
+        term_i = np.zeros(shape, dtype=complex)
+        _add_full_products(term_i, grid, term_i_pairs(k))
+        term_i -= phi_k * sum(p1[kp] for kp in near)
+        term_ii = np.zeros(shape, dtype=complex)
+        _add_full_products(term_ii, grid, term_ii_pairs(k))
+        term_iii = -phi_k * sum(q[kp] for kp in near)
+        above = range(max(grid.j0, k - 3), grid.j_max + 1)
+        term_iv = -phi_k * sum(p2[kp] for kp in above)
+        split[k] = (term_i, term_ii, term_iii, term_iv)
+    return direct, split
+
+
+def bony_operators(u, v):
+    """T_u v, R(u, v) and the Bony reconstruction of two scalar fields by
+    the full-lattice block caches, frozen like `commutator_families`, as
+    coefficients (1,) + spectral_shape keyed by operator name."""
+    grid, j0 = u.grid, u.grid.j0
+    a, b = (_FullBlocks(grid, dealias(x).coeffs[0]) for x in (u, v))
+    highs = range(j0 + 1, grid.j_max + 1)
+
+    def product(x, y):
+        if x is None or y is None:
+            return np.zeros(grid.spectral_shape, dtype=complex)
+        return _masked_forward(grid, x * y)
+
+    para = _full_pieces(_low_block, [(a, b)], highs)
+    rem = _full_pieces(_block_tilde, [(a, b)], grid.js)
+    p0a, p0b, s1a, s1b = a.low(j0), b.low(j0), a.low(j0 + 1), b.low(j0 + 1)
+    base = product(p0a, s1b) + product(s1a, p0b) + (-1.0) * product(p0a, p0b)
+    total = para + _full_pieces(_low_block, [(b, a)], highs) + rem + base
+    return {"paraproduct": para[np.newaxis], "remainder": rem[np.newaxis],
+            "bony_reconstruction": total[np.newaxis]}

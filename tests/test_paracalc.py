@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from lpmhd import paracalc
 from lpmhd import spectral as sp
 from lpmhd.paracalc import (
@@ -330,12 +331,13 @@ class TestEmptyBlocks:
 
 
 class TestBlockKernel:
-    # the block caches read spectral's single-shell kernel: with the box
-    # rule m (modes - 4 box modes) >= 2^12, the workspace's small shells
-    # take their box, j = -1..3 at 2D N=128 and j = -1..1 at 3D N=32, for
-    # f_i (no batch axis) and for d_i g of one or two components
+    # the block caches read spectral's single-shell kernel: a finite pair's
+    # caches hold the 2/3 cube, whose box rule gives every shell whose box
+    # lies in the cube its box, j = -1..4 at 2D N=128 and j = -1..2 at 3D
+    # N=32, for f_i (no batch axis) and for d_i g of one or two components;
+    # the next shell is inverted from the whole cube
     @pytest.mark.parametrize("ncomp", [1, 2])
-    @pytest.mark.parametrize("d, n, boxed", [(2, 128, 5), (3, 32, 3)], ids=["2d-128", "3d-32"])
+    @pytest.mark.parametrize("d, n, boxed", [(2, 128, 6), (3, 32, 4)], ids=["2d-128", "3d-32"])
     def test_boxed_block_matches_full_inverse(
         self, count_transforms, box_passes, d, n, boxed, ncomp
     ):
@@ -346,27 +348,19 @@ class TestBlockKernel:
         ws = paracalc._CommutatorWorkspace(f, g)
         counts = count_transforms()
         for blocks, m in ((ws.f[0], 1), (ws.dg[0], ncomp)):
-            # the boxed shells, then the first full one
+            assert len(blocks._boxes) == boxed
+            # the boxed shells, then the first one from the whole cube
             for j in grid.js[: boxed + 1]:
-                expect = sp._inverse(grid, bank.phi[j] * blocks.coeffs)
+                expect = sp._inverse(grid, bank.phi[j] * sp._scatter(grid, blocks.coeffs))
                 counts.clear()
                 box_passes.clear()
                 blk = blocks.block(j)
                 assert np.array_equal(blk, expect), j
-                assert bool(box_passes) == (j < grid.j0 + boxed), j
+                boxes = blocks._boxes
+                k = boxes[j - grid.j0].shape[-1] - 1 if j < grid.j0 + boxed else n // 3
+                assert set(box_passes) == {k + 1}, j
                 # a box inverse of the flattened leading axes counts m
                 assert sum(counts) == m, j
-
-    def test_one_component_takes_no_box_at_64(self, box_passes):
-        # at 2D N=64 the box path loses for one component
-        f = sp.random_solenoidal(G, seed=82)
-        g = sp.random_band_limited(G, seed=83)
-        ws = paracalc._CommutatorWorkspace(f, g)
-        for blocks in ws.f + ws.dg:
-            for j in G.js:
-                blocks.block(j)
-        paraproduct(g, f.component(0))
-        assert box_passes == []
 
     def test_nonfinite_mode_outside_the_boxes_poisons_every_block(self):
         # a NaN at a mode that no small box holds makes every full block
@@ -392,12 +386,15 @@ class TestBlockKernel:
 def chi_path_families(f, g):
     """The direct family and the split terms of (f, g) from a fresh
     workspace whose low passes are each inverse-transformed from chi_j."""
+    grid = f.grid
     ws = paracalc._CommutatorWorkspace(f, g)
     for blocks in ws.f + ws.dg:
         blocks.telescoped = False
     split = ws.split_family()
     direct = ws.direct_family()
-    return [direct] + [{k: split[k][t] for k in f.grid.js} for t in range(4)]
+    return [{k: sp._scatter(grid, direct[k]) for k in grid.js}] + [
+        {k: sp._scatter(grid, split[k][t]) for k in grid.js} for t in range(4)
+    ]
 
 
 class TestSharedWorkspace:
@@ -474,3 +471,104 @@ class TestSharedWorkspace:
             assert all(ref() is None for ref in refs)
         finally:
             gc.enable()
+
+
+TERMS = ("I", "II", "III", "IV")
+
+
+def family_arrays(f, g):
+    """The public direct family and split terms of (f, g), then the same
+    from the frozen full-lattice oracle, as two lists of coefficient arrays
+    in one order."""
+    grid = f.grid
+    direct, split = commutator_family(f, g), commutator_split_family(f, g)
+    got = [direct[k].coeffs for k in grid.js]
+    got += [split[k].terms[t].coeffs for k in grid.js for t in TERMS]
+    direct, split = oracles.commutator_families(f, g)
+    expect = [direct[k] for k in grid.js] + [split[k][i] for k in grid.js for i in range(4)]
+    return got, expect
+
+
+def bony_arrays(u, v):
+    got = [op(u, v).coeffs for op in (paraproduct, remainder, bony_reconstruction)]
+    expect = oracles.bony_operators(u, v)
+    return got, [expect[op] for op in ("paraproduct", "remainder", "bony_reconstruction")]
+
+
+class TestCubeLayout:
+    # a finite pair is gathered to the 2/3 cube once: every family array
+    # and Bony operator has the frozen full-lattice workspace's bytes on the
+    # cube, exact zeros outside it, and equals it on the whole lattice
+    # (outside the cube the oracle's terms III and IV hold -0.0 real parts,
+    # from (-phi_k) * (+0), where the cube results scatter +0.0).  "wide"
+    # data reach N/2 - 1 and are dealiased on entry; kmax = 10 is not
+    # representable at 3D N=16
+    @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+    @pytest.mark.parametrize(
+        "grid, kmax",
+        [
+            pytest.param(sp.Grid(d, n), kmax, id=f"{d}d-{n}-{label}")
+            for d, n in ((2, 64), (2, 128), (3, 16), (3, 32))
+            for label, kmax in (
+                ("full", None), ("kmax3", 3), ("kmax10", 10), ("wide", n // 2 - 1)
+            )
+            if kmax is None or kmax <= n // 2 - 1
+        ],
+    )
+    def test_matches_full_lattice_oracle(self, grid, kmax, vector):
+        band = {} if kmax is None else {"kmax": kmax}
+        f = sp.random_solenoidal(grid, seed=90, decay=2.0, **band)
+        g = sp.random_band_limited(
+            grid, seed=91, decay=2.0, ncomp=grid.dimension if vector else 1, **band
+        )
+        assert paracalc._workspace(f, g).width == grid.dealias_limit
+        got, expect = family_arrays(f, g)
+        if not vector:
+            for u, v in ((f.component(0), g), (g, f.component(1))):
+                more_got, more_expect = bony_arrays(u, v)
+                got, expect = got + more_got, expect + more_expect
+        for new, old in zip(got, expect, strict=True):
+            assert sp._cube_supported(grid, new)
+            assert sp._gather(grid, new).tobytes() == sp._gather(grid, old).tobytes()
+            assert np.array_equal(new, old)
+
+    @pytest.mark.parametrize("where", ["f", "g"])
+    def test_nonfinite_mode_outside_the_cube_keeps_the_full_layout(self, where):
+        # a NaN at (60, 50), outside the cube at 2D N=128, survives dealiasing
+        # (NaN * 0 is NaN); a gather would drop it, so the pair stays on the
+        # full half spectrum, every direct shell and Bony operator is NaN,
+        # and the bytes are the oracle's.  A split term is NaN too unless it
+        # has no nonempty product, as term II at j_max, whose block
+        # Delta_{j_max} d_i g is empty: it is then exactly zero
+        grid = sp.Grid(2, 128)
+        fields = {
+            "f": sp.random_solenoidal(grid, seed=84),
+            "g": sp.random_band_limited(grid, seed=85),
+        }
+        coeffs = fields[where].coeffs.copy()
+        coeffs[0, 60, 50] = np.nan
+        fields[where] = sp.RealField(grid, coeffs=coeffs, solenoidal=where == "f")
+        f, g = fields["f"], fields["g"]
+        assert paracalc._workspace(f, g).width is None
+        got, expect = family_arrays(f, g)
+        more_got, more_expect = bony_arrays(f.component(0), g)
+        for new, old in zip(got + more_got, expect + more_expect, strict=True):
+            assert new.tobytes() == old.tobytes()
+            assert np.isnan(new).all() or not new.any()
+        assert all(np.isnan(new).all() for new in got[: len(grid.js)] + more_got)
+
+    @pytest.mark.parametrize("grid", [sp.Grid(2, 128), sp.Grid(3, 16)], ids=["2d-128", "3d-16"])
+    def test_finite_pair_runs_no_full_transform(self, grid, monkeypatch):
+        import scipy.fft
+
+        f = sp.random_solenoidal(grid, seed=86)
+        g = sp.random_band_limited(grid, seed=87, ncomp=grid.dimension)
+
+        def full_transform(*args, **kwargs):
+            raise AssertionError("full transform called")
+
+        for name in ("rfftn", "irfftn"):
+            monkeypatch.setattr(scipy.fft, name, full_transform)
+        commutator_family(f, g)
+        commutator_split_family(f, g)
+        bony_reconstruction(f.component(0), g.component(1))

@@ -59,6 +59,7 @@ GRID_TABLES = {
     "plancherel_weights": sp._plancherel_weights,
     "leray_factors": sp._leray_factors,
     "cube_tables": sp._cube_tables,
+    "cube_bank": sp._cube_bank,
     "shell_boxes": sp._shell_boxes,
     "ball_kernels": spaces._ball_kernels,
 }
@@ -288,6 +289,12 @@ class TestDyadicBlock:
             assert counts == [math.prod(c.shape[:-d])]
             assert got.shape == c.shape[:-d] + grid.shape
             assert np.array_equal(got, expect)
+
+    def test_one_component_takes_no_box_at_64(self, box_passes):
+        # on the full half spectrum at 2D N=64 the box path loses for one
+        # component, so the shell sweep of a scalar takes no box
+        sp.block_magnitudes(sp.random_band_limited(G64, seed=83))
+        assert box_passes == []
 
     def test_nonfinite_mode_outside_every_box_poisons_every_shell(self, box_passes):
         # 2D N=128 inverse-transforms its leading shells from their boxes; a
