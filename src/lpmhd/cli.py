@@ -80,7 +80,10 @@ def _pin_allocator() -> None:
         mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it
+    unchanged)."""
     parser = argparse.ArgumentParser(
         prog="lpmhd",
         description="Pseudospectral Littlewood-Paley / ideal-MHD toolkit",

@@ -22,6 +22,13 @@ from .spaces import NormSpec
 from .spectral import Grid, SpectralError
 
 
+# libyaml's safe loader and dumper, which parse and dump the same documents
+# several times faster; PyYAML built without libyaml has only the
+# pure-Python classes
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
 class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
 
@@ -211,7 +218,7 @@ class RunConfig:
 
     def to_yaml(self) -> str:
         """The normalized config: parsing it again reproduces this config."""
-        return yaml.safe_dump(self.document, sort_keys=True)
+        return yaml.dump(self.document, Dumper=_DUMPER, sort_keys=True)
 
 
 def parse_config(text: str, subcommand: str) -> RunConfig:
@@ -219,7 +226,7 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
     if subcommand not in _SECTIONS:
         raise ConfigError(f"subcommand '{subcommand}' does not take a config file")
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed YAML: {exc}") from exc
     sections = _SECTIONS[subcommand]

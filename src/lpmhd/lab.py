@@ -30,7 +30,7 @@ import io
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache
 from itertools import combinations_with_replacement
 
@@ -91,7 +91,12 @@ class InequalityReport:
         return bool(np.all(np.isfinite(self.ratios)) and np.all(self.ratios >= 0))
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "max_ratio": self.max_ratio,
+        """The fields with the ratios as floats, and the max ratio.  The
+        fields are read by name, not by `asdict`, which would deep-copy the
+        ratios only to replace them; params, whose values are scalars, is
+        copied."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**out, "params": dict(self.params), "max_ratio": self.max_ratio,
                 "ratios": [float(r) for r in self.ratios]}
 
 

@@ -28,22 +28,28 @@ and `commutator_split_family` return dicts keyed by k, built from one shared
 set of factor transforms.  A single shell is a lookup,
 ``commutator_family(f, g)[k]``.
 
-Both halves read their factors from one dyadic-block cache per spectrum
-(`_Blocks`): the values of Delta_j a and S_j a, each computed on first use,
-and None for a block whose coefficients are all zero, which is then never
-transformed or multiplied.  A block is the shell sweep's single-shell
-kernel `spectral._shell_block`, its box rule decided once per cache; low
-passes and the term I and II factors take its emptiness check and inverse,
-`_nonzero_inverse`.  Leading axes of a spectrum are batch axes.  The
+Both halves read their factors from one dyadic-block cache per pair
+(`_Blocks`), which stacks the spectra of all the pair's factors on one
+layout: f_1..f_d and d_1 g..d_d g for the commutator, u and v for a Bony
+operator (`paraproduct` alone, which reads only u's low passes and v's
+blocks, keeps one per argument).  It gives each factor's values of
+Delta_j a and S_j a, each shell and low pass computed for all factors on
+first use, and None for a factor whose coefficients there are all zero,
+which is then never transformed or multiplied.  A shell is the shell
+sweep's product `spectral._shell_product` over the stack, its box rule
+decided once per cache, and the nonempty factors' slices of it are
+inverted by one `_inverse` call; so are the S_{j0} and chi_j low passes.
+The term I and II factors take one `_nonzero_inverse` each.  Leading axes
+of a spectrum are batch axes.  The
 paraproduct piece P_K(S_{j-1}a Delta_j b) and the remainder piece
 P_K(Delta_j a Delta~_j b) are summed over j by `paraproduct` and
 `remainder`, and over the components i of (f_i, d_i g) by the commutator
-split for terms I, III and IV.  `bony_reconstruction` shares one cache per
-argument across all its terms, and inverse-transforms every S_j a from
-chi_j.  The commutator keeps one workspace per (f, g), with g's components
-on the batch axis, so every f_i block is transformed once and shared by all
-components of g.  Both families read it: a one-slot cache holds the last
-pair's workspace while both fields live, so the split family of the pair the
+split for terms I, III and IV.  `bony_reconstruction` shares its one cache
+across all its terms, and inverse-transforms every S_j a from chi_j.  The
+commutator keeps one workspace per (f, g), with g's components on the batch
+axis, so every f_i block is transformed once and shared by all components
+of g.  Both families read it: a one-slot cache holds the last pair's
+workspace while both fields live, so the split family of the pair the
 direct family just measured transforms no block again.  In the workspace
 S_j a = S_{j-1} a + Delta_{j-1} a is summed in physical space for j > j0,
 from blocks already transformed; only S_{j0} a is inverse-transformed.  The
@@ -71,12 +77,14 @@ space the products that feed one output and forward-transforms each sum
 once: f . grad g, each direct shell, each per-shell entry of the
 paraproduct and remainder sums, and the product parts of terms I and II at
 each k.  Terms I, III and IV subtract phi_k times the sum over their k'
-window.  The Bony operators pass one pair per piece, so they keep one
-transform per piece, with the bits of P_K(a * b).
+window, each window summed in place in one new array with the bits of the
+builtin ``sum``.  The Bony operators pass one pair per piece, so they keep
+one transform per piece, with the bits of P_K(a * b).
 """
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from dataclasses import dataclass
 
@@ -89,12 +97,13 @@ from .spectral import (
     _cube_width,
     _forward,
     _gather,
+    _inverse,
     _layout_bank,
     _nonzero_inverse,
     _partial,
     _require_solenoidal,
     _scatter,
-    _shell_block,
+    _shell_product,
     dealias,
     dealias_mask,
 )
@@ -147,61 +156,119 @@ def _add_products(acc: np.ndarray, grid, pairs):
 
 
 class _Blocks:
-    """The dyadic blocks of one spectrum a, batched over its leading axes
-    and laid out on the 2/3 cube or the full half spectrum (`_cube_width`):
-    ``block(j)`` gives the values of Delta_j a and ``low(j)`` those of S_j a,
-    each computed on first use and held as None when its coefficients are
-    identically zero.  A block is one inverse transform (`_shell_block`,
-    from its box for the shells `_block_boxes` picks for the layout: on the
-    cube every shell box inside it, the rest from the whole cube), and so
-    is a low pass unless `telescoped`: then S_j a = S_{j-1} a + Delta_{j-1} a
-    for j > j0, summed in physical space.  That is exact on the multipliers,
-    phi_{j-1} = chi_j - chi_{j-1}, and equal to the transform of chi_j a up
-    to round-off.  A low pass reads chi_j on the layout (`_layout_bank`)
-    and is inverted with its half-width.  The memos are plain dicts, so a
-    dropped cache holds no reference cycle and is freed at once."""
+    """The dyadic blocks of several factors a_1, a_2, .. stacked on one
+    layout, the 2/3 cube or the full half spectrum (`_cube_width`), each
+    factor batched over its own leading axes: ``block(j)`` gives, per
+    factor, the values of Delta_j a or None, and ``low(j)`` those of S_j a,
+    each shell and low pass computed for all factors on first use.  A
+    factor's block is None when its coefficients on the shell are all
+    exactly zero; it is then never transformed or multiplied.  A shell is
+    one product over the stack (`_shell_product`, on its box for the shells
+    `_block_boxes` picks for the layout: on the cube every shell box inside
+    it, the rest on the whole cube), and the nonempty factors' slices of it
+    are inverted by one `_inverse` call.  So is a low pass, from chi_j on
+    the layout (`_layout_bank`), unless `telescoped`: then
+    S_j a = S_{j-1} a + Delta_{j-1} a for j > j0, summed in physical space.
+    That is exact on the multipliers, phi_{j-1} = chi_j - chi_{j-1}, and
+    equal to the transform of chi_j a up to round-off.  Batching keeps each
+    slice's bits.  `_Factor(blocks, i)` reads the i-th factor.  The
+    memos are plain dicts, so a dropped cache holds no reference cycle and
+    is freed at once."""
 
-    def __init__(self, grid, coeffs: np.ndarray, telescoped: bool = False):
+    def __init__(self, grid, factors, telescoped: bool = False):
+        d = grid.dimension
         self.grid = grid
-        self.coeffs = coeffs
         self.telescoped = telescoped
-        self.width = _cube_width(grid, coeffs)
-        self.bank = _layout_bank(grid, coeffs)
-        self._boxes = _block_boxes(grid, coeffs)
+        self.shapes = [a.shape[:-d] for a in factors]
+        flat = [a.reshape((-1,) + a.shape[-d:]) for a in factors]
+        ends = itertools.accumulate(len(a) for a in flat)
+        self.rows = [slice(end - len(a), end) for a, end in zip(flat, ends)]
+        self.coeffs = np.concatenate(flat)
+        self.width = _cube_width(grid, self.coeffs)
+        self.bank = _layout_bank(grid, self.coeffs)
+        self._boxes = _block_boxes(grid, self.coeffs)
         self._blocks, self._lows = {}, {}
 
-    def block(self, j: int):
+    def _values(self, spectrum: np.ndarray, k) -> list:
+        """Per factor, the inverse of its rows of the stacked `spectrum`
+        (half-width k), or None when they are all exactly zero; the rows of
+        the other factors are inverted by one `_inverse` call."""
+        live = [bool(spectrum[rows].any()) for rows in self.rows]
+        if not any(live):
+            return [None] * len(live)
+        if not all(live):
+            spectrum = np.concatenate([spectrum[r] for r, x in zip(self.rows, live) if x])
+        values = _inverse(self.grid, spectrum, k)
+        out, start = [], 0
+        for rows, shape, x in zip(self.rows, self.shapes, live):
+            if x:
+                stop = start + rows.stop - rows.start
+                out.append(values[start:stop].reshape(shape + self.grid.shape))
+                start = stop
+            else:
+                out.append(None)
+        return out
+
+    def block(self, j: int) -> list:
         if j not in self._blocks:
-            self._blocks[j] = _shell_block(self.grid, self.coeffs, j, self._boxes)
+            self._blocks[j] = self._values(*_shell_product(self.grid, self.coeffs, j, self._boxes))
         return self._blocks[j]
 
-    def low(self, j: int):
+    def low(self, j: int) -> list:
         if j not in self._lows:
             if self.telescoped and j > self.grid.j0:
-                parts = [x for x in (self.low(j - 1), self.block(j - 1)) if x is not None]
-                self._lows[j] = sum(parts[1:], parts[0]) if parts else None
+                self._lows[j] = [
+                    blk if low is None else low if blk is None else low + blk
+                    for low, blk in zip(self.low(j - 1), self.block(j - 1))
+                ]
             else:
-                chi = self.bank.chi[j]
-                self._lows[j] = _nonzero_inverse(self.grid, chi * self.coeffs, self.width)
+                self._lows[j] = self._values(self.bank.chi[j] * self.coeffs, self.width)
         return self._lows[j]
 
 
-def _paraproduct_factors(a: _Blocks, b: _Blocks, j: int):
+class _Factor:
+    """Factor i of a `_Blocks` cache: its spectrum, and the values of its
+    blocks and low passes, read from the shared cache."""
+
+    def __init__(self, blocks: _Blocks, i: int):
+        self.blocks, self.i, self.grid = blocks, i, blocks.grid
+        self.coeffs = blocks.coeffs[blocks.rows[i]].reshape(
+            blocks.shapes[i] + blocks.coeffs.shape[1:]
+        )
+
+    def block(self, j: int):
+        return self.blocks.block(j)[self.i]
+
+    def low(self, j: int):
+        return self.blocks.low(j)[self.i]
+
+
+def _paraproduct_factors(a: _Factor, b: _Factor, j: int):
     """The factors (S_{j-1}a, Delta_j b) of the paraproduct piece at j."""
     return a.low(j - 1), b.block(j)
 
 
-def _remainder_factors(a: _Blocks, b: _Blocks, j: int):
+def _window_sum(arrays):
+    """The builtin ``sum`` of a nonempty sequence of arrays, with its bits
+    (0 + first, then each next added in order), accumulated in place in one
+    new array."""
+    arrays = iter(arrays)
+    out = 0 + next(arrays)
+    for x in arrays:
+        out += x
+    return out
+
+
+def _remainder_factors(a: _Factor, b: _Factor, j: int):
     """The factors (Delta_j a, Delta~_j b) of the remainder piece at j,
-    Delta~_j b the sum of the nonempty blocks j-1, j, j+1 of b; b's blocks
-    are not transformed when Delta_j a is empty."""
+    Delta~_j b the sum of the nonempty blocks j-1, j, j+1 of b."""
     grid = a.grid
     blk = a.block(j)
     if blk is None:
         return None, None
     near = (b.block(j + d) for d in (-1, 0, 1) if grid.j0 <= j + d <= grid.j_max)
     tilde = [t for t in near if t is not None]
-    return blk, (sum(tilde) if tilde else None)
+    return blk, (_window_sum(tilde) if tilde else None)
 
 
 def _sum_pieces(factors, pairs, js) -> np.ndarray:
@@ -216,34 +283,40 @@ def _sum_pieces(factors, pairs, js) -> np.ndarray:
     return acc
 
 
-def _scalar_blocks(u: RealField, v: RealField):
-    """One block cache per dealiased argument of a Bony operator, both on
-    one layout (`_on_one_layout`)."""
+def _scalar_spectra(u: RealField, v: RealField) -> list:
+    """Both dealiased arguments of a Bony operator, on one layout
+    (`_on_one_layout`)."""
     if u.grid != v.grid:
         raise SpectralError("grid mismatch between paraproduct arguments")
     if not (u.is_scalar and v.is_scalar):
         raise SpectralError("paraproduct operations expect scalar fields")
-    grid = u.grid
-    a, b = _on_one_layout(grid, dealias(u).coeffs[0], dealias(v).coeffs[0])
-    return _Blocks(grid, a), _Blocks(grid, b)
+    return _on_one_layout(u.grid, dealias(u).coeffs[0], dealias(v).coeffs[0])
 
 
-def _paraproduct(a: _Blocks, b: _Blocks) -> np.ndarray:
+def _scalar_blocks(u: RealField, v: RealField):
+    """The factors of one block cache of both arguments of a Bony operator,
+    for R(u, v) and the reconstruction, which read the blocks and low
+    passes of both."""
+    blocks = _Blocks(u.grid, _scalar_spectra(u, v))
+    return _Factor(blocks, 0), _Factor(blocks, 1)
+
+
+def _paraproduct(a: _Factor, b: _Factor) -> np.ndarray:
     grid = a.grid
     return _sum_pieces(_paraproduct_factors, [(a, b)], range(grid.j0 + 1, grid.j_max + 1))
 
 
-def _remainder(a: _Blocks, b: _Blocks) -> np.ndarray:
+def _remainder(a: _Factor, b: _Factor) -> np.ndarray:
     return _sum_pieces(_remainder_factors, [(a, b)], a.grid.js)
 
 
-def _base_terms(a: _Blocks, b: _Blocks) -> np.ndarray:
+def _base_terms(a: _Factor, b: _Factor) -> np.ndarray:
     grid, j0 = a.grid, a.grid.j0
 
     def product(x, y):
         if x is None or y is None:
             return np.zeros(a.coeffs.shape, dtype=complex)
-        return _projected(grid, x * y, a.width)
+        return _projected(grid, x * y, a.blocks.width)
 
     p0a, p0b = a.low(j0), b.low(j0)
     s1a, s1b = a.low(j0 + 1), b.low(j0 + 1)
@@ -253,7 +326,9 @@ def _base_terms(a: _Blocks, b: _Blocks) -> np.ndarray:
 
 def paraproduct(u: RealField, v: RealField) -> RealField:
     """T_u v = sum_{j=j0+1}^{j_max} S_{j-1}u Delta_j v, dealiased."""
-    return _field(u.grid, _paraproduct(*_scalar_blocks(u, v)))
+    # it reads only u's low passes and v's blocks: one cache each
+    a, b = (_Factor(_Blocks(u.grid, [c]), 0) for c in _scalar_spectra(u, v))
+    return _field(u.grid, _paraproduct(a, b))
 
 
 def remainder(u: RealField, v: RealField) -> RealField:
@@ -306,11 +381,13 @@ class CommutatorSplit:
 
 
 class _CommutatorWorkspace:
-    """Shared per-(f, g) precomputations for both commutator families: the
-    blocks of every f_i and of every d_i g, with telescoped low passes, so
-    assembling all k reuses the same physical-space factors and never
-    transforms an empty block.  The components of g ride a leading batch
-    axis, so f's blocks are transformed once whatever g's component count.
+    """Shared per-(f, g) precomputations for both commutator families: one
+    block cache of every f_i and every d_i g (`blocks`, read through the
+    factors `f` and `dg`), with telescoped low passes, so assembling all k
+    reuses the same physical-space factors, inverts each shell of all
+    factors at once and never transforms an empty block.  The components of
+    g ride a leading batch axis, so f's blocks are transformed once whatever
+    g's component count.
 
     The dealiased pair takes one layout (`_on_one_layout`): a finite pair
     is gathered to the 2/3 cube once, and every product, multiplier, window
@@ -329,9 +406,12 @@ class _CommutatorWorkspace:
         self.shape = gc.shape
         self.width = _cube_width(grid, gc)
         self.bank = _layout_bank(grid, gc)
-        self.d = grid.dimension
-        self.f = [_Blocks(grid, fc[i], telescoped=True) for i in range(self.d)]
-        self.dg = [_Blocks(grid, _partial(grid, gc, i), telescoped=True) for i in range(self.d)]
+        self.d = d = grid.dimension
+        self.blocks = _Blocks(
+            grid, list(fc) + [_partial(grid, gc, i) for i in range(d)], telescoped=True
+        )
+        self.f = [_Factor(self.blocks, i) for i in range(d)]
+        self.dg = [_Factor(self.blocks, d + i) for i in range(d)]
         # S_{j_max+1} is the identity on the lattice
         self.top = grid.j_max + 1
 
@@ -405,23 +485,29 @@ class _CommutatorWorkspace:
     def _split(self, k, p1, q, p2):
         grid, phi_k = self.grid, self.bank.phi[k]
         near = range(max(grid.j0 + 1, k - 4), min(grid.j_max, k + 4) + 1)
+        # (-phi_k) * window, not -(phi_k * window): that would flip the sign
+        # of zero products
+        minus_phi_k = -phi_k
 
         # I: sum_{k'~k} [S_{k'-1} f_i, Delta_k] d_i Delta_{k'} g.  The first
         # (paraproduct-of-block) piece survives only for |k'-k| <= 1.
         term_i = self._zeros()
         _add_products(term_i, grid, self._term_i_pairs(k))
-        term_i -= phi_k * sum(p1[kp] for kp in near)
+        window = _window_sum(p1[kp] for kp in near)
+        term_i -= np.multiply(phi_k, window, out=window)
 
         # II: sum_{k'>=k-2} S_{k'+2}(Delta_k d_i g) Delta_{k'} f_i
         term_ii = self._zeros()
         _add_products(term_ii, grid, self._term_ii_pairs(k))
 
         # III: -Delta_k sum_{k'~k} S_{k'-1}(d_i g) Delta_{k'} f_i
-        term_iii = -phi_k * sum(q[kp] for kp in near)
+        window = _window_sum(q[kp] for kp in near)
+        term_iii = np.multiply(minus_phi_k, window, out=window)
 
         # IV: -Delta_k sum_{k'>=k-3} Delta_{k'} f_i d_i Delta~_{k'} g
         above = range(max(grid.j0, k - 3), grid.j_max + 1)
-        term_iv = -phi_k * sum(p2[kp] for kp in above)
+        window = _window_sum(p2[kp] for kp in above)
+        term_iv = np.multiply(minus_phi_k, window, out=window)
 
         return term_i, term_ii, term_iii, term_iv
 

@@ -30,10 +30,12 @@ counter patch those attributes.
 `_partial` is the one first-order symbol, i xi_b c: `jacobian`, `divergence`,
 `curl`, the gradient sups and paracalc's d_i g form every entry with it.
 
-`_shell_block` is the one dyadic-block kernel, `_block_boxes` its box rule.
-It serves the shell sweep `_shell_blocks` (`block_magnitudes`, the record)
-and paracalc's block caches (the commutator workspace, the Bony operators).
-The rule depends on the layout.  On the full half spectrum
+`_shell_product` is the one dyadic-block kernel, phi_j times a spectrum
+on the shell's box or the whole layout, with `_block_boxes` its box rule.
+The shell sweep `_shell_blocks` (`block_magnitudes`, the record) inverts
+it shell by shell; paracalc's block caches (the commutator workspace, the
+Bony operators) take it of all their factors stacked and invert each
+shell in one call.  The rule depends on the layout.  On the full half spectrum
 (`block_magnitudes`, and paracalc's pairs with a non-finite coefficient) a
 shell takes its box when it pays for the box path's extra calls: j =
 -1..3 at 2D N=128 and j = -1..1 at 3D N=32 for one to six components; at
@@ -620,27 +622,29 @@ def _nonzero_inverse(grid: Grid, spectrum: np.ndarray, k: int | None = None):
     return _inverse(grid, spectrum, k) if any(part.any() for part in parts) else None
 
 
-def _shell_block(grid: Grid, coeffs: np.ndarray, j: int, boxes: tuple):
-    """The one dyadic-block kernel: Delta_j of coefficients (...) + either
-    layout of `_cube_width` as a new (...) + grid.shape array, or None for
-    an empty shell.  A shell with a box in `boxes` runs on it, and a cube's
-    other shells on the whole cube, with the bits of the full product and
-    inverse."""
+def _shell_product(grid: Grid, coeffs: np.ndarray, j: int, boxes: tuple) -> tuple:
+    """phi_j times coefficients (...) + either layout of `_cube_width`, as
+    (product, k) for `_inverse(grid, product, k)`: on the shell's box of
+    half-width k when `boxes` holds one, and otherwise on the whole layout,
+    with the bits of the full product."""
     i = j - grid.j0
     if i >= len(boxes):
         phi = _layout_bank(grid, coeffs).phi[j]
-        return _nonzero_inverse(grid, coeffs * phi, _cube_width(grid, coeffs))
+        return coeffs * phi, _cube_width(grid, coeffs)
     k = boxes[i].shape[-1] - 1
     shell = _gather(grid, coeffs, k)
     shell *= boxes[i]
-    return _nonzero_inverse(grid, shell, k)
+    return shell, k
 
 
 def _shell_blocks(grid: Grid, coeffs: np.ndarray):
-    """The shell sweep: `_shell_block` of stacked coefficients for each j in
-    grid.js, one at a time, each shell product freed before the next."""
+    """The shell sweep: for each j in grid.js, one at a time, Delta_j of
+    stacked coefficients (...) + either layout of `_cube_width` as a new
+    (...) + grid.shape array, or None for an empty shell: the inverse of
+    `_shell_product`, with the bits of the full product and inverse, each
+    shell product freed before the next."""
     boxes = _block_boxes(grid, coeffs)
-    return (_shell_block(grid, coeffs, j, boxes) for j in grid.js)
+    return (_nonzero_inverse(grid, *_shell_product(grid, coeffs, j, boxes)) for j in grid.js)
 
 
 def block_magnitudes(f: RealField) -> np.ndarray:
@@ -677,6 +681,24 @@ def _plancherel_weights(grid: Grid) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _edge_mirror(grid: Grid) -> np.ndarray:
+    """The flat index of -xi for each xi of an edge plane's d-1 leading axes
+    flattened (xi -> -xi mod N on each axis), read-only."""
+    n, lead = grid.points, (grid.points,) * (grid.dimension - 1)
+    out = np.ravel_multi_index(np.ix_(*[(-np.arange(n)) % n] * len(lead)), lead).ravel()
+    out.flags.writeable = False
+    return out
+
+
+def _component_energy(c: np.ndarray) -> np.ndarray:
+    """sum over the leading (component) axis of |c|^2, as re^2 + im^2; one
+    component is its own sum, with no copy."""
+    out = np.square(c.real)
+    out += np.square(c.imag)
+    return out[0] if len(out) == 1 else out.sum(axis=0)
+
+
 def _realized_energy(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """sum over components of |c(xi)|^2 for the spectrum that `_inverse`
     realizes, flattened over the spectral lattice.
@@ -685,16 +707,18 @@ def _realized_energy(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     only their Hermitian part (c(xi) + conj c(-xi)) / 2; a field whose
     coefficients are not Hermitian there (the Nyquist line of a derivative,
     for one) would otherwise be credited with energy its values do not have.
+    The two planes are the last axis's entries 0 and N/2, a view whose
+    leading axes `_edge_mirror` indexes flattened.
     """
-
-    def energy(c):
-        return (np.square(c.real) + np.square(c.imag)).sum(axis=0)
-
-    out = energy(coeffs)
-    # xi -> -xi on the d-1 leading axes of the two edge planes
-    mirror = np.ix_(*[(-np.arange(grid.points)) % grid.points] * (grid.dimension - 1))
-    edges = coeffs[..., [0, -1]]
-    out[..., [0, -1]] = energy(0.5 * (edges + np.conj(edges[(slice(None),) + mirror])))
+    out = _component_energy(coeffs)
+    step = grid.points // 2
+    edges = coeffs[..., ::step]
+    edges = edges.reshape(edges.shape[:-grid.dimension] + (-1, 2))
+    hermitian = np.take(edges, _edge_mirror(grid), axis=-2)
+    np.conjugate(hermitian, out=hermitian)
+    hermitian += edges
+    hermitian *= 0.5
+    out[..., ::step] = _component_energy(hermitian).reshape(out[..., ::step].shape)
     return out.ravel()
 
 

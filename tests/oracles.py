@@ -2,8 +2,9 @@
 defect of a filter bank, the L_inf operator-norm bound of the dyadic
 blocks, the explicit forms of lattice tables, first-order operators and
 initial data that the package derives from one source, a frozen
-diagnostics record, a frozen RK4 step, and the frozen full-lattice
-commutator families and Bony operators."""
+diagnostics record, a frozen RK4 step, the frozen Plancherel energy
+kernel, and the frozen full-lattice commutator families and Bony
+operators."""
 
 import math
 
@@ -201,6 +202,22 @@ def elsasser_step(state, dt):
         RealField(grid, coeffs=full[1], solenoidal=zm.solenoidal),
         state.t + dt,
     )
+
+
+def realized_energy(grid, coeffs):
+    """`spectral._realized_energy` frozen to the bits it has always had: the
+    energy summed over components, with the xi_d = 0 and N/2 planes replaced
+    by the energy of their Hermitian part (c(xi) + conj c(-xi)) / 2, the
+    mirror index built on each call."""
+
+    def energy(c):
+        return (np.square(c.real) + np.square(c.imag)).sum(axis=0)
+
+    out = energy(coeffs)
+    mirror = np.ix_(*[(-np.arange(grid.points)) % grid.points] * (grid.dimension - 1))
+    edges = coeffs[..., [0, -1]]
+    out[..., [0, -1]] = energy(0.5 * (edges + np.conj(edges[(slice(None),) + mirror])))
+    return out.ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,17 @@ class TestBonyIdentity:
         bony_reconstruction(u, v)
         assert sum(counts) == 43
 
+    @pytest.mark.parametrize("fn, expected", [(paraproduct, 17), (remainder, 21)])
+    def test_single_operator_transform_count(self, count_transforms, fn, expected):
+        # T_u v transforms u's low passes and v's blocks only, R(u, v) the
+        # blocks of both, as with one cache per argument
+        grid = sp.Grid(2, 128)
+        u = sp.random_band_limited(grid, seed=1, decay=2.0)
+        v = sp.random_band_limited(grid, seed=2, decay=2.0)
+        counts = count_transforms()
+        fn(u, v)
+        assert sum(counts) == expected
+
 
 class TestCommutator:
     def test_constant_advector(self):
@@ -330,12 +341,68 @@ class TestEmptyBlocks:
             assert err <= 1e-12 * scale
 
 
+class TestZeroFactor:
+    # f_2 of a shear flow f = (u(x_2), 0) is exactly zero, and f of band 3
+    # has no shell above j = 2 while d_i g has all of them: a factor whose
+    # shell is zero keeps a None block and is not inverted, each shell with
+    # a nonempty factor is one inverse of the workspace's cache, and the
+    # families have the frozen full-lattice workspace's bits
+    @pytest.mark.parametrize("case", ["shear", "band3"])
+    @pytest.mark.parametrize("grid", [sp.Grid(2, 64), sp.Grid(3, 16)], ids=["2d-64", "3d-16"])
+    def test_zero_factor_shell_is_none(self, grid, case, monkeypatch):
+        d = grid.dimension
+        if case == "shear":
+
+            def shear(*x):
+                return np.sin(x[1]) + 0.3 * np.cos(5 * x[1])
+
+            f = sp.from_function(grid, shear, *[lambda *x: 0.0] * (d - 1))
+        else:
+            f = sp.random_solenoidal(grid, seed=46, kmax=3)
+        g = sp.random_band_limited(grid, seed=47)
+        calls = []
+        inverse = paracalc._inverse
+
+        def counted(grid, spectrum, k=None):
+            calls.append(len(spectrum))
+            return inverse(grid, spectrum, k)
+
+        monkeypatch.setattr(paracalc, "_inverse", counted)
+        ws = paracalc._workspace(f, g)
+        got, expect = family_arrays(f, g)
+        for new, old in zip(got, expect, strict=True):
+            assert sp._gather(grid, new).tobytes() == sp._gather(grid, old).tobytes()
+            assert np.array_equal(new, old)
+        bank, factors = sp.make_filter_bank(grid), ws.f + ws.dg
+
+        def live_rows(multiplier):
+            # the rows of the factors whose product with the multiplier is
+            # not exactly zero, or None when there are none
+            live = [
+                len(x.coeffs) if x.coeffs.ndim > d else 1
+                for x in factors
+                if (multiplier * sp._scatter(grid, x.coeffs)).any()
+            ]
+            return sum(live) if live else None
+
+        for j in grid.js:
+            for x in factors:
+                zero = not (bank.phi[j] * sp._scatter(grid, x.coeffs)).any()
+                assert (x.block(j) is None) == zero, j
+        assert any(ws.f[-1].block(j) is None and ws.dg[0].block(j) is not None for j in grid.js)
+        # S_{j0} first (the top low passes telescope down to it), then one
+        # inverse of the live rows per nonempty shell
+        expected = [live_rows(bank.chi[grid.j0])] + [live_rows(bank.phi[j]) for j in grid.js]
+        assert calls == [rows for rows in expected if rows is not None]
+
+
 class TestBlockKernel:
-    # the block caches read spectral's single-shell kernel: a finite pair's
-    # caches hold the 2/3 cube, whose box rule gives every shell whose box
-    # lies in the cube its box, j = -1..4 at 2D N=128 and j = -1..2 at 3D
-    # N=32, for f_i (no batch axis) and for d_i g of one or two components;
-    # the next shell is inverted from the whole cube
+    # the workspace's one block cache reads spectral's single-shell product:
+    # a finite pair's cache holds the 2/3 cube, whose box rule gives every
+    # shell whose box lies in the cube its box, j = -1..4 at 2D N=128 and
+    # j = -1..2 at 3D N=32, for the whole stack of f_i (no batch axis) and
+    # d_i g (one or two components); the next shell is inverted from the
+    # whole cube.  Each shell is one inverse of the stack's nonempty slices
     @pytest.mark.parametrize("ncomp", [1, 2])
     @pytest.mark.parametrize("d, n, boxed", [(2, 128, 6), (3, 32, 4)], ids=["2d-128", "3d-32"])
     def test_boxed_block_matches_full_inverse(
@@ -346,21 +413,22 @@ class TestBlockKernel:
         f = sp.random_solenoidal(grid, seed=80)
         g = sp.random_band_limited(grid, seed=81, ncomp=ncomp)
         ws = paracalc._CommutatorWorkspace(f, g)
+        boxes = ws.blocks._boxes
+        assert len(boxes) == boxed
         counts = count_transforms()
-        for blocks, m in ((ws.f[0], 1), (ws.dg[0], ncomp)):
-            assert len(blocks._boxes) == boxed
-            # the boxed shells, then the first one from the whole cube
-            for j in grid.js[: boxed + 1]:
-                expect = sp._inverse(grid, bank.phi[j] * sp._scatter(grid, blocks.coeffs))
-                counts.clear()
-                box_passes.clear()
-                blk = blocks.block(j)
-                assert np.array_equal(blk, expect), j
-                boxes = blocks._boxes
-                k = boxes[j - grid.j0].shape[-1] - 1 if j < grid.j0 + boxed else n // 3
-                assert set(box_passes) == {k + 1}, j
-                # a box inverse of the flattened leading axes counts m
-                assert sum(counts) == m, j
+        # the boxed shells, then the first one from the whole cube
+        for j in grid.js[: boxed + 1]:
+            counts.clear()
+            box_passes.clear()
+            ws.blocks.block(j)
+            k = boxes[j - grid.j0].shape[-1] - 1 if j < grid.j0 + boxed else n // 3
+            assert set(box_passes) == {k + 1}, j
+            # one box inverse of the shell's batch: d slices of f and
+            # d * ncomp of the d_i g, flattened on the leading axis
+            assert counts == [d + d * ncomp], j
+            for factor in ws.f + ws.dg:
+                expect = sp._inverse(grid, bank.phi[j] * sp._scatter(grid, factor.coeffs))
+                assert np.array_equal(factor.block(j), expect), j
 
     def test_nonfinite_mode_outside_the_boxes_poisons_every_block(self):
         # a NaN at a mode that no small box holds makes every full block
@@ -388,8 +456,7 @@ def chi_path_families(f, g):
     workspace whose low passes are each inverse-transformed from chi_j."""
     grid = f.grid
     ws = paracalc._CommutatorWorkspace(f, g)
-    for blocks in ws.f + ws.dg:
-        blocks.telescoped = False
+    ws.blocks.telescoped = False
     split = ws.split_family()
     direct = ws.direct_family()
     return [{k: sp._scatter(grid, direct[k]) for k in grid.js}] + [

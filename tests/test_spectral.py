@@ -20,6 +20,7 @@ from oracles import (
     half_lattice_modes_by_mask,
     jacobian_coeffs,
     partition_defect,
+    realized_energy,
     riesz_coeffs,
 )
 
@@ -57,6 +58,7 @@ GRID_TABLES = {
     "spectral_weights": sp.spectral_weights,
     "make_filter_bank": sp.make_filter_bank,
     "plancherel_weights": sp._plancherel_weights,
+    "edge_mirror": sp._edge_mirror,
     "leray_factors": sp._leray_factors,
     "cube_tables": sp._cube_tables,
     "cube_bank": sp._cube_bank,
@@ -685,6 +687,37 @@ class TestRandomFields:
         for freq in sp.frequencies(grid):
             outside = outside | (np.abs(freq) > band)
         assert np.all(f.coeffs[:, outside] == 0.0)
+
+
+class TestRealizedEnergy:
+    # the Plancherel kernel has the frozen kernel's bytes on spectra that
+    # are Hermitian nowhere, with signed zeros, NaN and infinities on the
+    # edge planes and inside, for one to three components
+    @pytest.mark.parametrize("ncomp", [1, 2, 3])
+    @pytest.mark.parametrize("d, n", [(2, 16), (2, 64), (3, 16), (3, 32)])
+    def test_matches_frozen_kernel(self, d, n, ncomp):
+        grid = sp.Grid(d, n)
+        rng = np.random.default_rng(100 * d + n + ncomp)
+        shape = (ncomp,) + grid.spectral_shape
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        c[..., 1, 0] = -0.0
+        assert sp._realized_energy(grid, c).tobytes() == realized_energy(grid, c).tobytes()
+        for value in (np.nan, np.inf, -np.inf, complex(np.inf, np.nan)):
+            for where in ((0, 2, 0), (0, 3, -1), (-1, 5, 4)):
+                bad = c.copy()
+                bad[where[:1] + (slice(None),) * (d - 2) + where[1:]] = value
+                with np.errstate(invalid="ignore"):
+                    got, expect = sp._realized_energy(grid, bad), realized_energy(grid, bad)
+                assert got.tobytes() == expect.tobytes(), (value, where)
+                assert not np.isfinite(got).all()
+
+    def test_shell_energies_read_the_kernel(self):
+        grid = sp.Grid(3, 16)
+        f = sp.jacobian(sp.random_band_limited(grid, seed=9))
+        e, total = sp.shell_energies(f)
+        expect = sp._plancherel_weights(grid) @ realized_energy(grid, f.coeffs)
+        assert e.tobytes() == expect[:-1].tobytes()
+        assert total == expect[-1]
 
 
 class TestTransformEntryPoint:
