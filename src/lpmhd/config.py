@@ -228,6 +228,12 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
     try:
         data = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
+        # libyaml's marks quote no source line: word the error as the
+        # pure-Python parser does, with the line and a caret
+        try:
+            yaml.load(text, Loader=yaml.SafeLoader)
+        except yaml.YAMLError as pure:
+            exc = pure
         raise ConfigError(f"malformed YAML: {exc}") from exc
     sections = _SECTIONS[subcommand]
     data = _require_mapping({} if data is None else data, "the config document",

@@ -28,29 +28,28 @@ and `commutator_split_family` return dicts keyed by k, built from one shared
 set of factor transforms.  A single shell is a lookup,
 ``commutator_family(f, g)[k]``.
 
-Both halves read their factors from one dyadic-block cache per pair
-(`_Blocks`), which stacks the spectra of all the pair's factors on one
-layout: f_1..f_d and d_1 g..d_d g for the commutator, u and v for a Bony
-operator (`paraproduct` alone, which reads only u's low passes and v's
-blocks, keeps one per argument).  It gives each factor's values of
-Delta_j a and S_j a, each shell and low pass computed for all factors on
-first use, and None for a factor whose coefficients there are all zero,
-which is then never transformed or multiplied.  A shell is the shell
-sweep's product `spectral._shell_product` over the stack, its box rule
-decided once per cache, and the nonempty factors' slices of it are
-inverted by one `_inverse` call; so are the S_{j0} and chi_j low passes.
-The term I and II factors take one `_nonzero_inverse` each.  Leading axes
-of a spectrum are batch axes.  The
-paraproduct piece P_K(S_{j-1}a Delta_j b) and the remainder piece
-P_K(Delta_j a Delta~_j b) are summed over j by `paraproduct` and
-`remainder`, and over the components i of (f_i, d_i g) by the commutator
-split for terms I, III and IV.  `bony_reconstruction` shares its one cache
-across all its terms, and inverse-transforms every S_j a from chi_j.  The
-commutator keeps one workspace per (f, g), with g's components on the batch
-axis, so every f_i block is transformed once and shared by all components
-of g.  Both families read it: a one-slot cache holds the last pair's
-workspace while both fields live, so the split family of the pair the
-direct family just measured transforms no block again.  In the workspace
+The commutator reads its factors from one dyadic-block cache per pair
+(`_Blocks`), which stacks the spectra of all the pair's factors, f_1..f_d
+and d_1 g..d_d g, on one layout; a Bony operator keeps one cache per
+argument.  A cache gives each factor's values of Delta_j a and S_j a, each
+shell and low pass computed for all its factors on first use, and None for
+a factor whose coefficients there are all zero, which is then never
+transformed or multiplied.  A shell is the shell sweep's product
+`spectral._shell_product` over the stack, its box rule decided once per
+cache, and the nonempty factors' slices of it are inverted by one
+`_inverse` call; so are the S_{j0} and chi_j low passes.  The term I and
+II factors take one `_nonzero_inverse` each.  Leading axes of a spectrum
+are batch axes.  The paraproduct piece P_K(S_{j-1}a Delta_j b) and the
+remainder piece P_K(Delta_j a Delta~_j b) are summed over j by
+`paraproduct` and `remainder`, and over the components i of (f_i, d_i g)
+by the commutator split for terms I, III and IV.  `bony_reconstruction`
+shares one cache per argument across all its terms, and
+inverse-transforms every S_j a from chi_j.  The commutator keeps one
+workspace per (f, g), with g's components on the batch axis, so every f_i
+block is transformed once and shared by all components of g.  Both
+families read it: a one-slot cache holds the last pair's workspace while
+both fields live, so the split family of the pair the direct family just
+measured transforms no block again.  In the workspace
 S_j a = S_{j-1} a + Delta_{j-1} a is summed in physical space for j > j0,
 from blocks already transformed; only S_{j0} a is inverse-transformed.  The
 values of f_i and of the whole d_i g are their top low passes S_{j_max+1},
@@ -261,7 +260,8 @@ def _window_sum(arrays):
 
 def _remainder_factors(a: _Factor, b: _Factor, j: int):
     """The factors (Delta_j a, Delta~_j b) of the remainder piece at j,
-    Delta~_j b the sum of the nonempty blocks j-1, j, j+1 of b."""
+    Delta~_j b the sum of the nonempty blocks j-1, j, j+1 of b; b's blocks
+    are not transformed when Delta_j a is empty."""
     grid = a.grid
     blk = a.block(j)
     if blk is None:
@@ -283,22 +283,16 @@ def _sum_pieces(factors, pairs, js) -> np.ndarray:
     return acc
 
 
-def _scalar_spectra(u: RealField, v: RealField) -> list:
-    """Both dealiased arguments of a Bony operator, on one layout
-    (`_on_one_layout`)."""
+def _scalar_blocks(u: RealField, v: RealField):
+    """One block cache per dealiased argument of a Bony operator, both on
+    one layout (`_on_one_layout`), each read as its one factor."""
     if u.grid != v.grid:
         raise SpectralError("grid mismatch between paraproduct arguments")
     if not (u.is_scalar and v.is_scalar):
         raise SpectralError("paraproduct operations expect scalar fields")
-    return _on_one_layout(u.grid, dealias(u).coeffs[0], dealias(v).coeffs[0])
-
-
-def _scalar_blocks(u: RealField, v: RealField):
-    """The factors of one block cache of both arguments of a Bony operator,
-    for R(u, v) and the reconstruction, which read the blocks and low
-    passes of both."""
-    blocks = _Blocks(u.grid, _scalar_spectra(u, v))
-    return _Factor(blocks, 0), _Factor(blocks, 1)
+    grid = u.grid
+    a, b = _on_one_layout(grid, dealias(u).coeffs[0], dealias(v).coeffs[0])
+    return _Factor(_Blocks(grid, [a]), 0), _Factor(_Blocks(grid, [b]), 0)
 
 
 def _paraproduct(a: _Factor, b: _Factor) -> np.ndarray:
@@ -326,9 +320,7 @@ def _base_terms(a: _Factor, b: _Factor) -> np.ndarray:
 
 def paraproduct(u: RealField, v: RealField) -> RealField:
     """T_u v = sum_{j=j0+1}^{j_max} S_{j-1}u Delta_j v, dealiased."""
-    # it reads only u's low passes and v's blocks: one cache each
-    a, b = (_Factor(_Blocks(u.grid, [c]), 0) for c in _scalar_spectra(u, v))
-    return _field(u.grid, _paraproduct(a, b))
+    return _field(u.grid, _paraproduct(*_scalar_blocks(u, v)))
 
 
 def remainder(u: RealField, v: RealField) -> RealField:

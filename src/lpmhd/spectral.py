@@ -716,7 +716,9 @@ def _realized_energy(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     edges = edges.reshape(edges.shape[:-grid.dimension] + (-1, 2))
     hermitian = np.take(edges, _edge_mirror(grid), axis=-2)
     np.conjugate(hermitian, out=hermitian)
-    hermitian += edges
+    # c(xi) + conj c(-xi) in this order: at a self-mirrored mode with a NaN
+    # imaginary part the two NaNs differ in sign, and the first one wins
+    np.add(edges, hermitian, out=hermitian)
     hermitian *= 0.5
     out[..., ::step] = _component_energy(hermitian).reshape(out[..., ::step].shape)
     return out.ravel()

@@ -16,6 +16,7 @@ import pytest
 import yaml
 
 from lpmhd import cli
+from lpmhd import config
 from lpmhd import diagnostics as diag
 from lpmhd import mhd
 from lpmhd import spectral as sp
@@ -121,6 +122,37 @@ verify:
         cfg = write(tmp_path / "bad.yaml", "grid: [")
         assert main(["simulate", "--config", cfg]) == 2
         assert "malformed YAML" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text", ["grid: [", "grid: [1, 2\nseed: 3\n", "a: b: c\n", "x: 'open\n"]
+    )
+    def test_malformed_yaml_quotes_the_source_line(self, text):
+        # the message is the pure-Python parser's, with the line and caret
+        with pytest.raises(yaml.YAMLError) as pure:
+            yaml.load(text, Loader=yaml.SafeLoader)
+        with pytest.raises(ConfigError) as err:
+            parse_config(text, "simulate")
+        assert str(err.value) == f"malformed YAML: {pure.value}"
+        assert "^" in str(err.value)
+
+    def test_pure_python_yaml_classes(self, monkeypatch):
+        # PyYAML built without libyaml parses and dumps the same documents
+        text = """
+output: runs/v
+grid: {dimension: 2, points: 64}
+verify:
+  ids: [commutator-A2, term-IV]
+  resolutions: [64, 128]
+  params: {commutator-A2: {s: 2.5}}
+"""
+        fast = parse_config(text, "verify")
+        monkeypatch.setattr(config, "_LOADER", yaml.SafeLoader)
+        monkeypatch.setattr(config, "_DUMPER", yaml.SafeDumper)
+        pure = parse_config(text, "verify")
+        assert pure == fast
+        assert pure.to_yaml() == fast.to_yaml()
+        with pytest.raises(ConfigError, match="malformed YAML"):
+            parse_config("grid: [", "verify")
 
     def test_non_numeric_snapshot_time(self):
         text = SIM_TEMPLATE.format(out="x", kind="random", amp=1.0)

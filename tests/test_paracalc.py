@@ -199,6 +199,20 @@ class TestBonyIdentity:
         fn(u, v)
         assert sum(counts) == expected
 
+    @pytest.mark.parametrize("band_limited_first, expected", [(True, 13), (False, 16)])
+    def test_remainder_skips_blocks_past_a_band_limited_argument(
+        self, count_transforms, band_limited_first, expected
+    ):
+        # R(u, v) with u of kmax 3 against a full-band v: the blocks of the
+        # second argument next to an empty block of the first are never
+        # transformed, whichever argument is band-limited
+        grid = sp.Grid(2, 128)
+        u = sp.random_band_limited(grid, seed=1, decay=2.0, kmax=3)
+        v = sp.random_band_limited(grid, seed=2, decay=2.0)
+        counts = count_transforms()
+        remainder(*((u, v) if band_limited_first else (v, u)))
+        assert sum(counts) == expected
+
 
 class TestCommutator:
     def test_constant_advector(self):

@@ -692,7 +692,8 @@ class TestRandomFields:
 class TestRealizedEnergy:
     # the Plancherel kernel has the frozen kernel's bytes on spectra that
     # are Hermitian nowhere, with signed zeros, NaN and infinities on the
-    # edge planes and inside, for one to three components
+    # edge planes (self-mirrored modes too) and inside, for one to three
+    # components
     @pytest.mark.parametrize("ncomp", [1, 2, 3])
     @pytest.mark.parametrize("d, n", [(2, 16), (2, 64), (3, 16), (3, 32)])
     def test_matches_frozen_kernel(self, d, n, ncomp):
@@ -702,8 +703,10 @@ class TestRealizedEnergy:
         c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         c[..., 1, 0] = -0.0
         assert sp._realized_energy(grid, c).tobytes() == realized_energy(grid, c).tobytes()
-        for value in (np.nan, np.inf, -np.inf, complex(np.inf, np.nan)):
-            for where in ((0, 2, 0), (0, 3, -1), (-1, 5, 4)):
+        values = (np.nan, complex(0, np.nan), np.inf, -np.inf, complex(np.inf, np.nan))
+        for value in values:
+            # (0, 0) and (0, -1) hold modes that are their own mirror
+            for where in ((0, 2, 0), (0, 3, -1), (-1, 5, 4), (0, 0, 0), (0, 0, -1)):
                 bad = c.copy()
                 bad[where[:1] + (slice(None),) * (d - 2) + where[1:]] = value
                 with np.errstate(invalid="ignore"):
